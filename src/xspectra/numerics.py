@@ -206,7 +206,6 @@ class TridiagonalOperator:
     off_diagonal: np.ndarray
     h: float
     x_grid: np.ndarray
-    boundary: str = "dirichlet"
 
     @property
     def size(self) -> int:
@@ -301,13 +300,35 @@ def discretize(m: PotentialModel, lo: float, hi: float, n: int) -> TridiagonalOp
 
 
 # ---------------------------------------------------------------------------
-# real spectra: Sturm-sequence bisection
+# real spectra: Sturm-sequence multisection
 # ---------------------------------------------------------------------------
+
+# K: a sweep cuts each bracket into K equal parts with K - 1 probes and
+# so gains log2(K) = 7 bits (Lo, Philippe, Sameh, SIAM J. Sci. Stat.
+# Comput. 8, 1987).  A sweep's cost is mostly the Python-level step per
+# grid row, so a few hundred probes cost little more than one.
+_SECTIONS = 128
+_FRACTIONS = np.arange(_SECTIONS + 1) / _SECTIONS
+# A finite bracket is narrower than 2**maxexp and stops once narrower
+# than the 1e-300 floor of the stopping width, so it needs at most
+# log2(2**maxexp / 1e-300) ~ 2021 bits; two spare sweeps absorb the
+# rounding of the probe positions.
+_MAX_SWEEPS = (
+    math.ceil((np.finfo(float).maxexp - math.log2(1e-300)) / math.log2(_SECTIONS)) + 2
+)
 
 
 def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     """The m smallest eigenvalues of a real symmetric operator, by
-    Sturm-sequence bisection (exact eigenvalue counts, no factorization)."""
+    Sturm-sequence multisection (exact eigenvalue counts, no
+    factorization).
+
+    Each sweep puts K - 1 evenly spaced probes into every open bracket,
+    counts the eigenvalues below all of them at once, and keeps the two
+    probes around the first one whose count reaches the bracket's index.
+    Raises :class:`ArgumentError` for non-finite entries and
+    :class:`ConvergenceError` if the sweep cap is ever reached.
+    """
     if np.iscomplexobj(t.diagonal) or np.iscomplexobj(t.off_diagonal):
         raise TypeError(
             "operator has complex entries; use eigen_near_shift instead"
@@ -316,6 +337,8 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
         raise ArgumentError(f"need 1 <= m <= {t.size}, got {m}")
     d = np.asarray(t.diagonal, dtype=float)
     e = np.asarray(t.off_diagonal, dtype=float)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ArgumentError("operator has non-finite entries")
     e2 = e * e
     off_max = e2.max() if len(e2) else 0.0
     pivmin = max(1e-290, off_max * 1e-290)
@@ -333,21 +356,35 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     spread = 2.0 * (np.sqrt(off_max) if off_max else 0.0)
     lo = np.full(m, d.min() - spread)
     hi = np.full(m, d.max() + spread)
+    if not math.isfinite(hi[0] - lo[0]):
+        raise ArgumentError("operator entries overflow the Gershgorin bracket")
     targets = np.arange(1, m + 1)
     # run to machine-relative accuracy per eigenvalue: the operator norm
     # grows like 1/h^2, so any norm-based cutoff would swamp the O(h^2)
     # eigenvalue accuracy the grids are chosen for
     eps = np.finfo(float).eps
-    for _ in range(160):
+    for sweep in range(_MAX_SWEEPS + 1):
         tol = 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi)) + 1e-300
-        mid = 0.5 * (lo + hi)
-        live = (hi - lo > tol) & (mid > lo) & (mid < hi)
-        if not np.any(live):
-            break
-        above = count_below(mid) >= targets
-        hi = np.where(above & live, mid, hi)
-        lo = np.where(~above & live, mid, lo)
-    return 0.5 * (lo + hi)
+        # column 0 is lo, column K is hi, the rest are the probes; a
+        # bracket only a few ulps wide has no probe strictly inside
+        grid = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
+        grid[:, -1] = hi
+        probes = grid[:, 1:-1]
+        inside = (probes > lo[:, None]) & (probes < hi[:, None])
+        live = np.flatnonzero((hi - lo > tol) & inside.any(axis=1))
+        if len(live) == 0:
+            return 0.5 * (lo + hi)
+        if sweep == _MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Sturm multisection left {len(live)} brackets open after "
+                f"{_MAX_SWEEPS} sweeps"
+            )
+        counts = count_below(probes[live].ravel()).reshape(len(live), -1)
+        above = counts >= targets[live, None]
+        # first probe at or above the target; K - 1 stands for hi itself
+        first = np.where(above.any(axis=1), above.argmax(axis=1), _SECTIONS - 1)
+        lo[live] = grid[live, first]
+        hi[live] = grid[live, first + 1]
 
 
 # ---------------------------------------------------------------------------

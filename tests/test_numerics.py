@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xspectra import numerics
 from xspectra import (
     ArgumentError,
     ConvergenceError,
@@ -129,6 +130,73 @@ class TestDiscretization:
     def test_endpoint_pole_is_allowed(self, radial_hermitian):
         op = discretize(radial_hermitian, 0.0, 10.0, 500)
         assert op.size == 500
+
+
+@st.composite
+def symmetric_tridiagonals(draw):
+    """Small symmetric tridiagonals on a 0.01 grid in [-10, 10], with
+    optional repeated diagonals and zeroed off-diagonal entries."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    entry = st.integers(min_value=-1000, max_value=1000).map(lambda k: k / 100.0)
+    if draw(st.booleans()):
+        d = np.full(n, draw(entry))
+    else:
+        d = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    e = np.array(draw(st.lists(entry, min_size=n - 1, max_size=n - 1)))
+    if n > 1:
+        e[np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))] = 0.0
+    m = draw(st.integers(min_value=1, max_value=n))
+    return TridiagonalOperator(d, e, 1.0, np.arange(n, dtype=float)), m
+
+
+class TestLowestEigenvalues:
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_tridiagonals())
+    def test_matches_dense_solver(self, case):
+        t, m = case
+        dense = np.diag(t.diagonal) + np.diag(t.off_diagonal, 1) + np.diag(t.off_diagonal, -1)
+        want = np.linalg.eigvalsh(dense)[:m]
+        got = lowest_eigenvalues(t, m)
+        # both solvers are backward stable to O(n eps ||T||)
+        assert np.all(np.abs(got - want) <= 8.0 * t.size * np.finfo(float).eps * t.scale)
+
+    def test_spectra_suite_operators_match_stebz(self, radial_hermitian, scarf_hermitian):
+        linalg = pytest.importorskip("scipy.linalg")
+        half = 0.5 * math.pi / scarf_hermitian.k
+        for model, lo, hi in ((radial_hermitian, 1e-8, 12.0), (scarf_hermitian, -half, half)):
+            for npts in (2000, 4000):
+                t = discretize(model, lo, hi, npts)
+                want = linalg.eigvalsh_tridiagonal(
+                    t.diagonal, t.off_diagonal, select="i", select_range=(0, 3),
+                    lapack_driver="stebz", tol=1e-300,
+                )
+                got = lowest_eigenvalues(t, 4)
+                # absolute in ||T||: both stop at relative widths, but
+                # the Sturm counts themselves are only that accurate
+                assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps * t.scale
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entries_are_rejected(self, bad):
+        for diagonal in (True, False):
+            d = np.array([1.0, 2.0, 3.0, 4.0])
+            e = np.array([0.5, 0.5, 0.5])
+            (d if diagonal else e)[1] = bad
+            t = TridiagonalOperator(d, e, 1.0, np.arange(4, dtype=float))
+            with pytest.raises(ArgumentError):
+                lowest_eigenvalues(t, 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_bracket_is_rejected(self):
+        # finite entries whose squares overflow leave no finite start bracket
+        t = TridiagonalOperator(np.ones(3), np.full(2, 1e200), 1.0, np.arange(3, dtype=float))
+        with pytest.raises(ArgumentError):
+            lowest_eigenvalues(t, 1)
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        t = tridiagonal_from_potential(None, 0.0, math.pi, 200)
+        monkeypatch.setattr(numerics, "_MAX_SWEEPS", 2)
+        with pytest.raises(ConvergenceError):
+            lowest_eigenvalues(t, 3)
 
 
 class TestEigenNearShift:
