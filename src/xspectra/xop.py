@@ -148,6 +148,7 @@ def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
 # ---------------------------------------------------------------------------
 
 _NULL_TOL = 1e-10  # relative singular-value threshold for the null space
+_KEEP_SVD_TOL = 1e-14  # relative agreement under which a Laguerre SVD member is kept
 
 
 def _cleared_ode_polys(family: X1Family, n: int):
@@ -195,14 +196,45 @@ def _ode_matrix(A, B, C, n: int) -> np.ndarray:
     return m
 
 
+def _jacobi_null_vector(m: np.ndarray, n: int) -> np.ndarray:
+    _, s, vt = np.linalg.svd(m)
+    if s[-1] > _NULL_TOL * s[0]:
+        raise ConstructionError(
+            f"jacobi ODE has no degree-{n} polynomial null vector "
+            f"(smallest singular value {s[-1]:.3e} vs scale {s[0]:.3e})"
+        )
+    if len(s) >= 2 and s[-2] <= _NULL_TOL * s[0]:
+        raise ConstructionError(
+            f"jacobi ODE null space is not one-dimensional at n = {n}"
+        )
+    v = vt[-1]
+    if abs(v[-1]) <= _NULL_TOL * np.max(np.abs(v)):
+        raise ConstructionError(f"jacobi null vector has degree below {n}")
+    return v
+
+
 def x1_polynomial(family: X1Family, n: int) -> Polynomial:
     """Degree-``n`` member of the family, built from its ODE.
 
     The cleared ODE maps the ``n + 1`` monomial coefficients linearly to
     the residual's coefficients; the member spans the one-dimensional null
-    space of that matrix.  The null direction comes from an SVD (singular
-    values below ``1e-10 * s_max`` count as zero); anything but exactly one
-    null direction raises :class:`ConstructionError`.
+    space of that matrix.  The matrix is banded: row ``r`` touches only
+    ``c_{r-1}`` to ``c_{r+2}``, and row ``n + 1`` vanishes identically
+    (the eigenvalue condition).
+
+    Laguerre members come by back-substitution: ``c_n`` is fixed by the
+    normalization, and row ``r`` gives ``c_{r-1}`` through its entry
+    ``n - r + 1``.  Their coefficients span many orders of magnitude, so
+    an SVD null vector, accurate only relative to its largest entry,
+    loses about a digit per degree.  The SVD member is still returned
+    where it agrees with back-substitution to ``1e-14`` relative (low
+    degrees), which keeps earlier outputs byte-identical.  Jacobi members
+    come from the SVD alone (singular values below ``1e-10 * s_max``
+    count as zero; anything but exactly one null direction raises
+    :class:`ConstructionError`), since their back-substitution amplifies
+    rounding and fails row 0 from about n = 8.  Either way a residual of
+    the whole system above ``1e-10`` of its scale raises
+    :class:`ConstructionError`.
 
     Normalization: Laguerre members get leading coefficient
     ``(-1)^n / (n - 1)!``; Jacobi members get ``-1/2`` times the leading
@@ -214,26 +246,22 @@ def x1_polynomial(family: X1Family, n: int) -> Polynomial:
     n = int(n)
     A, B, C = _cleared_ode_polys(family, n)
     m = _ode_matrix(A, B, C, n)
-    _, s, vt = np.linalg.svd(m)
-    if s[-1] > _NULL_TOL * s[0]:
-        raise ConstructionError(
-            f"{family.kind} ODE has no degree-{n} polynomial null vector "
-            f"(smallest singular value {s[-1]:.3e} vs scale {s[0]:.3e})"
-        )
-    if len(s) >= 2 and s[-2] <= _NULL_TOL * s[0]:
-        raise ConstructionError(
-            f"{family.kind} ODE null space is not one-dimensional at n = {n}"
-        )
-    v = vt[-1]
-    if abs(v[-1]) <= _NULL_TOL * np.max(np.abs(v)):
-        raise ConstructionError(
-            f"{family.kind} null vector has degree below {n}"
-        )
     if family.kind == "laguerre":
-        lead = (-1.0) ** n / math.factorial(n - 1)
+        v = np.zeros(n + 1)
+        v[n] = (-1.0) ** n / math.factorial(n - 1)
+        for r in range(n, 0, -1):
+            v[r - 1] = -(m[r, r:] @ v[r:]) / m[r, r - 1]
+        # members used to come from the SVD null vector; where it agrees
+        # with back-substitution its bits are kept, so tables and golden
+        # digests computed from it stay byte-identical
+        w = np.linalg.svd(m)[2][-1]
+        w = w * (v[n] / w[-1])
+        if np.max(np.abs(w - v)) <= _KEEP_SVD_TOL * np.max(np.abs(v)):
+            v = w
     else:
+        v = _jacobi_null_vector(m, n)
         lead = -0.5 * classical_jacobi(n - 1, family.a, family.b).coeffs[-1]
-    v = v * (lead / v[-1])
+        v = v * (lead / v[-1])
     resid = m @ v
     scale = np.max(np.abs(m)) * np.max(np.abs(v))
     if np.max(np.abs(resid)) > 1e-10 * scale:
