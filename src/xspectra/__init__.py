@@ -21,8 +21,6 @@ from .errors import (
 )
 from .models import (
     PotentialModel,
-    ShiftOperator,
-    apply_rho_shift,
     energy,
     potential,
     pseudo_hermiticity_residual,
@@ -33,17 +31,12 @@ from .models import (
 )
 from .numerics import (
     EigenResult,
-    Quadrature,
     TridiagonalOperator,
     discretize,
     eigen_near_shift,
-    finite_quadrature,
     gram_matrix,
-    integrate,
     lowest_eigenvalues,
     schrodinger_residual,
-    semi_infinite_algebraic_quadrature,
-    semi_infinite_exp_quadrature,
     tridiagonal_from_potential,
 )
 from .pct import (
@@ -54,7 +47,16 @@ from .pct import (
     pct_extract_potential,
     pct_wavefactor,
 )
-from .polycore import Polynomial, count_real_roots_in, gamma
+from .polycore import (
+    Polynomial,
+    Quadrature,
+    count_real_roots_in,
+    finite_quadrature,
+    gamma,
+    integrate,
+    semi_infinite_algebraic_quadrature,
+    semi_infinite_exp_quadrature,
+)
 from .xop import (
     OdeCoefficients,
     X1Family,
@@ -78,8 +80,6 @@ __all__ = [
     "PoleError",
     "SingularityError",
     "PotentialModel",
-    "ShiftOperator",
-    "apply_rho_shift",
     "energy",
     "potential",
     "pseudo_hermiticity_residual",

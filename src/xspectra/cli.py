@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,12 @@ from .errors import (
 )
 from .models import PotentialModel
 from .pct import GMap, extract_potential_report
-from .polycore import count_real_roots_in
+from .polycore import (
+    count_real_roots_in,
+    finite_quadrature,
+    semi_infinite_algebraic_quadrature,
+    semi_infinite_exp_quadrature,
+)
 from .xop import X1Family, x1_laguerre_norm, x1_polynomial
 
 __all__ = ["main", "entry"]
@@ -42,6 +47,7 @@ __all__ = ["main", "entry"]
 _FMT = "%.16e"
 
 # every tolerance a check compares against, overridable by --tol-<name>
+# on the subcommands that compare against it
 _TOLERANCES = {
     "gram-offdiag": 1e-8,
     "gram-diag-rel": 1e-8,
@@ -58,6 +64,9 @@ _TOLERANCES = {
     "eigen-residual": 1e-8,
     "residual": 1e-6,
 }
+
+# the tolerances `spectrum` compares against; `table` has none
+_SPECTRUM_TOLERANCES = ("spectrum-rel", "im-ratio", "eigen-residual")
 
 _SUITES = (
     "orthogonality",
@@ -127,32 +136,6 @@ def _check_in(name, measured, lo, hi) -> CheckResult:
     return CheckResult(name, measured, float(hi), dist == 0.0)
 
 
-def _threads() -> int:
-    raw = os.environ.get("XSPECTRA_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        _warn(f"ignoring non-integer XSPECTRA_THREADS={raw!r}")
-        return 1
-
-
-def _chunked(fun, xs: np.ndarray) -> np.ndarray:
-    """Evaluate fun over xs, split across XSPECTRA_THREADS workers.
-
-    Chunks are concatenated in order, so the result is identical to a
-    single-threaded call.
-    """
-    threads = _threads()
-    if threads <= 1 or len(xs) < 64:
-        return np.asarray(fun(xs))
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(xs, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: np.asarray(fun(c)), chunks))
-    return np.concatenate(parts)
-
-
 def _write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xspectra-")
@@ -217,15 +200,17 @@ def _model_from_args(args) -> PotentialModel:
     return model
 
 
-def _scarf_half_cell(m: PotentialModel) -> float:
-    return 0.5 * math.pi / abs(m.k)
+def _scarf_cell(m: PotentialModel) -> tuple:
+    """Centre and half-width of the scarf model's central cell."""
+    half = 0.5 * math.pi / abs(m.k)
+    offset = -0.5 * math.pi / m.k if m.branch == "cos" else 0.0
+    return offset, half
 
 
 def _default_range(m: PotentialModel) -> tuple:
     if m.family == "radial_extended":
         return (0.05, 8.0) if m.eps == 0.0 else (-4.0, 4.0)
-    half = _scarf_half_cell(m)
-    offset = -0.5 * math.pi / m.k if m.branch == "cos" else 0.0
+    offset, half = _scarf_cell(m)
     margin = 1e-3 * half
     return (offset - half + margin, offset + half - margin)
 
@@ -255,11 +240,11 @@ def cmd_table(args) -> int:
     if args.points < 2:
         raise ArgumentError(f"need at least 2 grid points, got {args.points}")
     grid = np.linspace(lo, hi, args.points)
-    v = _chunked(lambda xs: models.potential(m, xs), grid)
+    v = models.potential(m, grid)
     header = ["x", "re_V", "im_V"]
     columns = [grid, np.real(v), np.imag(v)]
     for n in _parse_levels(args.psi) if args.psi else []:
-        psi = _chunked(lambda xs, n=n: models.wavefunction(m, n, xs), grid)
+        psi = models.wavefunction(m, n, grid)
         header += [f"re_psi_{n}", f"im_psi_{n}", f"abs2_psi_{n}"]
         columns += [np.real(psi), np.imag(psi), np.abs(psi) ** 2]
     bad = sum(int(np.sum(~np.isfinite(col))) for col in columns)
@@ -301,8 +286,7 @@ def cmd_spectrum(args) -> int:
     if m.family == "radial_extended":
         lo, hi = (-12.0, 12.0) if complex_case else (1e-8, 12.0)
     else:
-        half = _scarf_half_cell(m)
-        offset = -0.5 * math.pi / m.k if m.branch == "cos" else 0.0
+        offset, half = _scarf_cell(m)
         lo, hi = offset - half, offset + half
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
@@ -365,7 +349,7 @@ def cmd_spectrum(args) -> int:
         "hi": float(hi),
         "grid_points": int(npts),
         "nmax": int(nmax),
-        "tolerances": {k: tol[k] for k in ("spectrum-rel", "im-ratio", "eigen-residual")},
+        "tolerances": {k: tol[k] for k in _SPECTRUM_TOLERANCES},
     }
     _write_manifest(manifest, "spectrum", parameters, [out, manifest], checks)
     return 0 if all(c.passed for c in checks) else 1
@@ -380,8 +364,8 @@ def _suite_orthogonality(args, tol) -> list:
     checks = []
     a_values = [args.a] if args.a is not None else [0.5, 2.0]
     nmax = args.nmax if args.nmax is not None else 6
-    q_exp = numerics.semi_infinite_exp_quadrature()
-    q_alg = numerics.semi_infinite_algebraic_quadrature()
+    q_exp = semi_infinite_exp_quadrature()
+    q_alg = semi_infinite_algebraic_quadrature()
     for a in a_values:
         fam = X1Family("laguerre", a)
         gram, ratio = numerics.gram_matrix(fam, nmax, q_exp)
@@ -404,7 +388,7 @@ def _suite_orthogonality(args, tol) -> list:
             )
         )
     fam_j = X1Family("jacobi", _FIGURE_SCARF["a"], _FIGURE_SCARF["b"])
-    _, ratio = numerics.gram_matrix(fam_j, 4, numerics.finite_quadrature(-1.0, 1.0))
+    _, ratio = numerics.gram_matrix(fam_j, 4, finite_quadrature(-1.0, 1.0))
     checks.append(_check_le("jacobi-offdiag", ratio, tol["gram-offdiag"]))
     return checks
 
@@ -538,8 +522,7 @@ def _figure_models(args) -> list:
 def _similarity_grid(m: PotentialModel) -> np.ndarray:
     if m.family == "radial_extended":
         return np.linspace(-4.0, 4.0, 200)
-    half = _scarf_half_cell(m)
-    offset = -0.5 * math.pi / m.k if m.branch == "cos" else 0.0
+    offset, half = _scarf_cell(m)
     return np.linspace(offset - 0.98 * half, offset + 0.98 * half, 200)
 
 
@@ -591,26 +574,28 @@ def _suite_hermiticity(args, tol) -> list:
     return checks
 
 
+def _real_spectrum_checks(label, m0, lo, hi, tol) -> list:
+    """Lowest four grid levels against the formula at 4000 points, and
+    the h^2 convergence factor of their errors from 2000 to 4000 points."""
+    want = np.array([models.energy(m0, n) for n in range(1, 5)])
+    errs = {}
+    for npts in (2000, 4000):
+        op = numerics.discretize(m0, lo, hi, npts)
+        errs[npts] = np.abs(numerics.lowest_eigenvalues(op, 4) - want)
+    factors = errs[2000] / errs[4000]
+    conv = (tol["conv-lo"], tol["conv-hi"])
+    return [
+        _check_le(f"{label}-spectrum-rel", np.max(errs[4000] / want), tol["spectrum-rel"]),
+        _check_in(f"{label}-conv-factor-min", float(np.min(factors)), *conv),
+        _check_in(f"{label}-conv-factor-max", float(np.max(factors)), *conv),
+    ]
+
+
 def _suite_spectra(args, tol) -> list:
     checks = []
     if args.family in (None, "radial"):
         m0 = PotentialModel("radial_extended", _FIGURE_RADIAL["a"], None, _FIGURE_RADIAL["k"], 0.0)
-        domains = (1e-8, 12.0)
-        want = np.array([models.energy(m0, n) for n in range(1, 5)])
-        errs = {}
-        for npts in (2000, 4000):
-            op = numerics.discretize(m0, *domains, npts)
-            errs[npts] = np.abs(numerics.lowest_eigenvalues(op, 4) - want)
-        checks.append(
-            _check_le("radial-spectrum-rel", np.max(errs[4000] / want), tol["spectrum-rel"])
-        )
-        factors = errs[2000] / errs[4000]
-        checks.append(
-            _check_in("radial-conv-factor-min", float(np.min(factors)), tol["conv-lo"], tol["conv-hi"])
-        )
-        checks.append(
-            _check_in("radial-conv-factor-max", float(np.max(factors)), tol["conv-lo"], tol["conv-hi"])
-        )
+        checks += _real_spectrum_checks("radial", m0, 1e-8, 12.0, tol)
         mc = PotentialModel(
             "radial_extended", _FIGURE_RADIAL["a"], None, _FIGURE_RADIAL["k"], _FIGURE_RADIAL["eps"]
         )
@@ -636,22 +621,8 @@ def _suite_spectra(args, tol) -> list:
         m0 = PotentialModel(
             "scarf_extended", _FIGURE_SCARF["a"], _FIGURE_SCARF["b"], _FIGURE_SCARF["k"], 0.0
         )
-        half = _scarf_half_cell(m0)
-        want = np.array([models.energy(m0, n) for n in range(1, 5)])
-        errs = {}
-        for npts in (2000, 4000):
-            op = numerics.discretize(m0, -half, half, npts)
-            errs[npts] = np.abs(numerics.lowest_eigenvalues(op, 4) - want)
-        checks.append(
-            _check_le("scarf-spectrum-rel", np.max(errs[4000] / want), tol["spectrum-rel"])
-        )
-        factors = errs[2000] / errs[4000]
-        checks.append(
-            _check_in("scarf-conv-factor-min", float(np.min(factors)), tol["conv-lo"], tol["conv-hi"])
-        )
-        checks.append(
-            _check_in("scarf-conv-factor-max", float(np.max(factors)), tol["conv-lo"], tol["conv-hi"])
-        )
+        _, half = _scarf_cell(m0)
+        checks += _real_spectrum_checks("scarf", m0, -half, half, tol)
     return checks
 
 
@@ -659,16 +630,11 @@ def _suite_residuals(args, tol) -> list:
     checks = []
     for m in _figure_models(args):
         label = "radial" if m.family == "radial_extended" else "scarf"
-        hermitian = (
-            PotentialModel(m.family, m.a, None, m.k, 0.0)
-            if m.family == "radial_extended"
-            else PotentialModel(m.family, m.a, m.b, m.k, 0.0, m.branch)
-        )
+        hermitian = replace(m, eps=0.0)
         if m.family == "radial_extended":
             grids = {0.0: np.linspace(0.4, 6.0, 40), m.eps: np.linspace(-5.0, 5.0, 40)}
         else:
-            half = _scarf_half_cell(m)
-            offset = -0.5 * math.pi / m.k if m.branch == "cos" else 0.0
+            offset, half = _scarf_cell(m)
             cell = np.linspace(offset - 0.9 * half, offset + 0.9 * half, 40)
             grids = {0.0: cell, m.eps: cell}
         for eps, grid in grids.items():
@@ -748,14 +714,14 @@ def _add_model_flags(p, family_required=True, eps_default=0.0):
     )
 
 
-def _add_tol_flags(p):
-    for name, default in _TOLERANCES.items():
+def _add_tol_flags(p, names):
+    for name in names:
         p.add_argument(
             f"--tol-{name}",
             type=float,
             default=None,
             metavar="X",
-            help=f"override tolerance {name} (default {default:g})",
+            help=f"override tolerance {name} (default {_TOLERANCES[name]:g})",
         )
 
 
@@ -785,7 +751,6 @@ def build_parser() -> _Parser:
     )
     p_table.add_argument("--out", default=None, help="CSV output path")
     p_table.add_argument("--manifest", default=None, help="JSON manifest path")
-    _add_tol_flags(p_table)
     p_table.set_defaults(func=cmd_table, needs_model=True)
 
     p_spec = sub.add_parser("spectrum", help="formula vs grid eigenvalues as CSV")
@@ -805,7 +770,7 @@ def build_parser() -> _Parser:
     )
     p_spec.add_argument("--out", default=None)
     p_spec.add_argument("--manifest", default=None)
-    _add_tol_flags(p_spec)
+    _add_tol_flags(p_spec, _SPECTRUM_TOLERANCES)
     p_spec.set_defaults(func=cmd_spectrum, needs_model=True)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
@@ -813,7 +778,7 @@ def build_parser() -> _Parser:
     _add_model_flags(p_ver, family_required=False, eps_default=None)
     p_ver.add_argument("--nmax", type=int, default=None)
     p_ver.add_argument("--manifest", default=None)
-    _add_tol_flags(p_ver)
+    _add_tol_flags(p_ver, _TOLERANCES)
     p_ver.set_defaults(func=cmd_verify, needs_model=False)
 
     return parser

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,16 +30,15 @@ from .errors import (
     DomainError,
     SingularityError,
 )
+from .polycore import finite_quadrature, integrate
 from .xop import X1Family, x1_laguerre_norm, x1_polynomial
 
 __all__ = [
     "PotentialModel",
-    "ShiftOperator",
     "validate_params",
     "potential",
     "energy",
     "wavefunction",
-    "apply_rho_shift",
     "quasi_hermiticity_residual",
     "pseudo_hermiticity_residual",
     "pt_symmetry_residual",
@@ -230,8 +229,6 @@ def _scarf_norm_constant(a: float, b: float, k: float, n: int) -> float:
     Computed once per (a, b, k, n) by quadrature over the period cell;
     the closed form publishes the state only up to a constant.
     """
-    from .numerics import finite_quadrature, integrate  # deferred: numerics imports us
-
     p = _member("jacobi", a, b, n)
     half = 0.5 * math.pi / k
 
@@ -358,43 +355,6 @@ def wavefunction(m: PotentialModel, n: int, x):
 # ---------------------------------------------------------------------------
 # similarity structure
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShiftOperator:
-    """The imaginary translation rho = exp((eps/k) p), p = -i d/dx.
-
-    Conjugation by rho moves the argument of an analytic function:
-    rho f(x) rho^(-1) = f(x - i eps / k).
-    """
-
-    eps: float
-    k: float
-
-    def __post_init__(self):
-        if float(self.k) == 0.0:
-            raise ArgumentError("scale k must be nonzero")
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "k", float(self.k))
-
-    @property
-    def shift(self) -> complex:
-        return 1j * self.eps / self.k
-
-
-def apply_rho_shift(s: ShiftOperator, f: Callable, sign: int = 1) -> Callable:
-    """Evaluator for rho^sign f rho^(-sign), i.e. x -> f(x - sign i eps/k).
-
-    ``f`` must be analytic in the strip |Im z| <= |eps/k|; that is the
-    caller's contract and is not checked here.
-    """
-    if sign not in (1, -1):
-        raise ArgumentError(f"sign must be +1 or -1, got {sign!r}")
-
-    def shifted(x):
-        return f(np.asarray(x) - sign * s.shift)
-
-    return shifted
 
 
 def quasi_hermiticity_residual(m: PotentialModel, grid) -> float:

@@ -1,5 +1,5 @@
-"""Independent numerical verification: quadrature, Gram matrices, grid
-Hamiltonians, real and complex eigenvalue extraction, ODE residuals.
+"""Independent numerical verification: Gram matrices, grid Hamiltonians,
+real and complex eigenvalue extraction, ODE residuals.
 
 Everything here deliberately avoids the closed forms it is meant to
 check: spectra come from finite differences, norms from quadrature, and
@@ -17,20 +17,15 @@ import numpy as np
 from .errors import (
     ArgumentError,
     ConvergenceError,
-    EvaluationError,
     FactorizationError,
     SingularityError,
 )
 from . import models
 from .models import PotentialModel
+from .polycore import Quadrature, integrate
 from .xop import X1Family, x1_polynomial, x1_weight
 
 __all__ = [
-    "Quadrature",
-    "finite_quadrature",
-    "semi_infinite_exp_quadrature",
-    "semi_infinite_algebraic_quadrature",
-    "integrate",
     "gram_matrix",
     "TridiagonalOperator",
     "tridiagonal_from_potential",
@@ -43,130 +38,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# Gram matrices
 # ---------------------------------------------------------------------------
-
-_DOMAIN_MAPS = ("finite", "semi_infinite_exp", "semi_infinite_algebraic")
-
-
-@dataclass(frozen=True, eq=False)
-class Quadrature:
-    """A Gauss-Legendre base rule plus a domain transformation.
-
-    ``nodes``/``weights`` live on (-1, 1); ``domain_map`` names how the
-    composite panels are mapped onto the integration domain.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    domain_map: str
-    lo: float
-    hi: float
-
-
-def _base_rule(order: int):
-    if order < 2:
-        raise ArgumentError(f"rule order must be at least 2, got {order}")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
-def finite_quadrature(lo: float, hi: float, order: int = 16) -> Quadrature:
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ArgumentError(f"need finite lo < hi, got ({lo:g}, {hi:g})")
-    nodes, weights = _base_rule(order)
-    return Quadrature(nodes, weights, "finite", lo, hi)
-
-
-def semi_infinite_exp_quadrature(order: int = 16) -> Quadrature:
-    """(0, inf) through x = -2 log(1 - t), t in (0, 1).
-
-    The factor 2 keeps exponentially weighted integrands decaying in t:
-    with plain -log(1-t) a weight exp(-x) cancels the Jacobian exactly
-    and polynomial growth survives at t = 1.
-    """
-    nodes, weights = _base_rule(order)
-    return Quadrature(nodes, weights, "semi_infinite_exp", 0.0, math.inf)
-
-
-def semi_infinite_algebraic_quadrature(order: int = 16) -> Quadrature:
-    """(0, inf) through x = t / (1 - t), t in (0, 1)."""
-    nodes, weights = _base_rule(order)
-    return Quadrature(nodes, weights, "semi_infinite_algebraic", 0.0, math.inf)
-
-
-# Panels graded geometrically toward both ends of the unit interval;
-# endpoint behavior of the weights (x^a near 0, the mapped infinity near
-# 1) is what the grading is for.  Refinement DEEPENS the grading rather
-# than splitting uniformly: endpoint singularities are algebraic or
-# logarithmic, so the closing cells must shrink exponentially while the
-# analytic interior cells are already resolved by the base rule.
-_GRADE_LEVELS = 6
-_GRADE_STEP = 6
-_GRADE_MAX = 40  # beyond this the closing cells fall below float spacing
-
-
-def _unit_edges(refinement: int) -> np.ndarray:
-    depth = min(_GRADE_LEVELS + _GRADE_STEP * refinement, _GRADE_MAX)
-    fracs = [2.0 ** -j for j in range(depth, 0, -1)]
-    pts = np.array([0.0] + fracs + [1.0 - f for f in reversed(fracs[:-1])] + [1.0])
-    parts = refinement + 1
-    if parts == 1:
-        return pts
-    steps = np.arange(parts) / parts
-    edges = (pts[:-1, None] + np.diff(pts)[:, None] * steps[None, :]).ravel()
-    return np.append(edges, 1.0)
-
-
-def _mapped(q: Quadrature, t: np.ndarray):
-    if q.domain_map == "finite":
-        return t, np.ones_like(t)
-    if q.domain_map == "semi_infinite_exp":
-        return -2.0 * np.log1p(-t), 2.0 / (1.0 - t)
-    return t / (1.0 - t), 1.0 / (1.0 - t) ** 2
-
-
-def integrate(
-    f: Callable,
-    q: Quadrature,
-    rtol: float = 1e-10,
-    max_refinements: int = 12,
-):
-    """Composite panel integral of ``f`` under the quadrature's domain map.
-
-    The panel mesh is refined (deeper endpoint grading plus interior
-    subdivision) until two successive refinements agree to ``rtol``
-    relative, with an absolute floor taken from the total variation so
-    integrals that are genuinely zero converge too.
-    """
-    prev = None
-    for level in range(max_refinements + 1):
-        edges = _unit_edges(level)
-        if q.domain_map == "finite":
-            edges = q.lo + (q.hi - q.lo) * edges
-        left, right = edges[:-1], edges[1:]
-        halfw = 0.5 * (right - left)
-        t = (left[:, None] + halfw[:, None] * (q.nodes[None, :] + 1.0)).ravel()
-        wts = (halfw[:, None] * q.weights[None, :]).ravel()
-        x, jac = _mapped(q, t)
-        vals = np.asarray(f(x))
-        finite = np.isfinite(vals.real) & np.isfinite(vals.imag) if np.iscomplexobj(vals) else np.isfinite(vals)
-        if not np.all(finite):
-            bad = x[~np.atleast_1d(finite)][0]
-            raise EvaluationError(f"integrand not finite at x = {bad:g}")
-        terms = wts * jac * vals
-        total = terms.sum()
-        total_abs = np.abs(terms).sum()
-        if prev is not None and abs(total - prev) <= rtol * max(
-            abs(total), 1e-3 * total_abs
-        ):
-            return total
-        prev = total
-    raise ConvergenceError(
-        f"integral did not settle to rtol {rtol:g} after "
-        f"{max_refinements} panel refinements"
-    )
 
 
 def gram_matrix(family: X1Family, nmax: int, q: Quadrature):

@@ -1,27 +1,32 @@
 """Scalar and polynomial primitives used by every other module.
 
 Dense real-coefficient polynomials, a double-precision gamma function,
-the classical Laguerre and Jacobi families, and Sturm-chain real-root
-counting.  This module imports nothing else from the package apart from
-the error types.
+the classical Jacobi family, exact Sturm-chain real-root counting, and
+composite Gauss-Legendre quadrature.  This module imports nothing else
+from the package apart from the error types.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, PoleError
+from .errors import ArgumentError, ConvergenceError, EvaluationError, PoleError
 
 __all__ = [
     "Polynomial",
     "gamma",
-    "classical_laguerre",
     "classical_jacobi",
     "poly_eval_derivs",
     "count_real_roots_in",
+    "Quadrature",
+    "finite_quadrature",
+    "semi_infinite_exp_quadrature",
+    "semi_infinite_algebraic_quadrature",
+    "integrate",
 ]
 
 
@@ -98,19 +103,11 @@ class Polynomial:
             )
 
     @classmethod
-    def from_coeffs(cls, cs, drop_tol: float = 0.0) -> "Polynomial":
-        """Build from any coefficient sequence, trimming trailing zeros.
-
-        With ``drop_tol > 0`` every coefficient whose magnitude is at most
-        ``drop_tol * max(|c|)`` is zeroed before trimming.
-        """
+    def from_coeffs(cls, cs) -> "Polynomial":
+        """Build from any coefficient sequence, trimming trailing zeros."""
         cs = [float(c) for c in cs]
         if not cs:
             cs = [0.0]
-        if drop_tol > 0.0:
-            top = max(abs(c) for c in cs)
-            if top > 0.0:
-                cs = [0.0 if abs(c) <= drop_tol * top else c for c in cs]
         while len(cs) > 1 and cs[-1] == 0.0:
             cs.pop()
         return cls(tuple(cs))
@@ -188,40 +185,8 @@ def poly_eval_derivs(p: Polynomial, x, m: int):
 
 
 # ---------------------------------------------------------------------------
-# classical families
+# classical Jacobi family
 # ---------------------------------------------------------------------------
-
-
-def classical_laguerre(n: int, a: float) -> Polynomial:
-    """Generalized Laguerre polynomial ``L_n^(a)``.
-
-    Three-term recurrence
-    ``k L_k = (2k - 1 + a - x) L_{k-1} - (k - 1 + a) L_{k-2}``
-    started from ``L_0 = 1`` and ``L_1 = 1 + a - x``.
-
-    Parameters
-    ----------
-    n : int
-        Degree, ``n >= 0``.
-    a : float
-        Index, ``a > -1``.
-    """
-    _check_degree(n)
-    a = float(a)
-    if not a > -1.0:
-        raise ArgumentError(f"laguerre index needs a > -1, got a = {a:g}")
-    prev = np.array([1.0])
-    if n == 0:
-        return Polynomial.from_coeffs(prev)
-    cur = np.array([1.0 + a, -1.0])
-    for k in range(2, n + 1):
-        nxt = np.zeros(k + 1)
-        nxt[: k] += (2 * k - 1 + a) * cur
-        nxt[1 : k + 1] -= cur
-        nxt[: k - 1] -= (k - 1 + a) * prev
-        nxt /= k
-        prev, cur = cur, nxt
-    return Polynomial.from_coeffs(cur)
 
 
 def classical_jacobi(n: int, a: float, b: float) -> Polynomial:
@@ -262,108 +227,234 @@ def _check_degree(n) -> None:
 # Sturm-chain root counting
 # ---------------------------------------------------------------------------
 
-# Relative threshold for dropping noise coefficients while building the
-# chain, and for deciding that an endpoint sits on a root.
-_DROP_TOL = 1e-12
+# Every float is an exact binary rational, so a polynomial with float
+# coefficients is, up to a positive power-of-two factor, one with integer
+# coefficients.  The chain below is built and evaluated in Python
+# integers, with no rounding anywhere.  Coefficient lists are descending.
 
 
-def _trim_desc(c: np.ndarray) -> np.ndarray:
-    """Drop tiny coefficients and leading zeros (descending order)."""
-    top = np.max(np.abs(c)) if c.size else 0.0
-    if top == 0.0:
-        return np.zeros(0)
-    c = np.where(np.abs(c) <= _DROP_TOL * top, 0.0, c)
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        return np.zeros(0)
-    return c[nz[0] :] / np.max(np.abs(c))
+def _integer_coeffs(p: Polynomial) -> list[int]:
+    """Descending integer coefficients of a positive multiple of ``p``."""
+    ratios = [c.as_integer_ratio() for c in reversed(p.coeffs)]
+    scale = max(den for _, den in ratios)  # every denominator is a power of 2
+    return [num * (scale // den) for num, den in ratios]
 
 
-def _poly_rem_desc(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Remainder of polynomial division, coefficients descending."""
-    r = num.astype(float).copy()
-    dn = len(den)
-    while len(r) >= dn:
-        q = r[0] / den[0]
-        r[:dn] -= q * den
-        r = r[1:]
-    return r
+def _primitive(c: list[int]) -> list[int]:
+    """Divide out the positive gcd of the coefficients; signs are kept."""
+    g = math.gcd(*c)
+    return [x // g for x in c]
 
 
-def _sturm_chain(p: Polynomial) -> list[np.ndarray]:
-    chain = []
-    cur = _trim_desc(np.array(p.coeffs[::-1], dtype=float))
-    chain.append(cur)
-    if len(cur) <= 1:
-        return chain
-    deriv = cur[:-1] * np.arange(len(cur) - 1, 0, -1)
-    nxt = _trim_desc(deriv)
-    while nxt.size:
-        chain.append(nxt)
-        if len(nxt) == 1:
+def _pseudo_divmod(a: list[int], b: list[int]):
+    """Pseudo-division: ``(q, r)`` with ``s * a = q * b + r`` for an integer
+    ``s > 0`` and ``deg r < deg b``; ``r`` is empty when ``b`` divides ``a``.
+
+    Each step scales by ``|lead(b)|``, never by a negative number, so ``r``
+    has the sign pattern of the true remainder.
+    """
+    lead, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    r = list(a)
+    while len(r) >= len(b):
+        t = sign * r[0]
+        q = [lead * x for x in q]
+        q[len(a) - len(r)] = t
+        r = [lead * x - t * y for x, y in zip(r[1:], b[1:])] + [
+            lead * x for x in r[len(b) :]
+        ]
+        while r and r[0] == 0:
+            r.pop(0)
+    return q, r
+
+
+def _sturm_chain(c: list[int]) -> list[list[int]]:
+    """Primitive Sturm chain c, c', -rem, ...; ends at a multiple of gcd(c, c')."""
+    deg = len(c) - 1
+    chain = [c, _primitive([(deg - j) * x for j, x in enumerate(c[:-1])])]
+    while len(chain[-1]) > 1:
+        _, r = _pseudo_divmod(chain[-2], chain[-1])
+        if not r:
             break
-        rem = _poly_rem_desc(chain[-2], chain[-1])
-        cur, nxt = nxt, _trim_desc(-rem)
+        chain.append(_primitive([-x for x in r]))
     return chain
 
 
-def _chain_sign(c: np.ndarray, t: float) -> int:
-    """Sign of a chain member at ``t`` (may be +-inf); 0 when ambiguous."""
+def _value_times_den(c: list[int], num: int, den: int) -> int:
+    """``c(num / den) * den**deg``: same sign as ``c(num / den)`` for den > 0."""
+    acc, scale = 0, 1
+    for x in c:
+        acc = acc * num + x * scale
+        scale *= den
+    return acc
+
+
+def _chain_values(chain: list[list[int]], t: float) -> list[int]:
+    """Each member's value at ``t`` (may be +-inf) up to a positive factor."""
     if math.isinf(t):
-        lead = c[0]
-        if t > 0 or (len(c) - 1) % 2 == 0:
-            return int(np.sign(lead))
-        return -int(np.sign(lead))
-    val = 0.0
-    scale = 0.0
-    for coef in c:
-        val = val * t + coef
-        scale = scale * abs(t) + abs(coef)
-    if abs(val) <= _DROP_TOL * scale:
-        return 0
-    return 1 if val > 0 else -1
+        # the leading term decides; odd degree flips sign at -inf
+        return [c[0] if t > 0 or len(c) % 2 else -c[0] for c in chain]
+    num, den = t.as_integer_ratio()
+    return [_value_times_den(c, num, den) for c in chain]
 
 
-def _sign_variations(chain: list[np.ndarray], t: float) -> int:
-    signs = [s for s in (_chain_sign(c, t) for c in chain) if s != 0]
-    return sum(1 for u, v in zip(signs, signs[1:]) if u * v < 0)
-
-
-def _nudge_off_root(chain: list[np.ndarray], t: float, direction: float) -> float:
-    """Move ``t`` inward until the leading chain member has a definite sign.
-
-    The step starts at 1e-12 * max(1, |t|) and doubles, because the sign
-    test itself has a coefficient-scale ambiguity band; a fixed nudge can
-    land inside it and leave the two endpoints counted inconsistently.
-    """
-    step = 1e-12 * max(1.0, abs(t))
-    for _ in range(40):
-        if _chain_sign(chain[0], t) != 0:
-            return t
-        t += direction * step
-        step *= 2.0
-    return t
+def _sign_variations(vals: list[int]) -> int:
+    signs = [v > 0 for v in vals if v != 0]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def count_real_roots_in(p: Polynomial, lo: float, hi: float) -> int:
     """Number of distinct real roots of ``p`` in the open interval (lo, hi).
 
-    Sturm's theorem on a floating-point chain; coefficients below
-    ``1e-12 * max|coeff|`` are dropped while building the chain.  Endpoints
-    that are themselves roots are excluded by nudging them inward until
-    the chain sign resolves.  ``lo``/``hi`` may be ``-inf``/``inf``.
+    Exact: the coefficients are scaled to integers, reduced to the
+    squarefree part ``p / gcd(p, p')``, and Sturm's theorem is applied to
+    its primitive pseudo-remainder chain with signs evaluated in integer
+    arithmetic.  For a squarefree chain, V(lo) - V(hi) counts the roots
+    in (lo, hi]; a root at ``hi`` is then subtracted.  ``lo``/``hi`` may
+    be ``-inf``/``inf``.
     """
     if p.is_zero:
         raise ArgumentError("root counting needs a nonzero polynomial")
+    if not all(math.isfinite(c) for c in p.coeffs):
+        raise ArgumentError("root counting needs finite coefficients")
     lo, hi = float(lo), float(hi)
     if not lo < hi:
         raise ArgumentError(f"need lo < hi, got ({lo:g}, {hi:g})")
     if p.degree == 0:
         return 0
-    chain = _sturm_chain(p)
-    if math.isfinite(lo):
-        lo = _nudge_off_root(chain, lo, 1.0)
-    if math.isfinite(hi):
-        hi = _nudge_off_root(chain, hi, -1.0)
-    count = _sign_variations(chain, lo) - _sign_variations(chain, hi)
-    return max(count, 0)
+    c = _primitive(_integer_coeffs(p))
+    chain = _sturm_chain(c)
+    if len(chain[-1]) > 1:
+        squarefree, _ = _pseudo_divmod(c, chain[-1])
+        chain = _sturm_chain(_primitive(squarefree))
+    at_hi = _chain_values(chain, hi)
+    return (
+        _sign_variations(_chain_values(chain, lo))
+        - _sign_variations(at_hi)
+        - (at_hi[0] == 0)
+    )
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class Quadrature:
+    """A Gauss-Legendre base rule plus a domain transformation.
+
+    ``nodes``/``weights`` live on (-1, 1); ``domain_map`` names how the
+    composite panels are mapped onto the integration domain.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    domain_map: str
+    lo: float
+    hi: float
+
+
+def _base_rule(order: int):
+    if order < 2:
+        raise ArgumentError(f"rule order must be at least 2, got {order}")
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return nodes, weights
+
+
+def finite_quadrature(lo: float, hi: float, order: int = 16) -> Quadrature:
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ArgumentError(f"need finite lo < hi, got ({lo:g}, {hi:g})")
+    nodes, weights = _base_rule(order)
+    return Quadrature(nodes, weights, "finite", lo, hi)
+
+
+def semi_infinite_exp_quadrature(order: int = 16) -> Quadrature:
+    """(0, inf) through x = -2 log(1 - t), t in (0, 1).
+
+    The factor 2 keeps exponentially weighted integrands decaying in t:
+    with plain -log(1-t) a weight exp(-x) cancels the Jacobian exactly
+    and polynomial growth survives at t = 1.
+    """
+    nodes, weights = _base_rule(order)
+    return Quadrature(nodes, weights, "semi_infinite_exp", 0.0, math.inf)
+
+
+def semi_infinite_algebraic_quadrature(order: int = 16) -> Quadrature:
+    """(0, inf) through x = t / (1 - t), t in (0, 1)."""
+    nodes, weights = _base_rule(order)
+    return Quadrature(nodes, weights, "semi_infinite_algebraic", 0.0, math.inf)
+
+
+# Panels graded geometrically toward both ends of the unit interval;
+# endpoint behavior of the weights (x^a near 0, the mapped infinity near
+# 1) is what the grading is for.  Refinement DEEPENS the grading rather
+# than splitting uniformly: endpoint singularities are algebraic or
+# logarithmic, so the closing cells must shrink exponentially while the
+# analytic interior cells are already resolved by the base rule.
+_GRADE_LEVELS = 6
+_GRADE_STEP = 6
+_GRADE_MAX = 40  # beyond this the closing cells fall below float spacing
+
+
+def _unit_edges(refinement: int) -> np.ndarray:
+    depth = min(_GRADE_LEVELS + _GRADE_STEP * refinement, _GRADE_MAX)
+    fracs = [2.0 ** -j for j in range(depth, 0, -1)]
+    pts = np.array([0.0] + fracs + [1.0 - f for f in reversed(fracs[:-1])] + [1.0])
+    parts = refinement + 1
+    if parts == 1:
+        return pts
+    steps = np.arange(parts) / parts
+    edges = (pts[:-1, None] + np.diff(pts)[:, None] * steps[None, :]).ravel()
+    return np.append(edges, 1.0)
+
+
+def _mapped(q: Quadrature, t: np.ndarray):
+    if q.domain_map == "finite":
+        return t, np.ones_like(t)
+    if q.domain_map == "semi_infinite_exp":
+        return -2.0 * np.log1p(-t), 2.0 / (1.0 - t)
+    return t / (1.0 - t), 1.0 / (1.0 - t) ** 2
+
+
+def integrate(
+    f: Callable,
+    q: Quadrature,
+    rtol: float = 1e-10,
+    max_refinements: int = 12,
+):
+    """Composite panel integral of ``f`` under the quadrature's domain map.
+
+    The panel mesh is refined (deeper endpoint grading plus interior
+    subdivision) until two successive refinements agree to ``rtol``
+    relative, with an absolute floor taken from the total variation so
+    integrals that are genuinely zero converge too.
+    """
+    prev = None
+    for level in range(max_refinements + 1):
+        edges = _unit_edges(level)
+        if q.domain_map == "finite":
+            edges = q.lo + (q.hi - q.lo) * edges
+        left, right = edges[:-1], edges[1:]
+        halfw = 0.5 * (right - left)
+        t = (left[:, None] + halfw[:, None] * (q.nodes[None, :] + 1.0)).ravel()
+        wts = (halfw[:, None] * q.weights[None, :]).ravel()
+        x, jac = _mapped(q, t)
+        vals = np.asarray(f(x))
+        finite = np.isfinite(vals.real) & np.isfinite(vals.imag) if np.iscomplexobj(vals) else np.isfinite(vals)
+        if not np.all(finite):
+            bad = x[~np.atleast_1d(finite)][0]
+            raise EvaluationError(f"integrand not finite at x = {bad:g}")
+        terms = wts * jac * vals
+        total = terms.sum()
+        total_abs = np.abs(terms).sum()
+        if prev is not None and abs(total - prev) <= rtol * max(
+            abs(total), 1e-3 * total_abs
+        ):
+            return total
+        prev = total
+    raise ConvergenceError(
+        f"integral did not settle to rtol {rtol:g} after "
+        f"{max_refinements} panel refinements"
+    )

@@ -18,14 +18,13 @@ def read_csv(path):
 
 
 class TestTable:
-    def test_deterministic_and_thread_invariant(self, tmp_path, monkeypatch):
+    def test_deterministic_and_thread_invariant(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = [
             "table", "--family", "radial", "--a", "2", "--k", "1.75",
             "--eps", "1.2", "--psi", "1,2",
         ]
         assert run(base + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("XSPECTRA_THREADS", "3")
         assert run(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
@@ -135,11 +134,12 @@ class TestSpectrum:
 class TestVerify:
     def test_zeros_suite(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert run(["verify", "--suite", "zeros", "--a", "5", "--nmax", "8"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS zero-pattern-a5" in out
-        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
-        assert all(c["status"] == "pass" for c in doc["checks"])
+        for nmax in ("8", "12"):
+            assert run(["verify", "--suite", "zeros", "--a", "5", "--nmax", nmax]) == 0
+            out = capsys.readouterr().out
+            assert "PASS zero-pattern-a5" in out
+            doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+            assert all(c["status"] == "pass" for c in doc["checks"])
         assert doc["parameters"]["tolerances"]["residual"] == 1e-6
 
     def test_hermiticity_suite_default_parameters(self, tmp_path, monkeypatch):
@@ -181,6 +181,13 @@ class TestUsageErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert run(["tabulate"]) == 2
+
+    def test_table_takes_no_tolerance_flags(self, tmp_path, capsys):
+        assert run([
+            "table", "--family", "radial", "--a", "2", "--k", "1.75",
+            "--tol-residual", "1", "--out", str(tmp_path / "t.csv"),
+        ]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_bad_psi_list(self, tmp_path, capsys):
         assert run([

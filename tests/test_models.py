@@ -9,8 +9,6 @@ from xspectra import (
     BranchCutError,
     DomainError,
     PotentialModel,
-    ShiftOperator,
-    apply_rho_shift,
     energy,
     potential,
     pseudo_hermiticity_residual,
@@ -186,18 +184,6 @@ class TestWavefunction:
 
 
 class TestSimilarity:
-    def test_rho_shift_roundtrip(self, radial_figure):
-        s = ShiftOperator(radial_figure.eps, radial_figure.k)
-        f = lambda x: np.exp(0.3 * np.asarray(x, dtype=complex))
-        g = apply_rho_shift(s, apply_rho_shift(s, f, 1), -1)
-        xs = np.linspace(-2.0, 2.0, 21)
-        assert np.max(np.abs(g(xs) - f(xs))) <= 1e-12 * np.max(np.abs(f(xs)))
-
-    def test_zero_shift_is_identity(self):
-        s = ShiftOperator(0.0, 1.0)
-        f = lambda x: np.asarray(x) ** 2
-        assert apply_rho_shift(s, f)(3.0) == pytest.approx(9.0)
-
     def test_quasi_hermiticity(self, radial_figure, scarf_figure):
         xs = np.linspace(-4.0, 4.0, 200)
         scale = np.max(np.abs(potential(radial_figure, xs)))

@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xspectra import Polynomial, PoleError, count_real_roots_in, gamma
-from xspectra.polycore import classical_jacobi, classical_laguerre, poly_eval_derivs
+from xspectra import (
+    ArgumentError,
+    Polynomial,
+    PoleError,
+    X1Family,
+    count_real_roots_in,
+    gamma,
+    x1_polynomial,
+)
+from xspectra.polycore import classical_jacobi, poly_eval_derivs
 
 
 class TestGamma:
@@ -76,15 +84,6 @@ class TestPolynomial:
 
 
 class TestClassicalFamilies:
-    def test_laguerre_against_scipy(self):
-        scipy_special = pytest.importorskip("scipy.special")
-        xs = np.linspace(0.0, 12.0, 25)
-        for n in range(0, 7):
-            for a in (0.5, 2.0, 3.25):
-                got = classical_laguerre(n, a)(xs)
-                want = scipy_special.eval_genlaguerre(n, a, xs)
-                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
-
     def test_jacobi_against_scipy(self):
         scipy_special = pytest.importorskip("scipy.special")
         xs = np.linspace(-1.0, 1.0, 25)
@@ -112,6 +111,28 @@ class TestRootCounting:
     def test_repeated_root_counted_once(self):
         p = Polynomial((1.0, -2.0, 1.0))  # (x - 1)^2
         assert count_real_roots_in(p, 0.0, 2.0) == 1
+
+    def test_endpoints_on_repeated_roots(self):
+        p = Polynomial((-2.0, 5.0, -4.0, 1.0))  # (x - 1)^2 (x - 2)
+        assert count_real_roots_in(p, 1.0, 2.0) == 0
+        assert count_real_roots_in(p, 1.0, 3.0) == 1
+        assert count_real_roots_in(p, 0.0, 3.0) == 2
+        square = Polynomial((1.0, -2.0, 1.0))  # (x - 1)^2
+        assert count_real_roots_in(square, 0.0, 1.0) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_coefficients_are_rejected(self, bad):
+        with pytest.raises(ArgumentError):
+            count_real_roots_in(Polynomial((1.0, bad, 1.0)), -1.0, 1.0)
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 5.0])
+    def test_x1_laguerre_zero_pattern_to_degree_20(self, a):
+        # n - 1 zeros in (0, inf) and one in (-inf, -a) for every member
+        fam = X1Family("laguerre", a)
+        for n in range(1, 21):
+            p = x1_polynomial(fam, n)
+            assert count_real_roots_in(p, -math.inf, -a) == 1, n
+            assert count_real_roots_in(p, 0.0, math.inf) == n - 1, n
 
     @settings(max_examples=40)
     @given(
