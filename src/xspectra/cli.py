@@ -45,6 +45,9 @@ from .xop import X1Family, x1_laguerre_norm, x1_polynomial
 __all__ = ["main", "entry"]
 
 _FMT = "%.16e"
+# rows formatted per write: memory stays O(block) rather than O(file),
+# and speed is flat from a few hundred rows up
+_CHUNK = 4096
 
 # every tolerance a check compares against, overridable by --tol-<name>
 # on the subcommands that compare against it
@@ -136,12 +139,19 @@ def _check_in(name, measured, lo, hi) -> CheckResult:
     return CheckResult(name, measured, float(hi), dist == 0.0)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks) -> None:
+    """Write an iterable of strings to ``path`` via a temp file and a
+    rename, so the target holds either its old bytes or all new ones."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xspectra-")
     try:
+        # mkstemp creates 0600; give the file the mode open() would.
+        # The umask can only be read by setting it.
+        mask = os.umask(0)
+        os.umask(mask)
+        os.fchmod(fd, 0o666 & ~mask)
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -149,12 +159,19 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _csv_chunks(header: list, columns: list):
+    yield ",".join(header) + "\n"
+    table = np.column_stack(columns)
+    row_fmt = ",".join([_FMT] * table.shape[1]) + "\n"
+    for start in range(0, len(table), _CHUNK):
+        block = table[start:start + _CHUNK]
+        # one % per block: tolist() gives Python floats, which format
+        # exactly as the float64 scalars they came from
+        yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
+
+
 def _write_csv(path: str, header: list, columns: list) -> None:
-    lines = [",".join(header)]
-    rows = len(columns[0])
-    for i in range(rows):
-        lines.append(",".join(_FMT % col[i] for col in columns))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, _csv_chunks(header, columns))
 
 
 def _write_manifest(path, command, parameters, outputs, checks) -> None:
@@ -164,7 +181,7 @@ def _write_manifest(path, command, parameters, outputs, checks) -> None:
         "outputs": list(outputs),
         "checks": [c.row() for c in checks],
     }
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
 
 
 def _default_manifest(out: str) -> str:

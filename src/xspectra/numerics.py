@@ -199,7 +199,9 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     Each sweep puts K - 1 evenly spaced probes into every open bracket,
     counts the eigenvalues below all of them at once, and keeps the two
     probes around the first one whose count reaches the bracket's index.
-    Raises :class:`ArgumentError` for non-finite entries and
+    The operator is first scaled to norm ~1 by an exact power of two.
+    Raises :class:`ArgumentError` for non-finite entries, off-diagonals
+    whose squares overflow or an overflowing start bracket, and
     :class:`ConvergenceError` if the sweep cap is ever reached.
     """
     if np.iscomplexobj(t.diagonal) or np.iscomplexobj(t.off_diagonal):
@@ -212,6 +214,15 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     e = np.asarray(t.off_diagonal, dtype=float)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ArgumentError("operator has non-finite entries")
+    # e**2 must stay representable: the recurrence and start bracket use it
+    d_max, e_max = float(np.abs(d).max()), float(np.abs(e).max(initial=0.0))
+    if not math.isfinite(e_max * e_max):
+        raise ArgumentError("operator off-diagonal entries overflow when squared")
+    # scale T to norm ~1 by a power of two, which is exact: otherwise e*e
+    # underflows for tiny-norm operators and the pivmin floor swamps them
+    shift = math.frexp(max(d_max, e_max))[1]
+    d = np.ldexp(d, -shift)
+    e = np.ldexp(e, -shift)
     e2 = e * e
     off_max = e2.max() if len(e2) else 0.0
     pivmin = max(1e-290, off_max * 1e-290)
@@ -229,7 +240,9 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     spread = 2.0 * (np.sqrt(off_max) if off_max else 0.0)
     lo = np.full(m, d.min() - spread)
     hi = np.full(m, d.max() + spread)
-    if not math.isfinite(hi[0] - lo[0]):
+    with np.errstate(over="ignore"):
+        bracket = np.ldexp([lo[0], hi[0], hi[0] - lo[0]], shift)
+    if not np.isfinite(bracket).all():
         raise ArgumentError("operator entries overflow the Gershgorin bracket")
     targets = np.arange(1, m + 1)
     # run to machine-relative accuracy per eigenvalue: the operator norm
@@ -246,7 +259,7 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
         inside = (probes > lo[:, None]) & (probes < hi[:, None])
         live = np.flatnonzero((hi - lo > tol) & inside.any(axis=1))
         if len(live) == 0:
-            return 0.5 * (lo + hi)
+            return np.ldexp(0.5 * (lo + hi), shift)
         if sweep == _MAX_SWEEPS:
             raise ConvergenceError(
                 f"Sturm multisection left {len(live)} brackets open after "

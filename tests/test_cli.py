@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import numpy as np
@@ -15,6 +16,70 @@ def run(args):
 
 def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
+
+
+def reference_csv(header, columns):
+    """The CSV text of the per-field writer the block writer replaced."""
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        lines.append(",".join(cli._FMT % col[i] for col in columns))
+    return "\n".join(lines) + "\n"
+
+
+class TestWriter:
+    @pytest.mark.parametrize(
+        "rows", [1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1]
+    )
+    def test_bytes_match_per_field_formatting(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        # spectrum's column set: an integer level index, then floats
+        header = ["n", "E_formula", "E_numeric", "abs_err", "rel_err"]
+        columns = [np.arange(1, rows + 1)] + [
+            rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+            for _ in range(4)
+        ]
+        out = tmp_path / "w.csv"
+        cli._write_csv(str(out), header, columns)
+        assert out.read_text() == reference_csv(header, columns)
+
+    def test_edge_values(self, tmp_path):
+        edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7e308, -1.7e308])
+        columns = [edge, edge[::-1], np.arange(len(edge))]
+        out = tmp_path / "e.csv"
+        cli._write_csv(str(out), ["a", "b", "i"], columns)
+        text = out.read_text()
+        assert text == reference_csv(["a", "b", "i"], columns)
+        assert "nan,-1.6999999999999999e+308,0.0000000000000000e+00" in text
+        assert "4.9406564584124654e-324," in text
+        assert "-0.0000000000000000e+00," in text
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"old bytes\n")
+
+        def chunks():
+            yield "x\n"
+            yield "1.0\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError):
+            cli._write_atomic(str(out), chunks())
+        assert out.read_bytes() == b"old bytes\n"
+        assert not list(tmp_path.glob(".xspectra-*"))
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077])
+    def test_outputs_follow_the_umask(self, tmp_path, mask):
+        out = tmp_path / "u.csv"
+        old = os.umask(mask)
+        try:
+            assert run([
+                "table", "--family", "radial", "--a", "2", "--k", "1.75",
+                "--points", "11", "--out", str(out),
+            ]) == 0
+        finally:
+            os.umask(old)
+        for path in (out, tmp_path / "u.manifest.json"):
+            assert path.stat().st_mode & 0o777 == 0o666 & ~mask
 
 
 class TestTable:

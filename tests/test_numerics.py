@@ -185,6 +185,17 @@ class TestLowestEigenvalues:
             with pytest.raises(ArgumentError):
                 lowest_eigenvalues(t, 2)
 
+    @pytest.mark.parametrize("s", [1e-270, 1e-295])
+    def test_tiny_norm_operator(self, s):
+        # unscaled, e*e underflows at 1e-270 and the pivmin floor
+        # swamps the counts at 1e-295
+        d = np.array([1.0, 2.0, 3.0, 4.0])
+        e = np.array([0.5, 0.5, 0.5])
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[:2]
+        t = TridiagonalOperator(s * d, s * e, 1.0, np.arange(4, dtype=float))
+        got = lowest_eigenvalues(t, 2) / s
+        assert np.all(np.abs(got - want) <= 32.0 * np.finfo(float).eps * np.max(d))
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_bracket_is_rejected(self):
         # finite entries whose squares overflow leave no finite start bracket
