@@ -327,6 +327,11 @@ def cmd_spectrum(args) -> int:
                     f"level {n}: no convergence after {args.iters} iterations "
                     f"(residual {res.residual:.3e})"
                 )
+            if res.shift_retries:
+                _warn(
+                    f"level {n}: {res.shift_retries} singular factorization(s); "
+                    "retried with the shift perturbed by 1e-8 (1 + |shift|)"
+                )
             checks.append(
                 _check_le(f"eigen-residual-{n}", res.residual, tol["eigen-residual"])
             )

@@ -8,6 +8,7 @@ second derivatives from extrapolated stencils.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -279,31 +280,36 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
 
 
 def _tri_lu_factor(dl, d, du, sigma):
-    """LU with partial pivoting of (T - sigma).  Row swaps put fill-in on
-    a second superdiagonal.  Returns (multipliers, swapped flags, u main,
-    u first super, u second super)."""
+    """LU with partial pivoting of (T - sigma), as LAPACK zgttrf.  Row
+    swaps put fill-in on a second superdiagonal.  Returns lists (multipliers,
+    swapped flags, u main, u first super, u second super).
+
+    The row loop runs on Python complex scalars: indexing numpy arrays
+    one element at a time costs several times more per row.
+    """
     n = len(d)
-    b = d.astype(complex) - sigma
-    a = dl.astype(complex).copy()
-    c = du.astype(complex).copy()
-    du2 = np.zeros(max(n - 2, 0), dtype=complex)
-    mult = np.zeros(max(n - 1, 0), dtype=complex)
-    swap = np.zeros(max(n - 1, 0), dtype=bool)
+    b = (np.asarray(d, dtype=complex) - sigma).tolist()
+    a = np.asarray(dl, dtype=complex).tolist()
+    c = np.asarray(du, dtype=complex).tolist()
+    du2 = [0j] * max(n - 2, 0)
+    mult = [0j] * max(n - 1, 0)
+    swap = [False] * max(n - 1, 0)
     for i in range(n - 1):
-        if abs(b[i]) >= abs(a[i]):
-            if b[i] == 0.0:
+        bi, ai = b[i], a[i]
+        if abs(bi) >= abs(ai):
+            if bi == 0.0:
                 raise FactorizationError(f"zero pivot at row {i}")
-            fact = a[i] / b[i]
+            fact = ai / bi
             mult[i] = fact
             b[i + 1] = b[i + 1] - fact * c[i]
         else:
-            fact = b[i] / a[i]
+            fact = bi / ai
             mult[i] = fact
             swap[i] = True
-            b[i] = a[i]
-            tmp = c[i]
+            b[i] = ai
+            ci = c[i]
             c[i] = b[i + 1]
-            b[i + 1] = tmp - fact * b[i + 1]
+            b[i + 1] = ci - fact * b[i + 1]
             if i < n - 2:
                 du2[i] = c[i + 1]
                 c[i + 1] = -fact * c[i + 1]
@@ -313,20 +319,28 @@ def _tri_lu_factor(dl, d, du, sigma):
 
 
 def _tri_lu_solve(factors, rhs):
+    """Solve (T - sigma) y = rhs from the factors of :func:`_tri_lu_factor`,
+    as LAPACK zgttrs; returns a complex ndarray."""
     mult, swap, b, c, du2 = factors
     n = len(b)
-    y = rhs.astype(complex).copy()
+    y = np.asarray(rhs, dtype=complex).tolist()
+    # forward: apply the row swaps and multipliers, carrying row i + 1
+    yi = y[0]
     for i in range(n - 1):
+        nxt = y[i + 1]
         if swap[i]:
-            y[i], y[i + 1] = y[i + 1], y[i] - mult[i] * y[i + 1]
+            y[i] = nxt
+            yi = yi - mult[i] * nxt
         else:
-            y[i + 1] = y[i + 1] - mult[i] * y[i]
+            yi = nxt - mult[i] * yi
+        y[i + 1] = yi
+    # back: U has the main diagonal and two superdiagonals
     y[n - 1] = y[n - 1] / b[n - 1]
     if n > 1:
         y[n - 2] = (y[n - 2] - c[n - 2] * y[n - 1]) / b[n - 2]
     for i in range(n - 3, -1, -1):
         y[i] = (y[i] - c[i] * y[i + 1] - du2[i] * y[i + 2]) / b[i]
-    return y
+    return np.array(y, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -335,6 +349,8 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
+    # singular factorizations that were retried with a perturbed shift
+    shift_retries: int = 0
 
 
 _FIXED_SHIFT_STEPS = 4
@@ -351,18 +367,27 @@ def eigen_near_shift(
     eigenvector, then follows the running Rayleigh-quotient estimate;
     eigenvalues are the unconjugated quotient v.Tv / v.v, which is the
     stationary one for complex-symmetric operators.  A singular
-    factorization perturbs sigma by 1e-8 (1 + |sigma|) and retries once.
+    factorization perturbs sigma by 1e-8 (1 + |sigma|) and retries once;
+    ``shift_retries`` counts those retries.  Raises :class:`ArgumentError`
+    for a non-finite sigma or non-finite operator entries.
     """
     if iters < 1:
         raise ArgumentError(f"need at least one iteration, got {iters}")
     d = np.asarray(t.diagonal, dtype=complex)
     e = np.asarray(t.off_diagonal, dtype=complex)
     sigma = complex(sigma)
+    if not cmath.isfinite(sigma):
+        raise ArgumentError(f"shift must be finite, got {sigma}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ArgumentError("operator has non-finite entries")
+    retries = 0
 
     def factor(shift):
+        nonlocal retries
         try:
             return _tri_lu_factor(e, d, e, shift)
         except FactorizationError:
+            retries += 1
             bumped = shift + 1e-8 * (1.0 + abs(shift))
             return _tri_lu_factor(e, d, e, bumped)
 
@@ -381,10 +406,10 @@ def eigen_near_shift(
             lam = (v * tv).sum() / vtv
         resid = float(np.linalg.norm(tv - lam * v))
         if resid <= _RESIDUAL_TARGET:
-            return EigenResult(complex(lam), resid, it, True)
+            return EigenResult(complex(lam), resid, it, True, retries)
         if it >= _FIXED_SHIFT_STEPS:
             factors = factor(lam)
-    return EigenResult(complex(lam), resid, iters, False)
+    return EigenResult(complex(lam), resid, iters, False, retries)
 
 
 # ---------------------------------------------------------------------------

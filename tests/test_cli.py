@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from xspectra import cli
+from xspectra import cli, numerics
 
 FIELD = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -179,6 +183,55 @@ class TestSpectrum:
         assert "im_lambda" in data.dtype.names
         assert np.all(np.abs(data["im_lambda"]) <= 1e-6 * np.abs(data["E_numeric"]))
 
+    def test_complex_residuals_at_the_convergence_edge(self, tmp_path):
+        # the levels stop just under the absolute 1e-8 residual target,
+        # which is also the check tolerance (up to 8.4e-9 here, 9.96e-9 in
+        # seed sweeps), so a rounding change in the solver can tip one over
+        manifest = tmp_path / "edge.json"
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75",
+            "--eps", "1.2", "--nmax", "6", "--grid-points", "3000",
+            "--out", str(tmp_path / "edge.csv"), "--manifest", str(manifest),
+        ]) == 0
+        doc = json.loads(manifest.read_text())
+        resid = [c for c in doc["checks"] if c["name"].startswith("eigen-residual-")]
+        assert len(resid) == 6
+        assert all(c["measured"] <= 1e-8 for c in resid)
+
+    def test_non_finite_shift_is_usage_error(self, tmp_path, capsys):
+        code = run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75",
+            "--eps", "1.2", "--nmax", "1", "--sigma-imag", "nan",
+            "--out", str(tmp_path / "nan.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "warn:" not in err
+        assert not (tmp_path / "nan.csv").exists()
+
+    def test_shift_retry_is_reported(self, tmp_path, capsys, monkeypatch):
+        solve = numerics.eigen_near_shift
+
+        def retried(*args, **kwargs):
+            return dataclasses.replace(solve(*args, **kwargs), shift_retries=1)
+
+        monkeypatch.setattr(numerics, "eigen_near_shift", retried)
+        manifest = tmp_path / "r.json"
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75",
+            "--eps", "1.2", "--nmax", "2", "--out", str(tmp_path / "r.csv"),
+            "--manifest", str(manifest),
+        ]) == 0
+        err = capsys.readouterr().err
+        assert "warn: level 1: 1 singular factorization" in err
+        assert "warn: level 2: 1 singular factorization" in err
+        doc = json.loads(manifest.read_text())
+        assert [c["name"] for c in doc["checks"]] == [
+            "eigen-residual-1", "im-ratio-1", "eigen-residual-2", "im-ratio-2",
+            "level-1-rel", "level-2-rel",
+        ]
+
     def test_shifted_scarf_is_refused(self, tmp_path, capsys):
         code = run([
             "spectrum", "--family", "scarf", "--a", "1.75", "--b", "3",
@@ -259,3 +312,17 @@ class TestUsageErrors:
             "table", "--family", "radial", "--a", "2", "--k", "1.75",
             "--psi", "1,zero", "--out", str(tmp_path / "p.csv"),
         ]) == 2
+
+
+def test_module_entry_point(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "xspectra", "table", "--family", "radial",
+         "--a", "2", "--k", "1.75", "--points", "11", "--out", "m.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "m.csv").read_text().startswith("x,re_V,im_V\n")
+    assert (tmp_path / "m.manifest.json").is_file()

@@ -11,6 +11,7 @@ from xspectra import (
     ConvergenceError,
     DomainError,
     EvaluationError,
+    FactorizationError,
     SingularityError,
     TridiagonalOperator,
     X1Family,
@@ -210,12 +211,77 @@ class TestLowestEigenvalues:
             lowest_eigenvalues(t, 3)
 
 
+@st.composite
+def _tridiagonal_systems(draw):
+    """Complex tridiagonal systems of size 1-60.  Each row's flag puts its
+    subdiagonal entry 2^6 above or below the diagonal scale, so rows take
+    both pivot branches; the values come from a drawn numpy seed."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    swap_favoured = np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+
+    def entries(size):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        return z * np.exp2(rng.integers(-3, 4, size))
+
+    d, du, rhs = entries(n), entries(n - 1), entries(n)
+    dl = entries(n - 1) * np.where(swap_favoured, 2.0**6, 2.0**-6)
+    sigma = draw(st.sampled_from([0.0, 0.5 + 0.25j]))
+    return dl, d, du, sigma, rhs
+
+
+class TestTridiagonalLU:
+    @settings(max_examples=300, deadline=None)
+    @given(_tridiagonal_systems())
+    def test_matches_dense_solve(self, system):
+        dl, d, du, sigma, rhs = system
+        n = len(d)
+        a = np.diag(d - sigma) + np.diag(dl, -1) + np.diag(du, 1)
+        y = numerics._tri_lu_solve(numerics._tri_lu_factor(dl, d, du, sigma), rhs)
+        assert isinstance(y, np.ndarray) and y.dtype == complex
+        eps = np.finfo(float).eps
+        norm_a = np.linalg.norm(a, 2)
+        # backward stable: the residual is a few ulps of |A| |y| (worst of
+        # 20000 draws: 1.1 n eps); the forward error follows from cond(A)
+        assert np.linalg.norm(a @ y - rhs) <= 8.0 * n * eps * norm_a * np.linalg.norm(y)
+        cond = np.linalg.cond(a)
+        if cond < 1e8:
+            ref = np.linalg.solve(a, rhs)
+            assert np.linalg.norm(y - ref) <= 16.0 * n * eps * cond * np.linalg.norm(ref)
+
+    def test_both_pivot_branches_agree_with_dense_solve(self):
+        # rows 0 and 2 keep their pivot, rows 1 and 3 swap
+        d = np.array([4.0, 0.01j, 3.0, 0.02, 5.0 - 1.0j])
+        dl = np.array([1.0, 2.0 + 1.0j, 0.5, 3.0])
+        du = np.array([1.0j, 0.5, 2.0, -1.0])
+        rhs = np.array([1.0, 2.0j, -1.0, 0.5, 3.0])
+        factors = numerics._tri_lu_factor(dl, d, du, 0.0)
+        assert factors[1] == [False, True, False, True]
+        a = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+        y = numerics._tri_lu_solve(factors, rhs)
+        assert np.allclose(y, np.linalg.solve(a, rhs), rtol=1e-14, atol=0.0)
+
+    def test_zero_first_pivot(self):
+        # row 0 is decoupled, so sigma = 1 leaves a zero pivot and a zero
+        # subdiagonal below it
+        d = np.array([1.0, 2.0, 3.0, 4.0])
+        e = np.array([0.0, 1.0, 1.0])
+        with pytest.raises(FactorizationError):
+            numerics._tri_lu_factor(e, d, e, 1.0)
+        t = TridiagonalOperator(d, e, 1.0, np.arange(4, dtype=float))
+        res = eigen_near_shift(t, 1.0)
+        assert res.shift_retries == 1
+        assert res.converged
+        assert res.eigenvalue == pytest.approx(1.0, abs=1e-10)
+
+
 class TestEigenNearShift:
     def test_diagonal_complex_operator(self):
         d = np.array([2.0 + 3.0j, 5.0 - 1.0j, 7.0, 11.0 + 0.5j])
         t = TridiagonalOperator(d, np.zeros(3), 1.0, np.arange(4, dtype=float))
         res = eigen_near_shift(t, 2.2 + 2.8j)
         assert res.converged
+        assert res.shift_retries == 0
         assert res.eigenvalue == pytest.approx(2.0 + 3.0j, abs=1e-10)
 
     def test_agrees_with_sturm_bisection(self, radial_hermitian):
@@ -235,6 +301,26 @@ class TestEigenNearShift:
         op = discretize(radial_figure, -12.0, 12.0, 400)
         with pytest.raises(ArgumentError):
             eigen_near_shift(op, 1.0, iters=0)
+
+    @pytest.mark.parametrize(
+        "sigma", [complex(math.nan, 0.3), complex(4.9, math.inf), math.nan]
+    )
+    def test_rejects_non_finite_shift(self, radial_figure, sigma):
+        op = discretize(radial_figure, -12.0, 12.0, 400)
+        with pytest.raises(ArgumentError):
+            eigen_near_shift(op, sigma)
+
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    def test_rejects_non_finite_entries(self, where):
+        d = np.array([1.0, 2.0, 3.0], dtype=complex)
+        e = np.array([0.5, 0.5])
+        if where == "diagonal":
+            d[1] = complex(0.0, math.nan)
+        else:
+            e[0] = math.inf
+        t = TridiagonalOperator(d, e, 1.0, np.arange(3, dtype=float))
+        with pytest.raises(ArgumentError):
+            eigen_near_shift(t, 1.0 + 0.1j)
 
 
 class TestSchrodingerResidual:
