@@ -177,19 +177,56 @@ def discretize(m: PotentialModel, lo: float, hi: float, n: int) -> TridiagonalOp
 # real spectra: Sturm-sequence multisection
 # ---------------------------------------------------------------------------
 
-# K: a sweep cuts each bracket into K equal parts with K - 1 probes and
-# so gains log2(K) = 7 bits (Lo, Philippe, Sameh, SIAM J. Sci. Stat.
-# Comput. 8, 1987).  A sweep's cost is mostly the Python-level step per
-# grid row, so a few hundred probes cost little more than one.
+# K: a sweep cuts each bracket into K parts with K - 1 probes (Lo,
+# Philippe, Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).  A sweep's cost
+# is mostly the Python-level step per grid row, so a few hundred probes
+# cost little more than one.  Equal parts gain log2(K) = 7 bits.
 _SECTIONS = 128
 _FRACTIONS = np.arange(_SECTIONS + 1) / _SECTIONS
+# Sweep 0 spaces its probes geometrically up from lo instead: the
+# lowest eigenvalues of a grid Hamiltonian sit some 1e-5 of the way up
+# its Gershgorin bracket, where equal parts would spend about three
+# sweeps just isolating them.  Column 0 is lo and column K is hi, as in
+# _FRACTIONS.
+_GEOMETRIC = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, _SECTIONS)))
 # A finite bracket is narrower than 2**maxexp and stops once narrower
 # than the 1e-300 floor of the stopping width, so it needs at most
-# log2(2**maxexp / 1e-300) ~ 2021 bits; two spare sweeps absorb the
-# rounding of the probe positions.
+# log2(2**maxexp / 1e-300) ~ 2021 bits.  Every sweep after the first
+# gains 7 bits; sweep 0's widest part, the top one, gains only
+# log2(1 / (1 - r**-1)) ~ 2.3 bits for the probe ratio
+# r = 1e12**(1 / (K - 1)).  One more sweep makes up those 4.7 bits,
+# and two spare sweeps absorb the rounding of the probe positions.
 _MAX_SWEEPS = (
-    math.ceil((np.finfo(float).maxexp - math.log2(1e-300)) / math.log2(_SECTIONS)) + 2
+    math.ceil((np.finfo(float).maxexp - math.log2(1e-300)) / math.log2(_SECTIONS)) + 3
 )
+
+
+def _sturm_counts(
+    d: np.ndarray, e2: np.ndarray, pivmin: float, sigmas: np.ndarray
+) -> np.ndarray:
+    """Number of eigenvalues of the symmetric tridiagonal with diagonal d
+    and squared off-diagonal e2 below each of ``sigmas``: the negative
+    pivots of the LDL^T recurrence q_i = (d_i - sigma) - e2_{i-1} / q_{i-1},
+    with pivots smaller than pivmin in magnitude replaced by -pivmin.
+
+    The row loop reuses three buffers allocated once per call; the
+    mask of q < pivmin both moves pivots in [0, pivmin) to -pivmin and
+    marks the negative ones, so no row allocates.
+    """
+    d_rows, e2_rows = d.tolist(), e2.tolist()
+    q = np.subtract(d_rows[0], sigmas)
+    buf = np.empty_like(q)
+    neg = np.less(q, pivmin)
+    np.minimum(q, -pivmin, out=q, where=neg)
+    cnt = neg.astype(int)
+    for d_i, e2_i in zip(d_rows[1:], e2_rows):
+        np.subtract(d_i, sigmas, out=buf)
+        np.divide(e2_i, q, out=q)
+        np.subtract(buf, q, out=q)
+        np.less(q, pivmin, out=neg)
+        np.minimum(q, -pivmin, out=q, where=neg)
+        cnt += neg
+    return cnt
 
 
 def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
@@ -197,10 +234,14 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     Sturm-sequence multisection (exact eigenvalue counts, no
     factorization).
 
-    Each sweep puts K - 1 evenly spaced probes into every open bracket,
-    counts the eigenvalues below all of them at once, and keeps the two
-    probes around the first one whose count reaches the bracket's index.
-    The operator is first scaled to norm ~1 by an exact power of two.
+    Each sweep puts K - 1 probes into every open bracket, counts the
+    eigenvalues below all of them at once, and keeps the two probes
+    around the first one whose count reaches the bracket's index.  The
+    first sweep spaces its probes geometrically, from 1e-12 of the
+    Gershgorin bracket's width above its bottom to the top, so the low
+    end of the spectrum is isolated in one sweep; later sweeps space
+    them evenly.  The counting loop allocates no array per row.  The
+    operator is first scaled to norm ~1 by an exact power of two.
     Raises :class:`ArgumentError` for non-finite entries, off-diagonals
     whose squares overflow or an overflowing start bracket, and
     :class:`ConvergenceError` if the sweep cap is ever reached.
@@ -228,16 +269,6 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     off_max = e2.max() if len(e2) else 0.0
     pivmin = max(1e-290, off_max * 1e-290)
 
-    def count_below(sigmas: np.ndarray) -> np.ndarray:
-        q = d[0] - sigmas
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        cnt = (q < 0.0).astype(int)
-        for i in range(1, len(d)):
-            q = (d[i] - sigmas) - e2[i - 1] / q
-            q = np.where(np.abs(q) < pivmin, -pivmin, q)
-            cnt += q < 0.0
-        return cnt
-
     spread = 2.0 * (np.sqrt(off_max) if off_max else 0.0)
     lo = np.full(m, d.min() - spread)
     hi = np.full(m, d.max() + spread)
@@ -254,7 +285,8 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
         tol = 4.0 * eps * np.maximum(np.abs(lo), np.abs(hi)) + 1e-300
         # column 0 is lo, column K is hi, the rest are the probes; a
         # bracket only a few ulps wide has no probe strictly inside
-        grid = lo[:, None] + (hi - lo)[:, None] * _FRACTIONS
+        fractions = _GEOMETRIC if sweep == 0 else _FRACTIONS
+        grid = lo[:, None] + (hi - lo)[:, None] * fractions
         grid[:, -1] = hi
         probes = grid[:, 1:-1]
         inside = (probes > lo[:, None]) & (probes < hi[:, None])
@@ -266,7 +298,7 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
                 f"Sturm multisection left {len(live)} brackets open after "
                 f"{_MAX_SWEEPS} sweeps"
             )
-        counts = count_below(probes[live].ravel()).reshape(len(live), -1)
+        counts = _sturm_counts(d, e2, pivmin, probes[live].ravel()).reshape(len(live), -1)
         above = counts >= targets[live, None]
         # first probe at or above the target; K - 1 stands for hi itself
         first = np.where(above.any(axis=1), above.argmax(axis=1), _SECTIONS - 1)

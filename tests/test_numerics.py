@@ -150,6 +150,51 @@ def symmetric_tridiagonals(draw):
     return TridiagonalOperator(d, e, 1.0, np.arange(n, dtype=float)), m
 
 
+def _reference_sturm_counts(d, e2, pivmin, sigmas):
+    """The counting recurrence with a fresh array per row: pivots with
+    |q| < pivmin become -pivmin, then the negative pivots are counted."""
+    q = d[0] - sigmas
+    q = np.where(np.abs(q) < pivmin, -pivmin, q)
+    cnt = (q < 0.0).astype(int)
+    for i in range(1, len(d)):
+        q = (d[i] - sigmas) - e2[i - 1] / q
+        q = np.where(np.abs(q) < pivmin, -pivmin, q)
+        cnt += q < 0.0
+    return cnt
+
+
+@st.composite
+def _sturm_count_cases(draw):
+    """Tridiagonals on a 1/64 grid with some zero off-diagonals, a
+    power-of-two pivmin, and probes that sit on diagonal entries or
+    exactly 0, 1/2, 1 or 2 pivmin away from them, so pivots of exactly
+    0, +-pivmin and in between occur; plus NaN, +-inf and free probes."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    entry = st.integers(min_value=-640, max_value=640).map(lambda k: k / 64.0)
+    d = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    e = np.array(draw(st.lists(entry, min_size=n - 1, max_size=n - 1)))
+    if n > 1:
+        e[np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))] = 0.0
+    pivmin = draw(st.sampled_from([2.0**-10, 2.0**-6, 2.0**-2, 1e-290]))
+    on_diagonal = st.builds(
+        lambda di, k: di + k * pivmin,
+        st.sampled_from(d.tolist()),
+        st.sampled_from([0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0]),
+    )
+    special = st.sampled_from([math.nan, math.inf, -math.inf])
+    sigmas = draw(st.lists(st.one_of(on_diagonal, entry, special), min_size=1, max_size=40))
+    return d, e * e, pivmin, np.array(sigmas)
+
+
+class TestSturmCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(_sturm_count_cases())
+    def test_matches_reference_recurrence(self, case):
+        d, e2, pivmin, sigmas = case
+        got = numerics._sturm_counts(d, e2, pivmin, sigmas)
+        assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
+
+
 class TestLowestEigenvalues:
     @settings(max_examples=200, deadline=None)
     @given(symmetric_tridiagonals())
@@ -175,6 +220,38 @@ class TestLowestEigenvalues:
                 # absolute in ||T||: both stop at relative widths, but
                 # the Sturm counts themselves are only that accurate
                 assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps * t.scale
+
+    def test_spectra_suite_operators_take_eight_sweeps(
+        self, monkeypatch, radial_hermitian, scarf_hermitian
+    ):
+        # one count per sweep; the geometric first sweep isolates the four
+        # lowest levels, which evenly spaced probes take 3 sweeps to do
+        calls = []
+        counts = numerics._sturm_counts
+
+        def counted(*args):
+            calls.append(1)
+            return counts(*args)
+
+        monkeypatch.setattr(numerics, "_sturm_counts", counted)
+        half = 0.5 * math.pi / scarf_hermitian.k
+        for model, lo, hi in ((radial_hermitian, 1e-8, 12.0), (scarf_hermitian, -half, half)):
+            for npts in (2000, 4000):
+                calls.clear()
+                lowest_eigenvalues(discretize(model, lo, hi, npts), 4)
+                assert len(calls) <= 8
+
+    def test_whole_spectrum_at_the_top_of_the_bracket(self):
+        # every eigenvalue but one sits in the top part of the first
+        # sweep's geometric probes, the widest, which gains fewest bits
+        n = 40
+        d = np.full(n, 10.0)
+        d[0] = -10.0
+        e = 1e-3 * np.cos(np.arange(n - 1))
+        t = TridiagonalOperator(d, e, 1.0, np.arange(n, dtype=float))
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        got = lowest_eigenvalues(t, n)
+        assert np.all(np.abs(got - want) <= 8.0 * n * np.finfo(float).eps * t.scale)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_entries_are_rejected(self, bad):
