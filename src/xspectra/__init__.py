@@ -45,7 +45,6 @@ from .pct import (
     extract_potential_report,
     pct_e_minus_v,
     pct_extract_potential,
-    pct_wavefactor,
 )
 from .polycore import (
     Polynomial,
@@ -105,7 +104,6 @@ __all__ = [
     "extract_potential_report",
     "pct_e_minus_v",
     "pct_extract_potential",
-    "pct_wavefactor",
     "Polynomial",
     "count_real_roots_in",
     "gamma",

@@ -815,6 +815,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "needs_model", False):
             _require_model_args(args)
+        if getattr(args, "nmax", None) is not None and args.nmax < 1:
+            raise ArgumentError(f"--nmax must be >= 1, got {args.nmax}")
         return args.func(args)
     except (ArgumentError, DomainError) as exc:
         _err(str(exc))

@@ -1,36 +1,31 @@
 """Point-canonical-transformation engine.
 
 Substituting psi = f(x) F(g(x)) into the Schroedinger equation, where F
-solves F'' + Q(g) F' + R(g) F = 0, gives
+solves F'' + Q(g) F' + R(g) F = 0 and f = g'^(-1/2) exp((1/2) Integral Q dg),
+gives
 
     E - V(x) = g'''/(2 g') - (3/4)(g''/g')^2
                + g'^2 (R - (1/2) dQ/dg - (1/4) Q^2)
 
-and f = g'^(-1/2) exp((1/2) Integral Q dg).  This module evaluates both
-for the maps used by the solvable models and separates the x-independent
-energy from the potential mechanically.
+This module evaluates E - V for the maps used by the solvable models and
+separates the x-independent energy from the potential mechanically.  The
+prefactor f is not evaluated here; the closed-form states are in
+:mod:`xspectra.models`.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    ArgumentError,
-    ConsistencyError,
-    ConvergenceError,
-    SingularityError,
-)
+from .errors import ArgumentError, ConsistencyError, SingularityError
 from .xop import OdeCoefficients, X1Family, x1_ode_coefficients
 
 __all__ = [
     "GMap",
     "pct_e_minus_v",
-    "pct_wavefactor",
     "pct_extract_potential",
     "PotentialExtraction",
     "extract_potential_report",
@@ -44,7 +39,6 @@ class GMap:
     kinds:
       - ``quadratic``: g(x) = (kx + d)^2 / 4, so g'^2 / g = k^2
       - ``sine``:      g(x) = sin(kx + d),    so g'^2 / (1 - g^2) = k^2
-      - ``cosine``:    g(x) = cos(kx + d), same constraint as sine
 
     ``d`` must be purely real (a plain coordinate shift) or purely
     imaginary (the non-Hermitian deformation); anything mixed is
@@ -56,7 +50,7 @@ class GMap:
     d: complex = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("quadratic", "sine", "cosine"):
+        if self.kind not in ("quadratic", "sine"):
             raise ArgumentError(f"unknown map kind {self.kind!r}")
         k = float(self.k)
         if k == 0.0:
@@ -81,35 +75,27 @@ class GMap:
         w = self._w(x)
         if self.kind == "quadratic":
             return 0.25 * w * w
-        if self.kind == "sine":
-            return np.sin(w)
-        return np.cos(w)
+        return np.sin(w)
 
     def dg(self, x):
         w = self._w(x)
         if self.kind == "quadratic":
             return 0.5 * self.k * w
-        if self.kind == "sine":
-            return self.k * np.cos(w)
-        return -self.k * np.sin(w)
+        return self.k * np.cos(w)
 
     def d2g(self, x):
         w = self._w(x)
         k2 = self.k * self.k
         if self.kind == "quadratic":
             return 0.5 * k2 * np.ones_like(w)
-        if self.kind == "sine":
-            return -k2 * np.sin(w)
-        return -k2 * np.cos(w)
+        return -k2 * np.sin(w)
 
     def d3g(self, x):
         w = self._w(x)
         k3 = self.k ** 3
         if self.kind == "quadratic":
             return np.zeros_like(w)
-        if self.kind == "sine":
-            return -k3 * np.cos(w)
-        return k3 * np.sin(w)
+        return -k3 * np.cos(w)
 
 
 def _first_bad(x, mask) -> float:
@@ -148,87 +134,6 @@ def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
             f"transformation not finite at x = {_first_bad(xs, bad):g}"
         )
     return out if np.ndim(x) else complex(out) if gm.is_complex else float(out)
-
-
-# reference points g0 for the Q antiderivative, one per family; the
-# global constant exp((1/2) Integral_{g0}) is absorbed into normalization
-_G0 = {"laguerre": 1.0, "jacobi": 0.0}
-
-
-def _segment_clearance(z0: complex, z1: complex, s: complex) -> float:
-    """Distance from point s to the straight segment [z0, z1]."""
-    delta = z1 - z0
-    denom = abs(delta) ** 2
-    if denom == 0.0:
-        return abs(s - z0)
-    t = ((s - z0) * delta.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(s - (z0 + t * delta))
-
-
-def _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    if depth <= 0:
-        raise ConvergenceError("path integral of Q did not converge")
-    return _adaptive_simpson(
-        f, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1
-    ) + _adaptive_simpson(f, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1)
-
-
-def _integrate_q(ode: OdeCoefficients, z0: complex, z1: complex) -> complex:
-    delta = z1 - z0
-    if delta == 0.0:
-        return 0.0 + 0.0j
-    for s in ode.singular_points:
-        if _segment_clearance(z0, z1, s) <= 1e-12 * max(1.0, abs(delta)):
-            raise SingularityError(
-                f"integration path from {z0:g} to {z1:g} crosses the ODE "
-                f"singular point {s:g}"
-            )
-
-    def f(t):
-        return complex(ode.q(z0 + t * delta)) * delta
-
-    fa, fm, fb = f(0.0), f(0.5), f(1.0)
-    whole = (fa + 4.0 * fm + fb) / 6.0
-    tol = 1e-10 * max(1.0, abs(whole))
-    return _adaptive_simpson(f, 0.0, fa, 1.0, fb, 0.5, fm, whole, tol, 40)
-
-
-def pct_wavefactor(
-    gm: GMap,
-    ode: OdeCoefficients,
-    x,
-    antiderivative_of_q: Optional[Callable] = None,
-) -> complex:
-    """Wavefunction prefactor f(x) = g'^(-1/2) exp((1/2) Integral Q dg).
-
-    Defined up to one global constant.  The antiderivative of Q, when not
-    supplied, is computed by adaptive quadrature along the straight path
-    from the family's reference point (1 for Laguerre, 0 for Jacobi) to
-    g(x); a path through an ODE singular point raises
-    :class:`SingularityError`.
-    """
-    if np.ndim(x):
-        return np.array(
-            [pct_wavefactor(gm, ode, xi, antiderivative_of_q) for xi in x]
-        )
-    dgv = complex(gm.dg(x))
-    if dgv == 0.0:
-        raise SingularityError(f"g' vanishes at x = {float(np.real(x)):g}")
-    gv = complex(gm.g(x))
-    if antiderivative_of_q is not None:
-        integral = complex(antiderivative_of_q(gv))
-    else:
-        integral = _integrate_q(ode, complex(_G0[ode.family.kind]), gv)
-    return dgv ** -0.5 * cmath.exp(0.5 * integral)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Scalar and polynomial primitives used by every other module.
 
 Dense real-coefficient polynomials, a double-precision gamma function,
-the classical Jacobi family, exact Sturm-chain real-root counting, and
-composite Gauss-Legendre quadrature.  This module imports nothing else
-from the package apart from the error types.
+exact Sturm-chain real-root counting, and composite Gauss-Legendre
+quadrature.  This module imports nothing else from the package apart
+from the error types.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .errors import ArgumentError, ConvergenceError, EvaluationError, PoleError
 __all__ = [
     "Polynomial",
     "gamma",
-    "classical_jacobi",
-    "poly_eval_derivs",
     "count_real_roots_in",
     "Quadrature",
     "finite_quadrature",
@@ -98,19 +96,7 @@ class Polynomial:
         if not self.coeffs:
             raise ArgumentError("a polynomial needs at least one coefficient")
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0.0:
-            raise ArgumentError(
-                "trailing zero coefficient; build with Polynomial.from_coeffs"
-            )
-
-    @classmethod
-    def from_coeffs(cls, cs) -> "Polynomial":
-        """Build from any coefficient sequence, trimming trailing zeros."""
-        cs = [float(c) for c in cs]
-        if not cs:
-            cs = [0.0]
-        while len(cs) > 1 and cs[-1] == 0.0:
-            cs.pop()
-        return cls(tuple(cs))
+            raise ArgumentError("trailing zero coefficient")
 
     @property
     def degree(self) -> int:
@@ -128,99 +114,6 @@ class Polynomial:
         for c in self.coeffs[-2::-1]:
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial.from_coeffs(
-            [j * c for j, c in enumerate(self.coeffs)][1:]
-        )
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial.from_coeffs([-c for c in self.coeffs])
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [0.0] * n
-        for j, c in enumerate(self.coeffs):
-            cs[j] += c
-        for j, c in enumerate(other.coeffs):
-            cs[j] += c
-        return Polynomial.from_coeffs(cs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial((0.0,))
-            return Polynomial.from_coeffs(
-                np.convolve(self.coeffs, other.coeffs)
-            )
-        return Polynomial.from_coeffs([float(other) * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-
-def poly_eval_derivs(p: Polynomial, x, m: int):
-    """Evaluate ``p`` and its first ``m`` derivatives at ``x``.
-
-    Single Horner-style sweep carrying ``m + 1`` accumulators; ``x`` may be
-    real or complex.  Returns the tuple ``(p(x), p'(x), ..., p^(m)(x))``.
-    """
-    if not isinstance(m, int) or m < 0 or m > 3:
-        raise ArgumentError(f"derivative order must be an integer in 0..3, got {m}")
-    vals = [0.0 * x for _ in range(m + 1)]
-    for c in p.coeffs[::-1]:
-        for j in range(m, 0, -1):
-            vals[j] = vals[j] * x + vals[j - 1]
-        vals[0] = vals[0] * x + c
-    fact = 1
-    out = [vals[0]]
-    for j in range(1, m + 1):
-        fact *= j
-        out.append(vals[j] * fact)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# classical Jacobi family
-# ---------------------------------------------------------------------------
-
-
-def classical_jacobi(n: int, a: float, b: float) -> Polynomial:
-    """Jacobi polynomial ``P_n^(a,b)`` with ``a, b > -1``.
-
-    Standard normalization: ``P_n^(a,b)(1)`` equals the binomial
-    coefficient ``C(n + a, n)``.
-    """
-    _check_degree(n)
-    a, b = float(a), float(b)
-    if not (a > -1.0 and b > -1.0):
-        raise ArgumentError(f"jacobi indices need a, b > -1, got ({a:g}, {b:g})")
-    prev = np.array([1.0])
-    if n == 0:
-        return Polynomial.from_coeffs(prev)
-    cur = np.array([(a - b) / 2.0, (a + b + 2.0) / 2.0])
-    for k in range(2, n + 1):
-        s = 2 * k + a + b
-        c0 = 2.0 * k * (k + a + b) * (s - 2.0)
-        c1 = (s - 1.0) * (a * a - b * b)
-        c2 = (s - 1.0) * s * (s - 2.0)
-        c3 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * s
-        nxt = np.zeros(k + 1)
-        nxt[: k] += c1 * cur
-        nxt[1 : k + 1] += c2 * cur
-        nxt[: k - 1] -= c3 * prev
-        nxt /= c0
-        prev, cur = cur, nxt
-    return Polynomial.from_coeffs(cur)
-
-
-def _check_degree(n) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ArgumentError(f"degree must be a non-negative integer, got {n!r}")
 
 
 # ---------------------------------------------------------------------------

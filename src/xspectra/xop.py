@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ArgumentError, ConstructionError, SingularityError
-from .polycore import Polynomial, classical_jacobi, gamma
+from .polycore import Polynomial, gamma
 
 __all__ = [
     "X1Family",
@@ -213,6 +213,22 @@ def _jacobi_null_vector(m: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
+def _jacobi_lead(n: int, a: float, b: float) -> float:
+    """Leading coefficient of the classical Jacobi ``P_n^(a,b)``.
+
+    The top entry of the three-term recurrence, with the same float
+    operations in the same order, so the bits match the full recurrence;
+    the closed-form product rounds differently in the last place.
+    """
+    if n == 0:
+        return 1.0
+    lead = (a + b + 2.0) / 2.0
+    for k in range(2, n + 1):
+        s = 2 * k + a + b
+        lead = (s - 1.0) * s * (s - 2.0) * lead / (2.0 * k * (k + a + b) * (s - 2.0))
+    return lead
+
+
 def x1_polynomial(family: X1Family, n: int) -> Polynomial:
     """Degree-``n`` member of the family, built from its ODE.
 
@@ -260,7 +276,7 @@ def x1_polynomial(family: X1Family, n: int) -> Polynomial:
             v = w
     else:
         v = _jacobi_null_vector(m, n)
-        lead = -0.5 * classical_jacobi(n - 1, family.a, family.b).coeffs[-1]
+        lead = -0.5 * _jacobi_lead(n - 1, family.a, family.b)
         v = v * (lead / v[-1])
     resid = m @ v
     scale = np.max(np.abs(m)) * np.max(np.abs(v))

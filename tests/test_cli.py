@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -147,6 +148,20 @@ class TestTable:
         for check in doc["checks"]:
             assert set(check) == {"name", "status", "measured", "tolerance"}
             assert isinstance(check["measured"], float)
+
+    # sha256 of both state tables at the default 401 points: a changed bit
+    # of a member (Jacobi lead, kept Laguerre SVD coefficients) or of gamma
+    # shows here, not only in the benchmark's golden digests
+    @pytest.mark.parametrize("args, digest", [
+        (["--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2"],
+         "8c944570de55d453272e0a48e3eb2cd40d9b766d340ad4598ff5fcec6a3669e0"),
+        (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25", "--eps", "1"],
+         "726b34fceb9fb8f232d8d478a2585bc5fadce19de92a0c50c683d7c278df0bbf"),
+    ], ids=["radial", "scarf"])
+    def test_state_table_bytes_are_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "pin.csv"
+        assert run(["table"] + args + ["--psi", "1,2,3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_rejects_bad_grid(self, tmp_path, capsys):
         code = run([
@@ -306,6 +321,27 @@ class TestUsageErrors:
             "--tol-residual", "1", "--out", str(tmp_path / "t.csv"),
         ]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    def test_spectrum_rejects_nmax_below_one(self, tmp_path, capsys, nmax):
+        out = tmp_path / "n.csv"
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75",
+            "--eps", "1.2", "--nmax", nmax, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("nmax", ["0", "-2"])
+    def test_verify_rejects_nmax_below_one(self, tmp_path, capsys, monkeypatch, nmax):
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "zeros", "--nmax", nmax]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "PASS" not in captured.out
+        assert not (tmp_path / "verify.manifest.json").exists()
 
     def test_bad_psi_list(self, tmp_path, capsys):
         assert run([

@@ -11,9 +11,7 @@ from xspectra import (
     extract_potential_report,
     pct_e_minus_v,
     pct_extract_potential,
-    pct_wavefactor,
     potential,
-    wavefunction,
     x1_ode_coefficients,
 )
 
@@ -40,7 +38,7 @@ class TestGMap:
         assert np.max(np.abs(gm.d2g(xs) - 0.5 * gm.k**2)) <= 1e-12 * gm.k**2
         assert np.max(np.abs(gm.d3g(xs))) == 0.0
 
-    @pytest.mark.parametrize("kind", ["sine", "cosine"])
+    @pytest.mark.parametrize("kind", ["sine"])
     @pytest.mark.parametrize("d", [0.0, 0.4, 1.0j])
     def test_trigonometric_identities(self, kind, d):
         gm = GMap(kind, 1.25, d)
@@ -72,43 +70,6 @@ class TestEMinusV:
         w2 = pct_e_minus_v(gm, x1_ode_coefficients(fam, 2), xs)
         diff = np.mean(w2 - w1)
         assert diff == pytest.approx(23.4619140625 - 12.9150390625, rel=1e-10)
-
-
-class TestWavefactor:
-    def test_radial_prefactor_proportional_to_state(self, radial_hermitian):
-        gm = GMap("quadratic", radial_hermitian.k)
-        fam = X1Family("laguerre", radial_hermitian.a)
-        from xspectra import x1_polynomial
-
-        xs = np.linspace(0.5, 4.0, 15)
-        for n in (1, 2):
-            ode = x1_ode_coefficients(fam, n)
-            p = x1_polynomial(fam, n)
-            built = np.array(
-                [pct_wavefactor(gm, ode, x) * p(complex(gm.g(x))) for x in xs]
-            )
-            direct = wavefunction(radial_hermitian, n, xs)
-            ratio = built / direct
-            spread = np.max(np.abs(ratio - ratio[0])) / np.abs(ratio[0])
-            assert spread <= 1e-8
-
-    def test_scarf_prefactor_proportional_to_state(self, scarf_hermitian):
-        gm = GMap("sine", scarf_hermitian.k)
-        fam = X1Family("jacobi", scarf_hermitian.a, scarf_hermitian.b)
-        from xspectra import x1_polynomial
-
-        half = 0.5 * math.pi / scarf_hermitian.k
-        xs = np.linspace(-half + 0.1, half - 0.1, 15)
-        for n in (1, 2):
-            ode = x1_ode_coefficients(fam, n)
-            p = x1_polynomial(fam, n)
-            built = np.array(
-                [pct_wavefactor(gm, ode, x) * p(complex(gm.g(x))) for x in xs]
-            )
-            direct = wavefunction(scarf_hermitian, n, xs)
-            ratio = built / direct
-            spread = np.max(np.abs(ratio - ratio[0])) / np.abs(ratio[0])
-            assert spread <= 1e-8
 
 
 class TestExtraction:

@@ -14,7 +14,6 @@ from xspectra import (
     gamma,
     x1_polynomial,
 )
-from xspectra.polycore import classical_jacobi, poly_eval_derivs
 
 
 class TestGamma:
@@ -45,14 +44,13 @@ class TestGamma:
 
 coeff_lists = st.lists(
     st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=8
-)
+).filter(lambda cs: cs[-1] != 0.0)
 
 
 class TestPolynomial:
     @given(coeff_lists, st.floats(min_value=-3.0, max_value=3.0))
     def test_matches_polyval(self, coeffs, x):
-        p = Polynomial.from_coeffs(coeffs)
-        coeffs = list(p.coeffs)
+        p = Polynomial(tuple(coeffs))
         assert p(x) == pytest.approx(
             np.polyval(coeffs[::-1], x), rel=1e-12, abs=1e-12
         )
@@ -61,37 +59,6 @@ class TestPolynomial:
         p = Polynomial((1.0, 0.0, 1.0))  # 1 + x^2
         assert p(1j) == pytest.approx(0.0)
         np.testing.assert_allclose(p(np.array([0.0, 1.0, 2.0])), [1.0, 2.0, 5.0])
-
-    def test_derivative(self):
-        p = Polynomial((5.0, -3.0, 0.0, 2.0))
-        assert p.derivative().coeffs == (-3.0, 0.0, 6.0)
-
-    def test_arithmetic(self):
-        p = Polynomial((1.0, 1.0))
-        q = Polynomial((-1.0, 1.0))
-        assert (p * q).coeffs == (-1.0, 0.0, 1.0)
-        assert (p + q).coeffs == (0.0, 2.0)
-
-    @given(coeff_lists, st.floats(min_value=-2.0, max_value=2.0))
-    def test_eval_derivs_consistent_with_derivative(self, coeffs, x):
-        p = Polynomial.from_coeffs(coeffs)
-        vals = poly_eval_derivs(p, x, 2)
-        assert vals[0] == pytest.approx(p(x), rel=1e-12, abs=1e-9)
-        assert vals[1] == pytest.approx(p.derivative()(x), rel=1e-12, abs=1e-9)
-        assert vals[2] == pytest.approx(
-            p.derivative().derivative()(x), rel=1e-12, abs=1e-9
-        )
-
-
-class TestClassicalFamilies:
-    def test_jacobi_against_scipy(self):
-        scipy_special = pytest.importorskip("scipy.special")
-        xs = np.linspace(-1.0, 1.0, 25)
-        for n in range(0, 7):
-            for a, b in ((1.75, 3.0), (0.5, 1.5), (-0.25, 0.75)):
-                got = classical_jacobi(n, a, b)(xs)
-                want = scipy_special.eval_jacobi(n, a, b, xs)
-                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
 class TestRootCounting:
@@ -146,9 +113,10 @@ class TestRootCounting:
         roots = sorted(roots)
         if any(b - a < 0.05 for a, b in zip(roots, roots[1:])):
             return
-        p = Polynomial((1.0,))
+        c = np.array([1.0])
         for r in roots:
-            p = p * Polynomial((-r, 1.0))
+            c = np.convolve(c, (-r, 1.0))
+        p = Polynomial(tuple(c.tolist()))
         assert count_real_roots_in(p, -5.0, 5.0) == len(roots)
         mid = 0.5 * (roots[0] + roots[-1])
         if all(abs(mid - r) > 0.01 for r in roots):

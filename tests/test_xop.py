@@ -1,12 +1,14 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xspectra import (
     ArgumentError,
+    Polynomial,
     SingularityError,
     X1Family,
     x1_laguerre_norm,
@@ -14,7 +16,6 @@ from xspectra import (
     x1_polynomial,
     x1_weight,
 )
-from xspectra.polycore import poly_eval_derivs
 
 # Closed-form members, ascending coefficients.  Frozen from an exact
 # rational null-space solve of the same ODEs (sympy), so any regression
@@ -37,6 +38,31 @@ def _family(kind, a, b):
     return X1Family(kind, a) if kind == "laguerre" else X1Family(kind, a, b)
 
 
+def poly_eval_derivs(p, x, m):
+    """``(p(x), p'(x), ..., p^(m)(x))`` from one Horner-style sweep
+    carrying ``m + 1`` accumulators; ``x`` may be real or complex."""
+    vals = [0.0 * x for _ in range(m + 1)]
+    for c in p.coeffs[::-1]:
+        for j in range(m, 0, -1):
+            vals[j] = vals[j] * x + vals[j - 1]
+        vals[0] = vals[0] * x + c
+    return tuple(v * math.factorial(j) for j, v in enumerate(vals))
+
+
+class TestPolyEvalDerivs:
+    @given(
+        st.lists(
+            st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=8
+        ).filter(lambda cs: cs[-1] != 0.0),
+        st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_matches_numpy_polyder(self, coeffs, x):
+        vals = poly_eval_derivs(Polynomial(tuple(coeffs)), x, 2)
+        for j in range(3):
+            want = npp.polyval(x, npp.polyder(coeffs, j))
+            assert vals[j] == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+
 class TestConstruction:
     @pytest.mark.parametrize("key", sorted(MEMBERS, key=str))
     def test_members_match_closed_forms(self, key):
@@ -46,6 +72,16 @@ class TestConstruction:
         got = np.array(p.coeffs)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_jacobi_leading_coefficient_against_scipy(self):
+        # -1/2 times the leading coefficient of the classical P_{n-1}^(a,b)
+        scipy_special = pytest.importorskip("scipy.special")
+        for a, b in ((1.75, 3.0), (0.5, 1.5), (-0.25, 0.75)):
+            fam = X1Family("jacobi", a, b)
+            for n in range(1, 11):
+                want = -0.5 * scipy_special.jacobi(n - 1, a, b).coeffs[0]
+                got = x1_polynomial(fam, n).coeffs[-1]
+                assert got == pytest.approx(want, rel=1e-12), (a, b, n)
 
     def test_degree_and_leading_coefficient(self):
         fam = X1Family("laguerre", 3.25)
