@@ -71,16 +71,6 @@ _TOLERANCES = {
 # the tolerances `spectrum` compares against; `table` has none
 _SPECTRUM_TOLERANCES = ("spectrum-rel", "im-ratio", "eigen-residual")
 
-_SUITES = (
-    "orthogonality",
-    "zeros",
-    "pct",
-    "hermiticity",
-    "spectra",
-    "residuals",
-    "all",
-)
-
 # reference parameter sets used whenever the caller does not pin a model
 _FIGURE_RADIAL = {"a": 2.0, "k": 1.75, "eps": 1.2}
 _FIGURE_SCARF = {"a": 1.75, "b": 3.0, "k": 1.25, "eps": 1.0}
@@ -202,6 +192,8 @@ def _model_from_args(args) -> PotentialModel:
     if family == "radial_extended":
         if args.b is not None:
             raise ArgumentError("--b applies only to the scarf family")
+        if args.branch is not None:
+            raise ArgumentError("--branch applies only to the scarf family")
         model = PotentialModel(family, args.a, None, args.k, args.eps, None)
     else:
         if args.b is None:
@@ -796,7 +788,7 @@ def build_parser() -> _Parser:
     p_spec.set_defaults(func=cmd_spectrum, needs_model=True)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("--suite", choices=_SUITES, required=True)
+    p_ver.add_argument("--suite", choices=[*_SUITE_FUNCS, "all"], required=True)
     _add_model_flags(p_ver, family_required=False, eps_default=None)
     p_ver.add_argument("--nmax", type=int, default=None)
     p_ver.add_argument("--manifest", default=None)

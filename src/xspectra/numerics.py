@@ -45,22 +45,27 @@ __all__ = [
 
 def gram_matrix(family: X1Family, nmax: int, q: Quadrature):
     """Weighted Gram matrix G[n-1][m-1] of members 1..nmax, plus the worst
-    off-diagonal ratio |G_nm| / sqrt(G_nn G_mm)."""
+    off-diagonal ratio |G_nm| / sqrt(G_nn G_mm).
+
+    The upper triangle is one stacked integral, so every entry shares one
+    panel mesh and one stopping decision.
+    """
     if nmax < 1:
         raise ArgumentError(f"nmax must be at least 1, got {nmax}")
     weight = x1_weight(family)
     members = [x1_polynomial(family, n) for n in range(1, nmax + 1)]
+    rows, cols = np.triu_indices(nmax)
+
+    def products(x):
+        p = np.array([member(x) for member in members])
+        return (weight(x) * p)[rows] * p[cols]
+
     g = np.zeros((nmax, nmax))
-    for i in range(nmax):
-        for j in range(i, nmax):
-            val = integrate(lambda x: weight(x) * members[i](x) * members[j](x), q)
-            g[i, j] = g[j, i] = float(val)
-    ratio = 0.0
-    for i in range(nmax):
-        for j in range(nmax):
-            if i != j:
-                ratio = max(ratio, abs(g[i, j]) / math.sqrt(g[i, i] * g[j, j]))
-    return g, ratio
+    g[rows, cols] = g[cols, rows] = integrate(products, q)
+    diag = np.diag(g)
+    ratios = np.abs(g) / np.sqrt(np.outer(diag, diag))
+    np.fill_diagonal(ratios, 0.0)
+    return g, float(ratios.max())
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +83,6 @@ class TridiagonalOperator:
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
-    h: float
-    x_grid: np.ndarray
 
     @property
     def size(self) -> int:
@@ -113,7 +116,7 @@ def tridiagonal_from_potential(
     vv = np.zeros(n) if v is None else np.asarray(v(xg))
     diag = 2.0 / (h * h) + vv
     off = np.full(n - 1, -1.0 / (h * h), dtype=diag.dtype)
-    return TridiagonalOperator(diag, off, h, xg)
+    return TridiagonalOperator(diag, off)
 
 
 def _interior_singularities(m: PotentialModel, lo: float, hi: float) -> list:

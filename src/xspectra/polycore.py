@@ -2,8 +2,9 @@
 
 Dense real-coefficient polynomials, a double-precision gamma function,
 exact Sturm-chain real-root counting, and composite Gauss-Legendre
-quadrature.  This module imports nothing else from the package apart
-from the error types.
+quadrature with fixed settings, of one integrand or of a stack that
+shares one mesh and one stopping decision.  This module imports nothing
+else from the package apart from the error types.
 """
 
 from __future__ import annotations
@@ -248,36 +249,31 @@ class Quadrature:
     hi: float
 
 
-def _base_rule(order: int):
-    if order < 2:
-        raise ArgumentError(f"rule order must be at least 2, got {order}")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
+# Every rule composes panels of one 16-point Gauss-Legendre rule on (-1, 1).
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 
 
-def finite_quadrature(lo: float, hi: float, order: int = 16) -> Quadrature:
+def finite_quadrature(lo: float, hi: float) -> Quadrature:
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ArgumentError(f"need finite lo < hi, got ({lo:g}, {hi:g})")
-    nodes, weights = _base_rule(order)
-    return Quadrature(nodes, weights, "finite", lo, hi)
+    return Quadrature(_NODES, _WEIGHTS, "finite", lo, hi)
 
 
-def semi_infinite_exp_quadrature(order: int = 16) -> Quadrature:
+def semi_infinite_exp_quadrature() -> Quadrature:
     """(0, inf) through x = -2 log(1 - t), t in (0, 1).
 
     The factor 2 keeps exponentially weighted integrands decaying in t:
     with plain -log(1-t) a weight exp(-x) cancels the Jacobian exactly
     and polynomial growth survives at t = 1.
     """
-    nodes, weights = _base_rule(order)
-    return Quadrature(nodes, weights, "semi_infinite_exp", 0.0, math.inf)
+    return Quadrature(_NODES, _WEIGHTS, "semi_infinite_exp", 0.0, math.inf)
 
 
-def semi_infinite_algebraic_quadrature(order: int = 16) -> Quadrature:
+def semi_infinite_algebraic_quadrature() -> Quadrature:
     """(0, inf) through x = t / (1 - t), t in (0, 1)."""
-    nodes, weights = _base_rule(order)
-    return Quadrature(nodes, weights, "semi_infinite_algebraic", 0.0, math.inf)
+    return Quadrature(_NODES, _WEIGHTS, "semi_infinite_algebraic", 0.0, math.inf)
 
 
 # Panels graded geometrically toward both ends of the unit interval;
@@ -311,43 +307,52 @@ def _mapped(q: Quadrature, t: np.ndarray):
     return t / (1.0 - t), 1.0 / (1.0 - t) ** 2
 
 
-def integrate(
-    f: Callable,
-    q: Quadrature,
-    rtol: float = 1e-10,
-    max_refinements: int = 12,
-):
+# refinement stops once two successive totals agree to _RTOL relative
+_RTOL = 1e-10
+_MAX_REFINEMENTS = 12
+
+
+def _level_sums(f: Callable, q: Quadrature, level: int):
+    """Total and total variation of ``f`` on the panel mesh of ``level``,
+    summed over the points; the point arrays die with this call."""
+    edges = _unit_edges(level)
+    if q.domain_map == "finite":
+        edges = q.lo + (q.hi - q.lo) * edges
+    left, right = edges[:-1], edges[1:]
+    halfw = 0.5 * (right - left)
+    t = (left[:, None] + halfw[:, None] * (q.nodes[None, :] + 1.0)).ravel()
+    wts = (halfw[:, None] * q.weights[None, :]).ravel()
+    x, jac = _mapped(q, t)
+    vals = np.asarray(f(x))
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        at = x[np.nonzero(np.atleast_1d(bad))[-1][0]]
+        raise EvaluationError(f"integrand not finite at x = {at:g}")
+    terms = wts * jac * vals
+    del vals  # a stacked integrand is large; keep at most two copies alive
+    return terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+
+
+def integrate(f: Callable, q: Quadrature):
     """Composite panel integral of ``f`` under the quadrature's domain map.
 
-    The panel mesh is refined (deeper endpoint grading plus interior
-    subdivision) until two successive refinements agree to ``rtol``
-    relative, with an absolute floor taken from the total variation so
-    integrals that are genuinely zero converge too.
+    ``f`` maps the 1-D array of points to values with the points on the
+    last axis; a stacked integrand (shape ``(k, npts)``) gives ``k``
+    integrals from one set of evaluations.  The panel mesh is refined
+    (deeper endpoint grading plus interior subdivision) until two
+    successive refinements agree to ``1e-10`` relative to the largest
+    total, with an absolute floor taken from the largest total variation
+    so integrals that are genuinely zero converge too.
     """
     prev = None
-    for level in range(max_refinements + 1):
-        edges = _unit_edges(level)
-        if q.domain_map == "finite":
-            edges = q.lo + (q.hi - q.lo) * edges
-        left, right = edges[:-1], edges[1:]
-        halfw = 0.5 * (right - left)
-        t = (left[:, None] + halfw[:, None] * (q.nodes[None, :] + 1.0)).ravel()
-        wts = (halfw[:, None] * q.weights[None, :]).ravel()
-        x, jac = _mapped(q, t)
-        vals = np.asarray(f(x))
-        finite = np.isfinite(vals.real) & np.isfinite(vals.imag) if np.iscomplexobj(vals) else np.isfinite(vals)
-        if not np.all(finite):
-            bad = x[~np.atleast_1d(finite)][0]
-            raise EvaluationError(f"integrand not finite at x = {bad:g}")
-        terms = wts * jac * vals
-        total = terms.sum()
-        total_abs = np.abs(terms).sum()
-        if prev is not None and abs(total - prev) <= rtol * max(
-            abs(total), 1e-3 * total_abs
+    for level in range(_MAX_REFINEMENTS + 1):
+        total, total_abs = _level_sums(f, q, level)
+        if prev is not None and np.max(np.abs(total - prev)) <= _RTOL * max(
+            np.max(np.abs(total)), 1e-3 * np.max(total_abs)
         ):
             return total
         prev = total
     raise ConvergenceError(
-        f"integral did not settle to rtol {rtol:g} after "
-        f"{max_refinements} panel refinements"
+        f"integral did not settle to rtol {_RTOL:g} after "
+        f"{_MAX_REFINEMENTS} panel refinements"
     )

@@ -1,9 +1,12 @@
 """Degree-one exceptional Laguerre and Jacobi families.
 
 Both families start at degree one and stay complete in their weighted
-L2 spaces.  Members are constructed from their second-order ODEs as the
-null space of a coefficient matrix, not from classical-polynomial
-identities, so the ODE data here is the single source of truth.
+L2 spaces.  Each family's second-order ODE is written once, as the
+polynomials A, B, C of ``A y'' + B y' + C y = 0`` with its denominators
+cleared.  Members are the null space of the coefficient matrix those
+polynomials define, not classical-polynomial identities, and the
+rational coefficients ``q, dq, r`` that the point canonical
+transformation reads are derived from the same A, B, C.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from .errors import ArgumentError, ConstructionError, SingularityError
 from .polycore import Polynomial, gamma
@@ -86,83 +90,30 @@ def _check_member_index(n) -> None:
         )
 
 
-def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
-    """ODE data for the degree-``n`` member of ``family``.
-
-    Laguerre, in the variable ``g`` on (0, inf):
-
-    ``q(g) = -(g - a)(g + a + 1) / (g (g + a))``
-    ``r(g) = (g - a) / (g (g + a)) + (n - 1) / g``
-
-    Jacobi, in ``g`` on (-1, 1), writing ``T = (b - a) g - (a + b)``:
-
-    ``q(g) = -((a + b + 2) g + a - b) / (1 - g^2) - 2 (b - a) / T``
-    ``r(g) = -((b - a) g - (n + a + b)(n - 1)) / (1 - g^2) - (a - b)^2 / T``
-    """
-    _check_member_index(n)
-    if family.kind == "laguerre":
-        a = family.a
-
-        def q(g):
-            return -(g - a) * (g + a + 1.0) / (g * (g + a))
-
-        def dq(g):
-            # quotient rule on q = -num/den with num = g^2 + g - a(a+1),
-            # den = g^2 + a g
-            num = g * g + g - a * (a + 1.0)
-            den = g * (g + a)
-            dnum = 2.0 * g + 1.0
-            dden = 2.0 * g + a
-            return -(dnum * den - num * dden) / (den * den)
-
-        def r(g):
-            return (g - a) / (g * (g + a)) + (n - 1.0) / g
-
-        return OdeCoefficients(family, int(n), q, dq, r, (0.0, -a))
-
-    a, b = family.a, family.b
-
-    def q(g):
-        t = (b - a) * g - (a + b)
-        return -((a + b + 2.0) * g + a - b) / (1.0 - g * g) - 2.0 * (b - a) / t
-
-    def dq(g):
-        t = (b - a) * g - (a + b)
-        first = -((a + b + 2.0) * (1.0 + g * g) + 2.0 * (a - b) * g) / (
-            (1.0 - g * g) ** 2
-        )
-        return first + 2.0 * (b - a) ** 2 / (t * t)
-
-    def r(g):
-        t = (b - a) * g - (a + b)
-        ev = (n + a + b) * (n - 1.0)
-        return -((b - a) * g - ev) / (1.0 - g * g) - (a - b) ** 2 / t
-
-    return OdeCoefficients(
-        family, int(n), q, dq, r, (1.0, -1.0, (a + b) / (b - a))
-    )
-
-
-# ---------------------------------------------------------------------------
-# member construction
-# ---------------------------------------------------------------------------
-
-_NULL_TOL = 1e-10  # relative singular-value threshold for the null space
-_KEEP_SVD_TOL = 1e-14  # relative agreement under which a Laguerre SVD member is kept
-
-
 def _cleared_ode_polys(family: X1Family, n: int):
-    """Coefficients A, B, C of A y'' + B y' + C y = 0 after clearing
-    denominators of q and r (ascending arrays)."""
+    """Coefficients A, B, C (ascending arrays) of ``A y'' + B y' + C y = 0``,
+    the family's ODE with its denominators cleared.
+
+    Laguerre, in the variable ``g`` on (0, inf), multiplied through by
+    ``g (g + a)``:
+
+    ``A = g (g + a)``, ``B = -(g - a)(g + a + 1)``,
+    ``C = n g + a (n - 2)``
+
+    Jacobi, in ``g`` on (-1, 1), writing ``T = (b - a) g - (a + b)`` and
+    multiplying through by ``(1 - g^2) T``:
+
+    ``A = (1 - g^2) T``,
+    ``B = -((a + b + 2) g + a - b) T - 2 (b - a)(1 - g^2)``,
+    ``C = -((b - a) g - (n + a + b)(n - 1)) T - (a - b)^2 (1 - g^2)``
+    """
     if family.kind == "laguerre":
         a = family.a
-        # multiply through by g (g + a)
         A = np.array([0.0, a, 1.0])
         B = np.array([a * (a + 1.0), -1.0, -1.0])
         C = np.array([a * (n - 2.0), float(n)])
         return A, B, C
     a, b = family.a, family.b
-    # multiply through by (1 - g^2) ((b - a) g - (a + b))
     ev = (n + a + b) * (n - 1.0)
     A = np.array([-(a + b), b - a, a + b, -(b - a)])
     B = np.array(
@@ -174,6 +125,45 @@ def _cleared_ode_polys(family: X1Family, n: int):
     )
     C = np.array([-ev * (a + b) - (a - b) ** 2, (b - a) * (a + b + ev)])
     return A, B, C
+
+
+def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
+    """ODE data for the degree-``n`` member of ``family``.
+
+    Derived from the cleared polynomials of :func:`_cleared_ode_polys`:
+    ``q = B / A``, ``r = C / A`` and ``dq = (B' A - B A') / A^2``.  The
+    singular points are the roots of ``A``: ``0, -a`` for Laguerre and
+    ``1, -1, (a + b) / (b - a)`` for Jacobi.
+    """
+    _check_member_index(n)
+    A, B, C = _cleared_ode_polys(family, n)
+    dA, dB = npp.polyder(A), npp.polyder(B)
+
+    def q(g):
+        return npp.polyval(g, B) / npp.polyval(g, A)
+
+    def dq(g):
+        a_g = npp.polyval(g, A)
+        return (npp.polyval(g, dB) * a_g - npp.polyval(g, B) * npp.polyval(g, dA)) / (
+            a_g * a_g
+        )
+
+    def r(g):
+        return npp.polyval(g, C) / npp.polyval(g, A)
+
+    if family.kind == "laguerre":
+        poles = (0.0, -family.a)
+    else:
+        poles = (1.0, -1.0, (family.a + family.b) / (family.b - family.a))
+    return OdeCoefficients(family, int(n), q, dq, r, poles)
+
+
+# ---------------------------------------------------------------------------
+# member construction
+# ---------------------------------------------------------------------------
+
+_NULL_TOL = 1e-10  # relative singular-value threshold for the null space
+_KEEP_SVD_TOL = 1e-14  # relative agreement under which a Laguerre SVD member is kept
 
 
 def _ode_matrix(A, B, C, n: int) -> np.ndarray:

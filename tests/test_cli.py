@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xspectra import cli, numerics
+from xspectra import cli, models, numerics
+from xspectra.polycore import integrate
 
 FIELD = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
 
@@ -301,8 +302,40 @@ class TestVerify:
         assert "FAIL" in captured.out
         assert "warn:" in captured.err
 
+    def test_orthogonality_suite_at_nmax_8(self, tmp_path, monkeypatch):
+        # each Gram matrix stops on its largest entry, not entry by entry
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "orthogonality", "--nmax", "8"]) == 0
+
+    def test_one_integral_per_gram_matrix(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "all"]) == 0  # fills the norm caches
+        calls = []
+
+        def counted(f, q):
+            calls.append(q.domain_map)
+            return integrate(f, q)
+
+        monkeypatch.setattr(numerics, "integrate", counted)
+        monkeypatch.setattr(models, "integrate", counted)
+        assert run(["verify", "--suite", "all"]) == 0
+        # orthogonality: two Laguerre indices on two maps, one Jacobi matrix
+        assert len(calls) == 5
+
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["table", "spectrum"])
+    def test_radial_rejects_branch(self, tmp_path, capsys, command):
+        out = tmp_path / "r.csv"
+        manifest = tmp_path / "r.json"
+        assert run([
+            command, "--family", "radial", "--a", "2", "--k", "1.75",
+            "--branch", "cos", "--out", str(out), "--manifest", str(manifest),
+        ]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists() and not manifest.exists()
+
     def test_missing_required_flags(self, capsys):
         assert run(["table", "--family", "radial", "--k", "1.75"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -26,6 +26,8 @@ from xspectra import (
     semi_infinite_exp_quadrature,
     tridiagonal_from_potential,
     x1_laguerre_norm,
+    x1_polynomial,
+    x1_weight,
 )
 
 
@@ -70,8 +72,79 @@ class TestQuadrature:
         with pytest.raises(EvaluationError):
             integrate(bad, q)
 
+    def test_stacked_rows_match_scalar_integrals(self):
+        q = semi_infinite_exp_quadrature()
+        rows = [
+            lambda x: np.exp(-x),
+            lambda x: x**3 * np.exp(-x),
+            lambda x: np.sqrt(x) * np.exp(-2.0 * x) / (x + 0.5) ** 2,
+            lambda x: np.sin(x) * np.exp(-x),
+        ]
+        stacked = integrate(lambda x: np.array([f(x) for f in rows]), q)
+        scalars = np.array([integrate(f, q) for f in rows])
+        assert stacked.shape == (len(rows),)
+        assert np.all(np.abs(stacked - scalars) <= 1e-10 * np.abs(scalars))
+
+    def test_single_row_keeps_scalar_bits(self):
+        q = finite_quadrature(-1.0, 2.0)
+
+        def f(x):
+            return np.power(1.0 + x, 1.5) * np.exp(x)
+
+        assert integrate(lambda x: f(x)[None, :], q)[0] == integrate(f, q)
+
+    def test_nonfinite_row_names_its_x(self):
+        q = finite_quadrature(0.0, 1.0)
+
+        def rows(x):
+            bad = np.where(np.abs(x - 0.7) < 0.01, np.nan, x)
+            return np.array([x, bad, 1.0 - x])
+
+        with pytest.raises(EvaluationError) as info:
+            integrate(rows, q)
+        at = float(str(info.value).rsplit("x = ", 1)[1])
+        assert abs(at - 0.7) < 0.01
+
+
+def _gram_reference(family, nmax, q):
+    """One scalar integral per entry, the way the Gram matrix was first
+    assembled."""
+    weight = x1_weight(family)
+    members = [x1_polynomial(family, n) for n in range(1, nmax + 1)]
+    g = np.zeros((nmax, nmax))
+    for i in range(nmax):
+        for j in range(i, nmax):
+            val = integrate(lambda x: weight(x) * members[i](x) * members[j](x), q)
+            g[i, j] = g[j, i] = float(val)
+    return g
+
+
+def _worst_offdiag_ratio(g):
+    ratio = 0.0
+    for i in range(len(g)):
+        for j in range(len(g)):
+            if i != j:
+                ratio = max(ratio, abs(g[i, j]) / math.sqrt(g[i, i] * g[j, j]))
+    return ratio
+
 
 class TestGram:
+    @pytest.mark.parametrize(
+        "family, nmax, quadrature",
+        [
+            (X1Family("laguerre", a), 6, make)
+            for a in (0.5, 2.0)
+            for make in (semi_infinite_exp_quadrature, semi_infinite_algebraic_quadrature)
+        ]
+        + [(X1Family("jacobi", 1.75, 3.0), 4, lambda: finite_quadrature(-1.0, 1.0))],
+    )
+    def test_matches_per_entry_reference(self, family, nmax, quadrature):
+        g, ratio = gram_matrix(family, nmax, quadrature())
+        want = _gram_reference(family, nmax, quadrature())
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.diag(want))
+        np.testing.assert_array_equal(g, g.T)
+        assert ratio == _worst_offdiag_ratio(g)
+
     def test_diagonal_matches_norms(self):
         fam = X1Family("laguerre", 2.0)
         gram, ratio = gram_matrix(fam, 3, semi_infinite_exp_quadrature())
@@ -96,7 +169,7 @@ class TestDiscretization:
         rng = np.random.default_rng(7)
         d = rng.standard_normal(6)
         e = rng.standard_normal(5)
-        t = TridiagonalOperator(d, e, 0.1, np.arange(6, dtype=float))
+        t = TridiagonalOperator(d, e)
         v = rng.standard_normal(6)
         dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         np.testing.assert_allclose(t.matvec(v), dense @ v, rtol=1e-13)
@@ -117,7 +190,7 @@ class TestDiscretization:
 
     def test_complex_diagonal_rejected_by_sturm(self):
         d = np.array([2.0 + 3.0j, 5.0, 7.0, 9.0])
-        t = TridiagonalOperator(d, np.zeros(3), 1.0, np.arange(4, dtype=float))
+        t = TridiagonalOperator(d, np.zeros(3))
         with pytest.raises(TypeError):
             lowest_eigenvalues(t, 2)
 
@@ -147,7 +220,7 @@ def symmetric_tridiagonals(draw):
     if n > 1:
         e[np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))] = 0.0
     m = draw(st.integers(min_value=1, max_value=n))
-    return TridiagonalOperator(d, e, 1.0, np.arange(n, dtype=float)), m
+    return TridiagonalOperator(d, e), m
 
 
 def _reference_sturm_counts(d, e2, pivmin, sigmas):
@@ -248,7 +321,7 @@ class TestLowestEigenvalues:
         d = np.full(n, 10.0)
         d[0] = -10.0
         e = 1e-3 * np.cos(np.arange(n - 1))
-        t = TridiagonalOperator(d, e, 1.0, np.arange(n, dtype=float))
+        t = TridiagonalOperator(d, e)
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         got = lowest_eigenvalues(t, n)
         assert np.all(np.abs(got - want) <= 8.0 * n * np.finfo(float).eps * t.scale)
@@ -259,7 +332,7 @@ class TestLowestEigenvalues:
             d = np.array([1.0, 2.0, 3.0, 4.0])
             e = np.array([0.5, 0.5, 0.5])
             (d if diagonal else e)[1] = bad
-            t = TridiagonalOperator(d, e, 1.0, np.arange(4, dtype=float))
+            t = TridiagonalOperator(d, e)
             with pytest.raises(ArgumentError):
                 lowest_eigenvalues(t, 2)
 
@@ -270,14 +343,14 @@ class TestLowestEigenvalues:
         d = np.array([1.0, 2.0, 3.0, 4.0])
         e = np.array([0.5, 0.5, 0.5])
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[:2]
-        t = TridiagonalOperator(s * d, s * e, 1.0, np.arange(4, dtype=float))
+        t = TridiagonalOperator(s * d, s * e)
         got = lowest_eigenvalues(t, 2) / s
         assert np.all(np.abs(got - want) <= 32.0 * np.finfo(float).eps * np.max(d))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_bracket_is_rejected(self):
         # finite entries whose squares overflow leave no finite start bracket
-        t = TridiagonalOperator(np.ones(3), np.full(2, 1e200), 1.0, np.arange(3, dtype=float))
+        t = TridiagonalOperator(np.ones(3), np.full(2, 1e200))
         with pytest.raises(ArgumentError):
             lowest_eigenvalues(t, 1)
 
@@ -345,7 +418,7 @@ class TestTridiagonalLU:
         e = np.array([0.0, 1.0, 1.0])
         with pytest.raises(FactorizationError):
             numerics._tri_lu_factor(e, d, e, 1.0)
-        t = TridiagonalOperator(d, e, 1.0, np.arange(4, dtype=float))
+        t = TridiagonalOperator(d, e)
         res = eigen_near_shift(t, 1.0)
         assert res.shift_retries == 1
         assert res.converged
@@ -355,7 +428,7 @@ class TestTridiagonalLU:
 class TestEigenNearShift:
     def test_diagonal_complex_operator(self):
         d = np.array([2.0 + 3.0j, 5.0 - 1.0j, 7.0, 11.0 + 0.5j])
-        t = TridiagonalOperator(d, np.zeros(3), 1.0, np.arange(4, dtype=float))
+        t = TridiagonalOperator(d, np.zeros(3))
         res = eigen_near_shift(t, 2.2 + 2.8j)
         assert res.converged
         assert res.shift_retries == 0
@@ -395,7 +468,7 @@ class TestEigenNearShift:
             d[1] = complex(0.0, math.nan)
         else:
             e[0] = math.inf
-        t = TridiagonalOperator(d, e, 1.0, np.arange(3, dtype=float))
+        t = TridiagonalOperator(d, e)
         with pytest.raises(ArgumentError):
             eigen_near_shift(t, 1.0 + 0.1j)
 

@@ -176,6 +176,91 @@ class TestOdeData:
         assert sp[2] == pytest.approx(4.75 / 1.25)
 
 
+def _hand_written_ode(family, n):
+    """The rational q, dq, r of each family written out by hand, the
+    reference for the ones derived from the cleared polynomials."""
+    a, b = family.a, family.b
+    if family.kind == "laguerre":
+
+        def q(g):
+            return -(g - a) * (g + a + 1.0) / (g * (g + a))
+
+        def dq(g):
+            num = g * g + g - a * (a + 1.0)
+            den = g * (g + a)
+            return -((2.0 * g + 1.0) * den - num * (2.0 * g + a)) / (den * den)
+
+        def r(g):
+            return (g - a) / (g * (g + a)) + (n - 1.0) / g
+
+        return q, dq, r
+
+    def q(g):
+        t = (b - a) * g - (a + b)
+        return -((a + b + 2.0) * g + a - b) / (1.0 - g * g) - 2.0 * (b - a) / t
+
+    def dq(g):
+        t = (b - a) * g - (a + b)
+        first = -((a + b + 2.0) * (1.0 + g * g) + 2.0 * (a - b) * g) / (
+            (1.0 - g * g) ** 2
+        )
+        return first + 2.0 * (b - a) ** 2 / (t * t)
+
+    def r(g):
+        t = (b - a) * g - (a + b)
+        ev = (n + a + b) * (n - 1.0)
+        return -((b - a) * g - ev) / (1.0 - g * g) - (a - b) ** 2 / t
+
+    return q, dq, r
+
+
+class TestOdeDerivation:
+    """q, dq and r come from the cleared polynomials A, B, C; they must
+    agree with the hand-written rational forms away from the poles."""
+
+    @staticmethod
+    def _check(family, n, g):
+        ode = x1_ode_coefficients(family, n)
+        if min(abs(g - s) for s in ode.singular_points) < 0.05:
+            return
+        for got, want in zip((ode.q, ode.dq, ode.r), _hand_written_ode(family, n)):
+            w = want(g)
+            assert abs(got(g) - w) <= 1e-11 * (1.0 + abs(w))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=0.1, max_value=6.0),
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=-8.0, max_value=8.0),
+        st.floats(min_value=-3.0, max_value=3.0),
+    )
+    def test_laguerre_matches_hand_written(self, a, n, x, y):
+        fam = X1Family("laguerre", a)
+        self._check(fam, n, x)
+        self._check(fam, n, complex(x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=-0.95, max_value=5.0),
+        st.floats(min_value=-0.95, max_value=5.0),
+        st.integers(min_value=1, max_value=12),
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=-2.0, max_value=2.0),
+    )
+    def test_jacobi_matches_hand_written(self, a, b, n, x, y):
+        if abs(a - b) < 0.05:
+            return
+        fam = X1Family("jacobi", a, b)
+        self._check(fam, n, x)
+        self._check(fam, n, complex(x, y))
+
+    def test_arrays_evaluate_elementwise(self, jacobi_family):
+        ode = x1_ode_coefficients(jacobi_family, 3)
+        g = np.array([-0.6, -0.1, 0.3, 0.8])
+        for got, want in zip((ode.q, ode.dq, ode.r), _hand_written_ode(jacobi_family, 3)):
+            np.testing.assert_allclose(got(g), want(g), rtol=1e-12)
+
+
 class TestWeightsAndNorms:
     def test_laguerre_weight_positive_and_singular(self, laguerre_family):
         w = x1_weight(laguerre_family)
