@@ -187,13 +187,17 @@ def _tolerances(args) -> dict:
     return out
 
 
+def _reject_scarf_flags(args) -> None:
+    if args.b is not None:
+        raise ArgumentError("--b applies only to the scarf family")
+    if args.branch is not None:
+        raise ArgumentError("--branch applies only to the scarf family")
+
+
 def _model_from_args(args) -> PotentialModel:
     family = {"radial": "radial_extended", "scarf": "scarf_extended"}[args.family]
     if family == "radial_extended":
-        if args.b is not None:
-            raise ArgumentError("--b applies only to the scarf family")
-        if args.branch is not None:
-            raise ArgumentError("--branch applies only to the scarf family")
+        _reject_scarf_flags(args)
         model = PotentialModel(family, args.a, None, args.k, args.eps, None)
     else:
         if args.b is None:
@@ -675,6 +679,8 @@ _SUITE_FUNCS = {
 
 
 def cmd_verify(args) -> int:
+    if args.family == "radial":
+        _reject_scarf_flags(args)
     tol = _tolerances(args)
     names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     checks = []

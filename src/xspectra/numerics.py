@@ -182,8 +182,9 @@ def discretize(m: PotentialModel, lo: float, hi: float, n: int) -> TridiagonalOp
 
 # K: a sweep cuts each bracket into K parts with K - 1 probes (Lo,
 # Philippe, Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).  A sweep's cost
-# is mostly the Python-level step per grid row, so a few hundred probes
-# cost little more than one.  Equal parts gain log2(K) = 7 bits.
+# is mostly the Python-level cost of the two array operations per grid
+# row in _sturm_counts' slabs, so a few hundred probes cost little more
+# than one.  Equal parts gain log2(K) = 7 bits.
 _SECTIONS = 128
 _FRACTIONS = np.arange(_SECTIONS + 1) / _SECTIONS
 # Sweep 0 spaces its probes geometrically up from lo instead: the
@@ -204,6 +205,29 @@ _MAX_SWEEPS = (
 )
 
 
+# Rows per slab of _sturm_counts: two (_SLAB, P) float buffers, about
+# 0.5 MB at 508 probes; 64 was fastest of 16 to 512 on the spectra suite.
+_SLAB = 64
+
+
+def _guarded_sturm_rows(
+    q: np.ndarray, dsig, e2_rows, pivmin: float, cnt: np.ndarray
+) -> None:
+    """Advance the pivot row q, in place, through rows with shifted
+    diagonals ``dsig`` (d_i - sigmas) and squared off-diagonals
+    ``e2_rows``, replacing pivots smaller than pivmin in magnitude by
+    -pivmin, and add the negative pivots to cnt.  The mask of
+    q < pivmin both moves pivots in [0, pivmin) to -pivmin and marks
+    the negative ones."""
+    neg = np.empty(q.shape, dtype=bool)
+    for ds_i, e2_i in zip(dsig, e2_rows):
+        np.divide(e2_i, q, out=q)
+        np.subtract(ds_i, q, out=q)
+        np.less(q, pivmin, out=neg)
+        np.minimum(q, -pivmin, out=q, where=neg)
+        cnt += neg
+
+
 def _sturm_counts(
     d: np.ndarray, e2: np.ndarray, pivmin: float, sigmas: np.ndarray
 ) -> np.ndarray:
@@ -212,23 +236,42 @@ def _sturm_counts(
     pivots of the LDL^T recurrence q_i = (d_i - sigma) - e2_{i-1} / q_{i-1},
     with pivots smaller than pivmin in magnitude replaced by -pivmin.
 
-    The row loop reuses three buffers allocated once per call; the
-    mask of q < pivmin both moves pivots in [0, pivmin) to -pivmin and
-    marks the negative ones, so no row allocates.
+    Rows after the first go in slabs of _SLAB rows, as in LAPACK dlaneg
+    (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28, 2006): each row
+    is one divide and one subtract into the slab's buffer, with neither
+    clamp nor count.  A slab with no pivot under pivmin in magnitude
+    did the guarded recurrence's float operations exactly, since its
+    clamp never fires and q < pivmin is then q < 0; its negatives are
+    counted at once.  A slab that has one is redone from the row before
+    it by :func:`_guarded_sturm_rows`.  Counts are identical either way.
     """
-    d_rows, e2_rows = d.tolist(), e2.tolist()
-    q = np.subtract(d_rows[0], sigmas)
-    buf = np.empty_like(q)
+    e2_rows = e2.tolist()
+    q = np.subtract(d[0], sigmas)
     neg = np.less(q, pivmin)
     np.minimum(q, -pivmin, out=q, where=neg)
     cnt = neg.astype(int)
-    for d_i, e2_i in zip(d_rows[1:], e2_rows):
-        np.subtract(d_i, sigmas, out=buf)
-        np.divide(e2_i, q, out=q)
-        np.subtract(buf, q, out=q)
-        np.less(q, pivmin, out=neg)
-        np.minimum(q, -pivmin, out=q, where=neg)
-        cnt += neg
+    dsig = np.empty((_SLAB, len(sigmas)))
+    slab = np.empty_like(dsig)
+    dsig_rows, slab_rows = list(dsig), list(slab)
+    for start in range(1, len(d), _SLAB):
+        stop = min(start + _SLAB, len(d))
+        rows = stop - start
+        np.subtract(d[start:stop, None], sigmas, out=dsig[:rows])
+        e2_slab = e2_rows[start - 1 : stop - 1]
+        prev = q
+        # a pivot under pivmin can make the rows after it divide by
+        # zero, overflow or form inf - inf; such a slab is redone
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for e2_i, ds_i, q_i in zip(e2_slab, dsig_rows, slab_rows):
+                np.divide(e2_i, prev, out=q_i)
+                np.subtract(ds_i, q_i, out=q_i)
+                prev = q_i
+            tiny = (np.abs(slab[:rows]) < pivmin).any()
+        if tiny:
+            _guarded_sturm_rows(q, dsig_rows[:rows], e2_slab, pivmin, cnt)
+        else:
+            cnt += (slab[:rows] < 0.0).sum(axis=0)
+            np.copyto(q, prev)
     return cnt
 
 
@@ -243,7 +286,8 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     first sweep spaces its probes geometrically, from 1e-12 of the
     Gershgorin bracket's width above its bottom to the top, so the low
     end of the spectrum is isolated in one sweep; later sweeps space
-    them evenly.  The counting loop allocates no array per row.  The
+    them evenly.  The counts run in slabs of rows, as LAPACK dlaneg,
+    with two array operations per row (:func:`_sturm_counts`).  The
     operator is first scaled to norm ~1 by an exact power of two.
     Raises :class:`ArgumentError` for non-finite entries, off-diagonals
     whose squares overflow or an overflowing start bracket, and

@@ -336,6 +336,29 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists() and not manifest.exists()
 
+    @pytest.mark.parametrize("flag", [["--b", "7"], ["--branch", "cos"]])
+    def test_verify_radial_rejects_scarf_flags(self, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "hermiticity", "--family", "radial", *flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {flag[0]} applies only to the scarf family"
+        ]
+        assert "PASS" not in captured.out
+        assert not (tmp_path / "verify.manifest.json").exists()
+
+    def test_verify_without_family_passes_scarf_flags_on(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run([
+            "verify", "--suite", "hermiticity", "--b", "3", "--branch", "cos",
+        ]) == 0
+        # the cos-branch Scarf model checks one PT relation, not the
+        # sin branch's broken one plus its cos partner
+        assert "PASS scarf-pt-rel:" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "verify.manifest.json").read_text())
+        assert manifest["parameters"]["b"] == 3.0
+        assert manifest["parameters"]["branch"] == "cos"
+
     def test_missing_required_flags(self, capsys):
         assert run(["table", "--family", "radial", "--k", "1.75"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -259,6 +259,35 @@ def _sturm_count_cases(draw):
     return d, e * e, pivmin, np.array(sigmas)
 
 
+@st.composite
+def _multi_slab_cases(draw):
+    """Tridiagonals of up to three slabs plus a remainder on a 1/64 grid,
+    with values from a drawn numpy seed and some zero off-diagonals.
+    Pivots of 0 or +-pivmin / 2 are planted in rows after the first
+    slab: a zero e_{i-1} and a probe at d_i or d_i -+ pivmin / 2 give
+    row i exactly that pivot.  Free, NaN and +-inf probes ride along."""
+    slab = numerics._SLAB
+    edges = [slab - 1, slab, slab + 1, slab + 2, 2 * slab + 1, 3 * slab + 8]
+    n = draw(st.one_of(st.sampled_from(edges), st.integers(min_value=1, max_value=3 * slab + 8)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = rng.integers(-640, 641, n) / 64.0
+    e = rng.integers(-640, 641, n - 1) / 64.0
+    e[rng.random(n - 1) < 0.1] = 0.0
+    pivmin = draw(st.sampled_from([2.0**-10, 2.0**-2, 1e-290]))
+    # row 0 is the first pivot and rows 1 to slab fill the first slab
+    later = list(range(slab + 1, n)) or list(range(n))
+    sigmas = []
+    for i in draw(st.lists(st.sampled_from(later), max_size=4)):
+        if i > 0:
+            e[i - 1] = 0.0
+        sigmas.append(d[i] + draw(st.sampled_from([0.0, -0.5, 0.5])) * pivmin)
+    sigmas += (rng.integers(-700, 701, draw(st.integers(0, 20))) / 64.0).tolist()
+    sigmas += draw(st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=3))
+    if not sigmas:
+        sigmas.append(0.0)
+    return d, e * e, pivmin, np.array(sigmas)
+
+
 class TestSturmCounts:
     @settings(max_examples=300, deadline=None)
     @given(_sturm_count_cases())
@@ -266,6 +295,40 @@ class TestSturmCounts:
         d, e2, pivmin, sigmas = case
         got = numerics._sturm_counts(d, e2, pivmin, sigmas)
         assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_multi_slab_cases())
+    def test_matches_reference_across_slabs(self, case):
+        d, e2, pivmin, sigmas = case
+        got = numerics._sturm_counts(d, e2, pivmin, sigmas)
+        assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
+
+    def test_redone_slab_raises_no_floating_point_error(self, monkeypatch):
+        # a zero pivot in the second slab makes the next row divide by
+        # zero, and one in the third, with a zero e_j too, forms 0 / 0;
+        # both slabs are redone and nothing reaches the caller's errstate
+        calls = []
+        guarded = numerics._guarded_sturm_rows
+
+        def counted(*args):
+            calls.append(1)
+            return guarded(*args)
+
+        monkeypatch.setattr(numerics, "_guarded_sturm_rows", counted)
+        slab = numerics._SLAB
+        n = 3 * slab + 8
+        rng = np.random.default_rng(7)
+        d = rng.integers(-640, 641, n) / 64.0
+        e = rng.integers(1, 641, n - 1) / 64.0
+        i, j = slab + 10, 2 * slab + 5
+        e[i - 1] = 0.0
+        e[j - 1] = e[j] = 0.0
+        e2, pivmin = e * e, 2.0**-10
+        sigmas = np.array([d[i], d[j], 0.3, -2.0, 11.0])
+        with np.errstate(all="raise"):
+            got = numerics._sturm_counts(d, e2, pivmin, sigmas)
+        assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
+        assert len(calls) >= 2
 
 
 class TestLowestEigenvalues:
@@ -313,6 +376,25 @@ class TestLowestEigenvalues:
                 calls.clear()
                 lowest_eigenvalues(discretize(model, lo, hi, npts), 4)
                 assert len(calls) <= 8
+
+    def test_spectra_suite_operators_redo_no_slab(
+        self, monkeypatch, radial_hermitian, scarf_hermitian
+    ):
+        # every slab of these counts takes the unguarded two-ufunc rows;
+        # a redo per slab would bring back the slower guarded loop
+        calls = []
+        guarded = numerics._guarded_sturm_rows
+
+        def counted(*args):
+            calls.append(1)
+            return guarded(*args)
+
+        monkeypatch.setattr(numerics, "_guarded_sturm_rows", counted)
+        half = 0.5 * math.pi / scarf_hermitian.k
+        for model, lo, hi in ((radial_hermitian, 1e-8, 12.0), (scarf_hermitian, -half, half)):
+            for npts in (2000, 4000):
+                lowest_eigenvalues(discretize(model, lo, hi, npts), 4)
+        assert calls == []
 
     def test_whole_spectrum_at_the_top_of_the_bracket(self):
         # every eigenvalue but one sits in the top part of the first
