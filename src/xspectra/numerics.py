@@ -207,6 +207,7 @@ _MAX_SWEEPS = (
 
 # Rows per slab of _sturm_counts: two (_SLAB, P) float buffers, about
 # 0.5 MB at 508 probes; 64 was fastest of 16 to 512 on the spectra suite.
+# Must stay <= 255: a clean slab's negatives are summed in uint8.
 _SLAB = 64
 
 
@@ -270,7 +271,7 @@ def _sturm_counts(
         if tiny:
             _guarded_sturm_rows(q, dsig_rows[:rows], e2_slab, pivmin, cnt)
         else:
-            cnt += (slab[:rows] < 0.0).sum(axis=0)
+            cnt += (slab[:rows] < 0.0).view(np.uint8).sum(axis=0, dtype=np.uint8)
             np.copyto(q, prev)
     return cnt
 
@@ -441,14 +442,23 @@ def eigen_near_shift(
 ) -> EigenResult:
     """Eigenpair of the (possibly complex-symmetric) operator nearest sigma.
 
-    Inverse iteration with a complex tridiagonal LU (partial pivoting).
-    The shift stays at sigma for a few steps to lock onto the nearest
-    eigenvector, then follows the running Rayleigh-quotient estimate;
-    eigenvalues are the unconjugated quotient v.Tv / v.v, which is the
-    stationary one for complex-symmetric operators.  A singular
-    factorization perturbs sigma by 1e-8 (1 + |sigma|) and retries once;
-    ``shift_retries`` counts those retries.  Raises :class:`ArgumentError`
-    for a non-finite sigma or non-finite operator entries.
+    Inverse iteration with a complex tridiagonal LU (partial pivoting)
+    and a 2x2 Rayleigh-Ritz step (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 11).  Each step solves once, w = (T - shift)^-1 v, takes
+    an orthonormal basis Q of span{v, w} and the eigenpairs of
+    (Q^T Q)^-1 Q^T T Q, unconjugated as suits a complex-symmetric T, and
+    keeps the Ritz vector y whose Ritz value is nearest sigma.  So of a
+    near-degenerate pair, which one vector alone cannot separate, the
+    member nearest sigma is reported.  The eigenvalue is the unconjugated
+    quotient y.Ty / y.y, the stationary one for complex-symmetric
+    operators, and the residual is ||Ty - lambda y|| from a fresh matvec.
+    The next step starts from w, not y: y has shed the partner's
+    direction, which the next Ritz step needs.  The shift stays at sigma for a few steps
+    to lock onto the nearest eigenvectors, then follows the running
+    estimate.  A singular factorization perturbs the shift by
+    1e-8 (1 + |shift|) and retries once; ``shift_retries`` counts those
+    retries.  Raises :class:`ArgumentError` for a non-finite sigma or
+    non-finite operator entries.
     """
     if iters < 1:
         raise ArgumentError(f"need at least one iteration, got {iters}")
@@ -477,17 +487,24 @@ def eigen_near_shift(
     resid = math.inf
     factors = factor(sigma)
     for it in range(1, iters + 1):
-        v = _tri_lu_solve(factors, v)
-        v /= np.linalg.norm(v)
-        tv = t.matvec(v)
-        vtv = (v * v).sum()
-        if vtv != 0.0:
-            lam = (v * tv).sum() / vtv
-        resid = float(np.linalg.norm(tv - lam * v))
+        w = _tri_lu_solve(factors, v)
+        w /= np.linalg.norm(w)
+        q = np.linalg.qr(np.column_stack((v, w)))[0]
+        tq = np.column_stack([t.matvec(col) for col in q.T])
+        theta, c = np.linalg.eig(np.linalg.solve(q.T @ q, q.T @ tq))
+        # unit norm already: q has orthonormal columns and eig returns
+        # unit-norm eigenvectors
+        y = q @ c[:, np.argmin(np.abs(theta - sigma))]
+        ty = t.matvec(y)
+        yty = (y * y).sum()
+        if yty != 0.0:
+            lam = (y * ty).sum() / yty
+        resid = float(np.linalg.norm(ty - lam * y))
         if resid <= _RESIDUAL_TARGET:
             return EigenResult(complex(lam), resid, it, True, retries)
         if it >= _FIXED_SHIFT_STEPS:
             factors = factor(lam)
+        v = w
     return EigenResult(complex(lam), resid, iters, False, retries)
 
 

@@ -199,9 +199,22 @@ class TestSpectrum:
         assert "im_lambda" in data.dtype.names
         assert np.all(np.abs(data["im_lambda"]) <= 1e-6 * np.abs(data["E_numeric"]))
 
+    def test_complex_radial_just_off_a_two_finds_the_formula_level(self, tmp_path):
+        # the operator's second series k^2 (2m + 3 - a) / 2 puts a level
+        # 0.065 below E_3 here, almost as near E_3 + 0.3i as E_3 itself
+        manifest = tmp_path / "off.json"
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2.0234", "--k", "1.6657",
+            "--eps", "1.059", "--nmax", "6", "--grid-points", "3000",
+            "--out", str(tmp_path / "off.csv"), "--manifest", str(manifest),
+        ]) == 0
+        doc = json.loads(manifest.read_text())
+        level3 = next(c for c in doc["checks"] if c["name"] == "level-3-rel")
+        assert level3["measured"] <= 1e-4
+
     def test_complex_residuals_at_the_convergence_edge(self, tmp_path):
         # the levels stop just under the absolute 1e-8 residual target,
-        # which is also the check tolerance (up to 8.4e-9 here, 9.96e-9 in
+        # which is also the check tolerance (up to 8.5e-9 here, 9.99e-9 in
         # seed sweeps), so a rounding change in the solver can tip one over
         manifest = tmp_path / "edge.json"
         assert run([

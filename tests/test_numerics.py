@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xspectra import numerics
+from xspectra import models, numerics
 from xspectra import (
     ArgumentError,
     ConvergenceError,
@@ -553,6 +553,66 @@ class TestEigenNearShift:
         t = TridiagonalOperator(d, e)
         with pytest.raises(ArgumentError):
             eigen_near_shift(t, 1.0 + 0.1j)
+
+    def test_reports_the_pair_member_nearest_the_shift(self, radial_figure):
+        # at a = 2 each level is a grid pair split by O(h^2); the member
+        # reported must be the dense eigenvalue nearest sigma, whatever
+        # the rounding (following one vector gave level 1 as the farther
+        # member, 4.590185)
+        op = discretize(radial_figure, -12.0, 12.0, 600)
+        dense = (
+            np.diag(op.diagonal)
+            + np.diag(op.off_diagonal, 1)
+            + np.diag(op.off_diagonal, -1)
+        )
+        eigs = np.linalg.eigvals(dense)
+        for n in range(1, 7):
+            sigma = models.energy(radial_figure, n) + 0.3j
+            want = eigs[np.argmin(np.abs(eigs - sigma))]
+            res = eigen_near_shift(op, sigma, 60)
+            assert res.converged
+            assert abs(res.eigenvalue - want) <= 1e-8 * abs(want)
+
+
+class TestEigenNearShiftWork:
+    @pytest.mark.parametrize("npts, nmax", [(1200, 3), (3000, 6)])
+    def test_benchmark_operators_take_few_solves(self, radial_figure, monkeypatch, npts, nmax):
+        # the two operators of the benchmark's spectrum_complex ops at
+        # seed 0; one step is one solve, and the shift is refactored
+        # from step 4 on
+        calls = {"factor": 0, "solve": 0}
+        factor, solve = numerics._tri_lu_factor, numerics._tri_lu_solve
+
+        def counted_factor(*args):
+            calls["factor"] += 1
+            return factor(*args)
+
+        def counted_solve(*args):
+            calls["solve"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(numerics, "_tri_lu_factor", counted_factor)
+        monkeypatch.setattr(numerics, "_tri_lu_solve", counted_solve)
+        op = discretize(radial_figure, -12.0, 12.0, npts)
+        for n in range(1, nmax + 1):
+            calls.update(factor=0, solve=0)
+            res = eigen_near_shift(op, models.energy(radial_figure, n) + 0.3j, 60)
+            assert res.converged
+            assert calls["solve"] == res.iterations <= 7
+            assert calls["factor"] <= 4
+
+    # steps per level 1..6 of the single-vector iteration this solver
+    # replaced, which had no pair to separate at these a
+    @pytest.mark.parametrize(
+        "a, before", [(1.8, [6, 6, 6, 6, 6, 6]), (2.5, [5, 5, 6, 5, 6, 5])]
+    )
+    def test_no_level_slower_off_the_pair(self, a, before):
+        m = models.PotentialModel("radial_extended", a=a, k=1.75, eps=1.2)
+        op = discretize(m, -12.0, 12.0, 3000)
+        for n, steps in enumerate(before, start=1):
+            res = eigen_near_shift(op, models.energy(m, n) + 0.3j, 60)
+            assert res.converged
+            assert res.iterations <= steps + 1
 
 
 class TestSchrodingerResidual:
