@@ -331,6 +331,15 @@ class TestSturmCounts:
         assert len(calls) >= 2
 
 
+def _spectra_suite_operators(radial_hermitian, scarf_hermitian):
+    """The four grid operators of the spectra suite: radial, then Scarf,
+    each at 2000 and 4000 points."""
+    half = 0.5 * math.pi / scarf_hermitian.k
+    for model, lo, hi in ((radial_hermitian, 1e-8, 12.0), (scarf_hermitian, -half, half)):
+        for npts in (2000, 4000):
+            yield discretize(model, lo, hi, npts)
+
+
 class TestLowestEigenvalues:
     @settings(max_examples=200, deadline=None)
     @given(symmetric_tridiagonals())
@@ -395,6 +404,65 @@ class TestLowestEigenvalues:
             for npts in (2000, 4000):
                 lowest_eigenvalues(discretize(model, lo, hi, npts), 4)
         assert calls == []
+
+    def test_spectra_suite_operators_stop_at_the_absolute_floor(
+        self, monkeypatch, radial_hermitian, scarf_hermitian
+    ):
+        # brackets close at eps max(|gl|, |gu|) instead of 4 eps |lambda|,
+        # and sweep 0 counts its 127 probes once, not once per bracket
+        calls = []
+        counts = numerics._sturm_counts
+
+        def counted(d, e2, pivmin, sigmas):
+            calls.append(len(sigmas))
+            return counts(d, e2, pivmin, sigmas)
+
+        monkeypatch.setattr(numerics, "_sturm_counts", counted)
+        sweeps = []
+        for t in _spectra_suite_operators(radial_hermitian, scarf_hermitian):
+            calls.clear()
+            lowest_eigenvalues(t, 4)
+            sweeps.append(len(calls))
+            assert calls[0] == numerics._SECTIONS - 1
+        assert sweeps == [7, 6, 6, 6]
+        assert sum(sweeps) <= 25
+
+    def test_spectra_suite_operators_stay_within_one_eps_norm_of_stebz(
+        self, radial_hermitian, scarf_hermitian
+    ):
+        # dstebz's own default tolerance lands 0.2-0.33 eps ||T|| away;
+        # a looser stopping floor would show here first
+        linalg = pytest.importorskip("scipy.linalg")
+        for t in _spectra_suite_operators(radial_hermitian, scarf_hermitian):
+            want = linalg.eigvalsh_tridiagonal(
+                t.diagonal, t.off_diagonal, select="i", select_range=(0, 3),
+                lapack_driver="stebz", tol=1e-300,
+            )
+            got = lowest_eigenvalues(t, 4)
+            assert np.max(np.abs(got - want)) <= 1.0 * np.finfo(float).eps * t.scale
+
+    def test_doubled_spectrum_counts_each_probe_once(self, monkeypatch):
+        # two copies of one block: every eigenvalue is double, so each
+        # pair of brackets coincides and their probes are counted once
+        calls = []
+        counts = numerics._sturm_counts
+
+        def counted(d, e2, pivmin, sigmas):
+            calls.append(sigmas.copy())
+            return counts(d, e2, pivmin, sigmas)
+
+        monkeypatch.setattr(numerics, "_sturm_counts", counted)
+        block = tridiagonal_from_potential(lambda x: x * x, -5.0, 5.0, 100)
+        d = np.concatenate([block.diagonal, block.diagonal])
+        e = np.concatenate([block.off_diagonal, [0.0], block.off_diagonal])
+        t = TridiagonalOperator(d, e)
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[:4]
+        got = lowest_eigenvalues(t, 4)
+        assert got[0] == got[1] and got[2] == got[3]
+        assert np.all(np.abs(got - want) <= 8.0 * t.size * np.finfo(float).eps * t.scale)
+        assert calls
+        for sigmas in calls:
+            assert len(np.unique(sigmas)) == len(sigmas)
 
     def test_whole_spectrum_at_the_top_of_the_bracket(self):
         # every eigenvalue but one sits in the top part of the first
