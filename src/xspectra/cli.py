@@ -149,15 +149,176 @@ def _write_atomic(path: str, chunks) -> None:
         raise
 
 
+# ---------------------------------------------------------------------------
+# CSV encoding: _FMT for a whole block of float64 at once
+# ---------------------------------------------------------------------------
+#
+# A field of _FMT is the 17 significant digits D of |x|, rounded to
+# nearest with ties to even, and its decimal exponent k.  For |x| in
+# [_FAST_MIN, _FAST_MAX) the block encoder forms y = |x| 10^(16 - k) as a
+# double-double h + t (Dekker, Numer. Math. 18, 1971) and rounds it; a cell
+# whose rounding it cannot decide goes to _exact_field, as Grisu3 hands
+# such cells to an exact printer (Loitsch, PLDI 2010).
+
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# a fast cell's k, and the k of every 10^(16 - k) it is scaled by, lies
+# in [_K_LO, _K_HI]: log10 misses k by at most one next to a power of ten
+_K_LO, _K_HI = -282, 281
+_SPLIT = 2.0**27 + 1.0  # Dekker's splitter: halves of 26 bits each
+
+
+def _pow10_table() -> np.ndarray:
+    """Rows P_hi, its two Dekker halves, and P_lo for P = 10^(16 - k),
+    k from _K_LO to _K_HI: P_hi is P rounded to a double and P_lo is
+    P - P_hi rounded, both computed once from Python integers."""
+    hi, lo = [], []
+    for k in range(_K_LO, _K_HI + 1):
+        s = 16 - k
+        if s >= 0:
+            p = 10**s
+            hi.append(float(p))
+            lo.append(float(p - int(hi[-1])))
+        else:
+            den = 10**-s
+            hi.append(1 / den)
+            num, d = hi[-1].as_integer_ratio()
+            lo.append((d - den * num) / (den * d))
+    hi = np.array(hi)
+    head = hi * _SPLIT - (hi * _SPLIT - hi)
+    return np.array([hi, head, hi - head, lo])
+
+
+_POW10 = _pow10_table()
+
+
+def _field_words() -> tuple:
+    """The uint32 words a fast cell is gathered from, and where each kind
+    starts: the lead "[-]d.", 10^4 digit quads "0000".."9999", the
+    exponent head "e+05"/"e-27", and the exponent tail plus separator
+    ","/"\\n"/"4,"/"4\\n".  Unused bytes are zero."""
+    lead = [b"%s%d." % (sign, d) for sign in (b"", b"-") for d in range(10)]
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    quads = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
+    quads = quads.reshape(-1, 4)  # row i holds the digits of i
+    exps = [b"e%+03d" % k for k in range(_K_LO, _K_HI + 1)]
+    tails = [e[4:] + sep for e in exps for sep in (b",", b"\n")]
+    words = np.concatenate([
+        np.array(lead, dtype="S4").view(np.uint32),
+        quads.view(np.uint32).ravel(),
+        np.array([e[:4] for e in exps], dtype="S4").view(np.uint32),
+        np.array(tails, dtype="S4").view(np.uint32),
+    ])
+    quad_at = len(lead)
+    head_at = quad_at + len(quads)
+    return words, quad_at, head_at, head_at + len(exps)
+
+
+_WORDS, _QUAD_AT, _HEAD_AT, _TAIL_AT = _field_words()
+_SLOT = 7  # words per cell: lead, four quads, exponent head, tail
+
+
+def _exact_field(value: float) -> str:
+    """One field by CPython's exact formatter: the oracle of the block
+    encoder, and its path for the cells it cannot decide."""
+    return _FMT % value
+
+
+def _scaled(a: np.ndarray, k: np.ndarray) -> tuple:
+    """``a * 10**(16 - k)`` as a double-double ``(h, t)``: Dekker's exact
+    product a * P_hi = h + e, plus a * P_lo."""
+    p_hi, p_head, p_tail, p_lo = _POW10.take(k - _K_LO, axis=1)
+    h = a * p_hi
+    c = a * _SPLIT
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    e = ((a_head * p_head - h) + a_head * p_tail + a_tail * p_head) + a_tail * p_tail
+    return h, e + a * p_lo
+
+
+def _decimal(x: np.ndarray) -> tuple:
+    """The 17 digits D and exponent k of each ``x`` as _FMT rounds them,
+    and a mask of the cells where they are decided.  Zeros are decided
+    as D = k = 0; NaN, +-inf and |x| outside [_FAST_MIN, _FAST_MAX) are
+    not."""
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)  # False for NaN
+    a[~fast] = 1.0  # a harmless stand-in; these cells are encoded apart
+    k = np.floor(np.log10(a)).astype(np.intp)
+    h, t = _scaled(a, k)
+    # next to a power of ten log10 can miss k by one, so move k wherever
+    # h + t lies outside [1e16, 1e17).  (h - 1e16) + t has the sign of
+    # h + t - 1e16: the subtraction is exact by Sterbenz's lemma near
+    # 1e16, and far from it the sign is plain.  Test h + t, not h: the
+    # double nearest 1e-274 has y = 1e16 - 0.34 and prints 9.99...97e-275.
+    low = (h - 1e16) + t < 0.0
+    high = (h - 1e17) + t >= 0.0
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        k[fix] += np.where(high[fix], 1, -1)
+        h[fix], t[fix] = _scaled(a[fix], k[fix])
+    # h >= 1e16 > 2^53 is an integer, so D = h + round(t), and
+    # frac = t - floor(t) is exact.  The error of h + t against the true
+    # y: P_hi + P_lo is 10^(16 - k) to 2^-106 relative, a * P_lo rounds
+    # by 2^-106 y and e + a * P_lo by 2^-105 y, in all at most 2^-104 y
+    # < 2^-47 for y < 1e17 < 2^57.  So where frac is further than 2^-47
+    # from 1/2, the rounding of h + t is that of y; 2^-40 leaves a
+    # factor of 128.  Exact ties, such as 2^-25, fall inside and go to
+    # the exact formatter, which breaks them to even.
+    whole = np.floor(t)
+    frac = t - whole
+    digits = h.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = digits == 10**17  # rounds up to 1e17: prints as 1e16, k + 1
+    digits[carry] = 10**16
+    k += carry
+    decided = zero | (
+        fast
+        & (np.abs(frac - 0.5) > 2.0**-40)
+        & ((h - 1e16) + t >= 0.0)
+        & ((h - 1e17) + t < 0.0)
+    )
+    digits[zero] = 0
+    k[zero] = 0
+    return digits, k, decided
+
+
+def _slots(x: np.ndarray, cols: int) -> np.ndarray:
+    """Each cell of the row-major ``x`` as a slot of _SLOT words gathered
+    from _WORDS, with the exact formatter's field in each undecided cell;
+    bytes a field does not use are zero."""
+    digits, k, decided = _decimal(x)
+    cells = np.empty((x.size, _SLOT), np.uint32)
+    upper, lower = np.divmod(digits, 10**8)
+    lead, upper = np.divmod(upper, 10**8)
+    cells[:, 0] = _WORDS[lead + 10 * np.signbit(x)]
+    # the 16 digits after the point as four groups of four (tuple concatenation)
+    quads = np.divmod(upper, 10**4) + np.divmod(lower, 10**4)
+    for j, quad in enumerate(quads, 1):
+        cells[:, j] = _WORDS[_QUAD_AT + quad]
+    cells[:, 5] = _WORDS[_HEAD_AT - _K_LO + k]
+    last = np.arange(x.size) % cols == cols - 1
+    cells[:, 6] = _WORDS[_TAIL_AT + 2 * (k - _K_LO) + last]
+    slots = cells.view(np.uint8)
+    for i in np.flatnonzero(~decided):
+        field = _exact_field(float(x[i])) + ("\n" if last[i] else ",")
+        field = field.encode("ascii").ljust(4 * _SLOT, b"\0")
+        slots[i] = np.frombuffer(field, np.uint8)
+    return slots
+
+
+def _encode_block(block: np.ndarray) -> str:
+    """The CSV rows of a 2-D float64 ``block``, with exactly the bytes
+    ``_FMT`` gives each field, for every float64 including NaN, +-inf,
+    +-0 and subnormals."""
+    slots = _slots(block.ravel(), block.shape[1])
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _csv_chunks(header: list, columns: list):
     yield ",".join(header) + "\n"
     table = np.column_stack(columns)
-    row_fmt = ",".join([_FMT] * table.shape[1]) + "\n"
     for start in range(0, len(table), _CHUNK):
-        block = table[start:start + _CHUNK]
-        # one % per block: tolist() gives Python floats, which format
-        # exactly as the float64 scalars they came from
-        yield (row_fmt * len(block)) % tuple(block.ravel().tolist())
+        yield _encode_block(table[start:start + _CHUNK])
 
 
 def _write_csv(path: str, header: list, columns: list) -> None:
@@ -715,6 +876,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    """Parse type of the model and range flags: a NaN or infinite value
+    there gives only NaN tables or a manifest that is not valid JSON."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _add_model_flags(p, family_required=True, eps_default=0.0):
     p.add_argument(
         "--family",
@@ -723,11 +896,14 @@ def _add_model_flags(p, family_required=True, eps_default=0.0):
         default=None,
         help="model family",
     )
-    p.add_argument("--a", type=float, default=None, help="first index")
-    p.add_argument("--b", type=float, default=None, help="second index (scarf)")
-    p.add_argument("--k", type=float, default=None, help="scale parameter")
+    p.add_argument("--a", type=_finite_float, default=None, help="first index")
+    p.add_argument("--b", type=_finite_float, default=None, help="second index (scarf)")
+    p.add_argument("--k", type=_finite_float, default=None, help="scale parameter")
     p.add_argument(
-        "--eps", type=float, default=eps_default, help="imaginary shift strength"
+        "--eps",
+        type=_finite_float,
+        default=eps_default,
+        help="imaginary shift strength",
     )
     p.add_argument(
         "--branch", choices=("sin", "cos"), default=None, help="scarf branch"
@@ -763,8 +939,8 @@ def build_parser() -> _Parser:
 
     p_table = sub.add_parser("table", help="potential/state tables as CSV")
     _add_model_flags(p_table)
-    p_table.add_argument("--xmin", type=float, default=None)
-    p_table.add_argument("--xmax", type=float, default=None)
+    p_table.add_argument("--xmin", type=_finite_float, default=None)
+    p_table.add_argument("--xmax", type=_finite_float, default=None)
     p_table.add_argument("--points", type=int, default=401)
     p_table.add_argument(
         "--psi", default=None, help="comma-separated state indices to tabulate"
@@ -776,8 +952,8 @@ def build_parser() -> _Parser:
     p_spec = sub.add_parser("spectrum", help="formula vs grid eigenvalues as CSV")
     _add_model_flags(p_spec)
     p_spec.add_argument("--nmax", type=int, default=4)
-    p_spec.add_argument("--lo", type=float, default=None)
-    p_spec.add_argument("--hi", type=float, default=None)
+    p_spec.add_argument("--lo", type=_finite_float, default=None)
+    p_spec.add_argument("--hi", type=_finite_float, default=None)
     p_spec.add_argument(
         "--grid-points", type=int, default=None, help="interior grid points"
     )

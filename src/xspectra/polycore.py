@@ -262,35 +262,44 @@ def finite_quadrature(lo: float, hi: float) -> Quadrature:
 
 
 def semi_infinite_exp_quadrature() -> Quadrature:
-    """(0, inf) through x = -2 log(1 - t), t in (0, 1).
+    """(0, inf) through x = -2 log t, t in (0, 1).
 
     The factor 2 keeps exponentially weighted integrands decaying in t:
-    with plain -log(1-t) a weight exp(-x) cancels the Jacobian exactly
-    and polynomial growth survives at t = 1.
+    with plain -log t a weight exp(-x) cancels the Jacobian exactly and
+    polynomial growth survives at t = 0.
     """
     return Quadrature(_NODES, _WEIGHTS, "semi_infinite_exp", 0.0, math.inf)
 
 
 def semi_infinite_algebraic_quadrature() -> Quadrature:
-    """(0, inf) through x = t / (1 - t), t in (0, 1)."""
+    """(0, inf) through x = (1 - t) / t, t in (0, 1)."""
     return Quadrature(_NODES, _WEIGHTS, "semi_infinite_algebraic", 0.0, math.inf)
 
 
 # Panels graded geometrically toward both ends of the unit interval;
-# endpoint behavior of the weights (x^a near 0, the mapped infinity near
-# 1) is what the grading is for.  Refinement DEEPENS the grading rather
-# than splitting uniformly: endpoint singularities are algebraic or
+# endpoint behavior of the weights (x^a near 0, the mapped infinity) is
+# what the grading is for.  Refinement DEEPENS the grading rather than
+# splitting uniformly: endpoint singularities are algebraic or
 # logarithmic, so the closing cells must shrink exponentially while the
-# analytic interior cells are already resolved by the base rule.
+# analytic interior cells are already resolved by the base rule.  The
+# semi-infinite maps put infinity at t -> 0, where 2^-k is exact and the
+# grading deepens without a cap; at t -> 1 the cells 1 - 2^-k run out of
+# float spacing, so the grading stops at _GRADE_MAX.
 _GRADE_LEVELS = 6
 _GRADE_STEP = 6
 _GRADE_MAX = 40  # beyond this the closing cells fall below float spacing
 
 
-def _unit_edges(refinement: int) -> np.ndarray:
-    depth = min(_GRADE_LEVELS + _GRADE_STEP * refinement, _GRADE_MAX)
-    fracs = [2.0 ** -j for j in range(depth, 0, -1)]
-    pts = np.array([0.0] + fracs + [1.0 - f for f in reversed(fracs[:-1])] + [1.0])
+def _unit_edges(refinement: int, infinite_start: bool) -> np.ndarray:
+    depth = _GRADE_LEVELS + _GRADE_STEP * refinement
+    top = min(depth, _GRADE_MAX)
+    bottom = depth if infinite_start else top
+    pts = np.array(
+        [0.0]
+        + [2.0 ** -j for j in range(bottom, 0, -1)]
+        + [1.0 - 2.0 ** -j for j in range(2, top + 1)]
+        + [1.0]
+    )
     parts = refinement + 1
     if parts == 1:
         return pts
@@ -303,8 +312,8 @@ def _mapped(q: Quadrature, t: np.ndarray):
     if q.domain_map == "finite":
         return t, np.ones_like(t)
     if q.domain_map == "semi_infinite_exp":
-        return -2.0 * np.log1p(-t), 2.0 / (1.0 - t)
-    return t / (1.0 - t), 1.0 / (1.0 - t) ** 2
+        return -2.0 * np.log(t), 2.0 / t
+    return (1.0 - t) / t, 1.0 / (t * t)
 
 
 # refinement stops once two successive totals agree to _RTOL relative
@@ -315,8 +324,9 @@ _MAX_REFINEMENTS = 12
 def _level_sums(f: Callable, q: Quadrature, level: int):
     """Total and total variation of ``f`` on the panel mesh of ``level``,
     summed over the points; the point arrays die with this call."""
-    edges = _unit_edges(level)
-    if q.domain_map == "finite":
+    finite = q.domain_map == "finite"
+    edges = _unit_edges(level, infinite_start=not finite)
+    if finite:
         edges = q.lo + (q.hi - q.lo) * edges
     left, right = edges[:-1], edges[1:]
     halfw = 0.5 * (right - left)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -9,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from xspectra import cli, models, numerics
 from xspectra.polycore import integrate
@@ -86,6 +90,78 @@ class TestWriter:
             os.umask(old)
         for path in (out, tmp_path / "u.manifest.json"):
             assert path.stat().st_mode & 0o777 == 0o666 & ~mask
+
+
+def encoded(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    return "".join(cli._csv_chunks(header, columns)), reference_csv(header, columns)
+
+
+def count_fallbacks(monkeypatch):
+    calls = []
+    exact = cli._exact_field
+
+    def counted(value):
+        calls.append(value)
+        return exact(value)
+
+    monkeypatch.setattr(cli, "_exact_field", counted)
+    return calls
+
+
+class TestBlockEncoder:
+    # st.floats() draws from every double: NaN, +-inf, +-0, subnormals
+    @given(hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 30), st.integers(1, 6)),
+        elements=st.floats(),
+    ))
+    def test_any_doubles_match_per_field_formatting(self, table):
+        got, want = encoded(list(table.T))
+        assert got == want
+
+    def test_hard_doubles_match_per_field_formatting(self):
+        powers2 = np.ldexp(1.0, np.arange(-1074, 1024))
+        near10 = []
+        for k in range(-323, 309):
+            p = float(f"1e{k}")
+            below, above = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
+            near10 += [
+                np.nextafter(below, 0.0), below, p, above, np.nextafter(above, np.inf),
+            ]
+        bits = np.random.default_rng(12).integers(0, 2**64, 100_000, dtype=np.uint64)
+        values = np.concatenate([
+            powers2, -powers2, near10, [2.0**-25], bits.view(np.float64),
+        ])
+        values = np.append(values, np.zeros(-len(values) % 5)).reshape(-1, 5)
+        got, want = encoded(list(values.T))
+        assert got == want
+        # the double nearest 1e-274, scaled to 17 digits, lies 0.34 below
+        # 10^16; 2^-25 is an exact tie at 17 digits and rounds to even
+        assert "9.9999999999999997e-275" in got
+        assert "2.9802322387695312e-08" in got
+
+    def test_benchmark_tables_take_no_fallback(self, tmp_path, monkeypatch):
+        # the seed-0 tables of the benchmark, at 1e5 points: a fallback
+        # here would make the block path silently slow
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+        spec.loader.exec_module(workloads)
+        calls = count_fallbacks(monkeypatch)
+        for op in workloads.build("table_large", 0, str(tmp_path)):
+            assert run(list(op.argv)) == 0
+            digest = hashlib.sha256(Path(op.csv).read_bytes()).hexdigest()
+            assert digest == workloads.GOLDEN_CSV_SHA256[op.label]
+        assert calls == []
+
+    def test_undecided_and_special_cells_take_the_fallback(self, monkeypatch):
+        calls = count_fallbacks(monkeypatch)
+        block = np.array([[2.0**-25, 1.5, np.nan], [0.0, -0.0, 5e-324]])
+        got, want = encoded(list(block.T))
+        assert got == want
+        assert len(calls) == 3
 
 
 class TestTable:
@@ -320,6 +396,19 @@ class TestVerify:
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "--suite", "orthogonality", "--nmax", "8"]) == 0
 
+    @pytest.mark.parametrize("nmax", ["10", "12"])
+    def test_orthogonality_suite_at_high_degree(
+        self, tmp_path, monkeypatch, capsys, nmax
+    ):
+        # the a = 2 exp-map tail did not settle here while the map put
+        # infinity at t -> 1, where the panel grading is capped
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "orthogonality", "--nmax", nmax]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+        assert len(doc["checks"]) == 7
+        assert all(c["status"] == "pass" for c in doc["checks"])
+
     def test_one_integral_per_gram_matrix(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "--suite", "all"]) == 0  # fills the norm caches
@@ -411,6 +500,39 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error:")
         assert "PASS" not in captured.out
         assert not (tmp_path / "verify.manifest.json").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("table", "eps", "nan"),
+        ("table", "k", "inf"),
+        ("table", "xmax", "inf"),
+        ("table", "xmin", "NaN"),
+        ("spectrum", "a", "inf"),
+        ("spectrum", "lo", "-inf"),
+        ("spectrum", "hi", "nan"),
+        ("verify", "eps", "nan"),
+        ("verify", "a", "-inf"),
+    ], ids=lambda v: v)
+    def test_non_finite_model_and_range_flags(
+        self, tmp_path, capsys, monkeypatch, command, flag, value
+    ):
+        # a NaN or infinite model or range value gave an all-NaN table
+        # with numpy warnings, or a manifest holding the invalid JSON NaN
+        monkeypatch.chdir(tmp_path)
+        out, manifest = tmp_path / "o.csv", tmp_path / "o.json"
+        argv = {
+            "table": ["table", "--family", "radial", "--a", "2", "--k", "1.75"],
+            "spectrum": ["spectrum", "--family", "radial", "--a", "2", "--k", "1.75"],
+            "verify": ["verify", "--suite", "pct"],
+        }[command] + [f"--{flag}={value}"]
+        extra = ["--manifest", str(manifest)]
+        if argv[0] != "verify":
+            extra += ["--out", str(out)]
+        assert run(argv + extra) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and "finite" in line for line in err)
+        assert not any(line.startswith("warn:") for line in err)
+        assert not out.exists() and not manifest.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_psi_list(self, tmp_path, capsys):
         assert run([

@@ -152,6 +152,18 @@ class TestGram:
         np.testing.assert_allclose(np.diag(gram), want, rtol=1e-9)
         assert ratio <= 1e-9
 
+    @pytest.mark.parametrize("nmax", [9, 12])
+    def test_high_degree_diagonal_matches_norms(self, nmax):
+        # the exp map puts infinity at t -> 0, where the panel grading
+        # deepens without a cap; with infinity at t -> 1 these raised
+        # ConvergenceError, the tail beyond x = 55 sitting in one cell
+        fam = X1Family("laguerre", 5.0)
+        for quadrature in (semi_infinite_exp_quadrature, semi_infinite_algebraic_quadrature):
+            gram, ratio = gram_matrix(fam, nmax, quadrature())
+            want = np.array([x1_laguerre_norm(n, 5.0) for n in range(1, nmax + 1)])
+            assert np.max(np.abs(np.diag(gram) - want) / want) <= 1e-11
+            assert ratio <= 1e-10
+
     def test_maps_agree(self):
         fam = X1Family("laguerre", 0.5)
         g1, _ = gram_matrix(fam, 6, semi_infinite_exp_quadrature())
