@@ -71,9 +71,13 @@ _TOLERANCES = {
 # the tolerances `spectrum` compares against; `table` has none
 _SPECTRUM_TOLERANCES = ("spectrum-rel", "im-ratio", "eigen-residual")
 
-# reference parameter sets used whenever the caller does not pin a model
-_FIGURE_RADIAL = {"a": 2.0, "k": 1.75, "eps": 1.2}
-_FIGURE_SCARF = {"a": 1.75, "b": 3.0, "k": 1.25, "eps": 1.0}
+# the reference model of each family, which `verify` checks wherever the
+# caller pins no model, and the model fields each family takes from flags
+_FIGURE = {
+    "radial": PotentialModel("radial_extended", 2.0, None, 1.75, 1.2),
+    "scarf": PotentialModel("scarf_extended", 1.75, 3.0, 1.25, 1.0),
+}
+_MODEL_FIELDS = {"radial": ("a", "k", "eps"), "scarf": ("a", "b", "k", "eps", "branch")}
 
 
 def _err(message: str) -> None:
@@ -316,9 +320,8 @@ def _encode_block(block: np.ndarray) -> str:
 
 def _csv_chunks(header: list, columns: list):
     yield ",".join(header) + "\n"
-    table = np.column_stack(columns)
-    for start in range(0, len(table), _CHUNK):
-        yield _encode_block(table[start:start + _CHUNK])
+    for start in range(0, len(columns[0]), _CHUNK):
+        yield _encode_block(np.column_stack([c[start:start + _CHUNK] for c in columns]))
 
 
 def _write_csv(path: str, header: list, columns: list) -> None:
@@ -348,30 +351,30 @@ def _tolerances(args) -> dict:
     return out
 
 
-def _reject_scarf_flags(args) -> None:
-    if args.b is not None:
-        raise ArgumentError("--b applies only to the scarf family")
-    if args.branch is not None:
-        raise ArgumentError("--branch applies only to the scarf family")
-
-
-def _model_from_args(args) -> PotentialModel:
-    family = {"radial": "radial_extended", "scarf": "scarf_extended"}[args.family]
-    if family == "radial_extended":
-        _reject_scarf_flags(args)
-        model = PotentialModel(family, args.a, None, args.k, args.eps, None)
-    else:
-        if args.b is None:
-            raise ArgumentError("the scarf family needs --b")
-        model = PotentialModel(
-            family, args.a, args.b, args.k, args.eps, args.branch
-        )
+def _model(kind: str, args) -> PotentialModel:
+    """The reference model of family ``kind`` with each model flag the
+    caller set, validated.  A family named by --family refuses the flags
+    of fields it does not have; `table` and `spectrum` need --b for the
+    Scarf family, as they take no reference value."""
+    fields = _MODEL_FIELDS[kind]
+    if kind == args.family:
+        for name in _MODEL_FIELDS["scarf"]:
+            if name not in fields and getattr(args, name) is not None:
+                raise ArgumentError(f"--{name} applies only to the scarf family")
+    if kind == "scarf" and args.b is None and args.command != "verify":
+        raise ArgumentError("the scarf family needs --b")
+    flags = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
+    model = replace(_FIGURE[kind], **flags)
     diagnostics = models.validate_params(model)
     if diagnostics:
         for d in diagnostics:
             _err(d)
         raise ArgumentError("invalid model parameters")
     return model
+
+
+def _model_parameters(family: str, m: PotentialModel) -> dict:
+    return {"family": family, "a": m.a, "b": m.b, "k": m.k, "eps": m.eps, "branch": m.branch}
 
 
 def _scarf_cell(m: PotentialModel) -> tuple:
@@ -387,6 +390,27 @@ def _default_range(m: PotentialModel) -> tuple:
     offset, half = _scarf_cell(m)
     margin = 1e-3 * half
     return (offset - half + margin, offset + half - margin)
+
+
+def _spectrum_interval(m: PotentialModel) -> tuple:
+    """The grid interval of m's spectrum: the Hermitian radial model's
+    half-line, the whole line once the shift takes the pole at x = 0 off
+    it, or the Scarf model's central cell."""
+    if m.family == "radial_extended":
+        return (-12.0, 12.0) if m.eps != 0.0 else (1e-8, 12.0)
+    offset, half = _scarf_cell(m)
+    return offset - half, offset + half
+
+
+def _state_grids(m: PotentialModel, points: int) -> tuple:
+    """Where the state checks sample the Hermitian partner of m and m
+    itself: the radial model's half-line, then the line, or 90 % of the
+    Scarf model's central cell twice."""
+    if m.family == "radial_extended":
+        return np.linspace(0.4, 6.0, points), np.linspace(-5.0, 5.0, points)
+    offset, half = _scarf_cell(m)
+    cell = np.linspace(offset - 0.9 * half, offset + 0.9 * half, points)
+    return cell, cell
 
 
 def _parse_levels(raw: str) -> list:
@@ -405,7 +429,7 @@ def _parse_levels(raw: str) -> list:
 
 
 def cmd_table(args) -> int:
-    m = _model_from_args(args)
+    m = _model(args.family, args)
     lo, hi = _default_range(m)
     lo = args.xmin if args.xmin is not None else lo
     hi = args.xmax if args.xmax is not None else hi
@@ -427,12 +451,7 @@ def cmd_table(args) -> int:
     manifest = args.manifest or _default_manifest(out)
     _write_csv(out, header, columns)
     parameters = {
-        "family": args.family,
-        "a": m.a,
-        "b": m.b,
-        "k": m.k,
-        "eps": m.eps,
-        "branch": m.branch,
+        **_model_parameters(args.family, m),
         "xmin": float(lo),
         "xmax": float(hi),
         "points": int(args.points),
@@ -448,7 +467,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    m = _model_from_args(args)
+    m = _model(args.family, args)
     tol = _tolerances(args)
     if m.family == "scarf_extended" and m.eps != 0.0:
         raise ArgumentError(
@@ -456,12 +475,14 @@ def cmd_spectrum(args) -> int:
             "so no grid spectrum exists; verify that case with "
             "`verify --suite residuals` and `--suite hermiticity`"
         )
+    # checked here, not where the complex branch uses them, so that no
+    # run accepts a value it would refuse on the other branch
+    if args.iters < 1:
+        raise ArgumentError(f"--iters must be >= 1, got {args.iters}")
+    if not math.isfinite(args.sigma_imag):
+        raise ArgumentError(f"--sigma-imag must be finite, got {args.sigma_imag!r}")
     complex_case = m.eps != 0.0
-    if m.family == "radial_extended":
-        lo, hi = (-12.0, 12.0) if complex_case else (1e-8, 12.0)
-    else:
-        offset, half = _scarf_cell(m)
-        lo, hi = offset - half, offset + half
+    lo, hi = _spectrum_interval(m)
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
     npts = args.grid_points if args.grid_points is not None else (
@@ -518,12 +539,7 @@ def cmd_spectrum(args) -> int:
         [np.arange(1, nmax + 1), formulas, numeric, abs_err, rel_err] + extra,
     )
     parameters = {
-        "family": args.family,
-        "a": m.a,
-        "b": m.b,
-        "k": m.k,
-        "eps": m.eps,
-        "branch": m.branch,
+        **_model_parameters(args.family, m),
         "lo": float(lo),
         "hi": float(hi),
         "grid_points": int(npts),
@@ -537,6 +553,11 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
+
+
+def _kinds(args) -> list:
+    """The families a suite covers: the one --family names, or both."""
+    return [args.family] if args.family else list(_FIGURE)
 
 
 def _suite_orthogonality(args, tol) -> list:
@@ -566,7 +587,8 @@ def _suite_orthogonality(args, tol) -> list:
                 1e-9,
             )
         )
-    fam_j = X1Family("jacobi", _FIGURE_SCARF["a"], _FIGURE_SCARF["b"])
+    scarf = _FIGURE["scarf"]
+    fam_j = X1Family("jacobi", scarf.a, scarf.b)
     _, ratio = numerics.gram_matrix(fam_j, 4, finite_quadrature(-1.0, 1.0))
     checks.append(_check_le("jacobi-offdiag", ratio, tol["gram-offdiag"]))
     return checks
@@ -592,28 +614,14 @@ def _suite_zeros(args, tol) -> list:
 
 def _pct_checks_for(kind, tol) -> list:
     checks = []
+    m = _FIGURE[kind]
+    hermitian = replace(m, eps=0.0)
     if kind == "radial":
-        fam = X1Family("laguerre", _FIGURE_RADIAL["a"])
-        k = _FIGURE_RADIAL["k"]
-        gm = GMap("quadratic", k, 0.0)
-        grid = np.linspace(0.4, 6.0, 50)
-        hermitian = PotentialModel(
-            "radial_extended", _FIGURE_RADIAL["a"], None, k, 0.0
-        )
-        gm_shift = GMap("quadratic", k, 1j * _FIGURE_RADIAL["eps"])
-        shift_grid = np.linspace(-5.0, 5.0, 50)
+        fam, g = X1Family("laguerre", m.a), "quadratic"
     else:
-        fam = X1Family("jacobi", _FIGURE_SCARF["a"], _FIGURE_SCARF["b"])
-        k = _FIGURE_SCARF["k"]
-        gm = GMap("sine", k, 0.0)
-        half = 0.5 * math.pi / k
-        grid = np.linspace(-0.9 * half, 0.9 * half, 50)
-        hermitian = PotentialModel(
-            "scarf_extended", _FIGURE_SCARF["a"], _FIGURE_SCARF["b"], k, 0.0
-        )
-        gm_shift = GMap("sine", k, 1j * _FIGURE_SCARF["eps"])
-        shift_grid = grid
-    rep = extract_potential_report(gm, fam, (1, 2), grid)
+        fam, g = X1Family("jacobi", m.a, m.b), "sine"
+    grid, shift_grid = _state_grids(m, 50)
+    rep = extract_potential_report(GMap(g, m.k, 0.0), fam, (1, 2), grid)
     v_closed = models.potential(hermitian, grid)
     scale = np.max(np.abs(v_closed))
     checks.append(
@@ -636,14 +644,14 @@ def _pct_checks_for(kind, tol) -> list:
     checks.append(
         _check_le(f"{kind}-const-diff", rep.dw_spread / de, tol["const-diff"])
     )
-    rep_shift = extract_potential_report(gm_shift, fam, (1, 2), shift_grid)
+    rep_shift = extract_potential_report(GMap(g, m.k, 1j * m.eps), fam, (1, 2), shift_grid)
     shift_dev = max(
         abs(complex(rep_shift.energies[i]) - rep.energies[i]) / rep.energies[i]
         for i in range(2)
     )
     checks.append(_check_le(f"{kind}-shift-energy-invariance", shift_dev, 1e-9))
     if kind == "scarf":
-        a, b = _FIGURE_SCARF["a"], _FIGURE_SCARF["b"]
+        a, b, k = m.a, m.b, m.k
         fitted = float(np.real(rep.terms["1/D^2"]))
         adjudicated = -8.0 * k * k * a * b
         alternative = 2.0 * k * k * ((a - b) ** 2 - 4.0 * a * b)
@@ -665,37 +673,10 @@ def _pct_checks_for(kind, tol) -> list:
 
 
 def _suite_pct(args, tol) -> list:
-    kinds = [args.family] if args.family else ["radial", "scarf"]
     checks = []
-    for kind in kinds:
+    for kind in _kinds(args):
         checks += _pct_checks_for(kind, tol)
     return checks
-
-
-def _figure_models(args) -> list:
-    out = []
-    if args.family in (None, "radial"):
-        out.append(
-            PotentialModel(
-                "radial_extended",
-                args.a if args.a is not None else _FIGURE_RADIAL["a"],
-                None,
-                args.k if args.k is not None else _FIGURE_RADIAL["k"],
-                args.eps if args.eps is not None else _FIGURE_RADIAL["eps"],
-            )
-        )
-    if args.family in (None, "scarf"):
-        out.append(
-            PotentialModel(
-                "scarf_extended",
-                args.a if args.a is not None else _FIGURE_SCARF["a"],
-                args.b if args.b is not None else _FIGURE_SCARF["b"],
-                args.k if args.k is not None else _FIGURE_SCARF["k"],
-                args.eps if args.eps is not None else _FIGURE_SCARF["eps"],
-                args.branch,
-            )
-        )
-    return out
 
 
 def _similarity_grid(m: PotentialModel) -> np.ndarray:
@@ -707,38 +688,34 @@ def _similarity_grid(m: PotentialModel) -> np.ndarray:
 
 def _suite_hermiticity(args, tol) -> list:
     checks = []
-    for m in _figure_models(args):
+    for kind in _kinds(args):
+        m = _model(kind, args)
         if m.eps == 0.0:
             raise ArgumentError(
                 "hermiticity suite needs eps != 0 (identities are trivial)"
             )
-        label = "radial" if m.family == "radial_extended" else "scarf"
         grid = _similarity_grid(m)
         scale = float(np.max(np.abs(models.potential(m, grid))))
         checks.append(
             _check_le(
-                f"{label}-quasi-rel",
+                f"{kind}-quasi-rel",
                 models.quasi_hermiticity_residual(m, grid) / scale,
                 tol["quasi-rel"],
             )
         )
         checks.append(
             _check_le(
-                f"{label}-pseudo-rel",
+                f"{kind}-pseudo-rel",
                 models.pseudo_hermiticity_residual(m, grid) / scale,
                 tol["pseudo-rel"],
             )
         )
         pt = models.pt_symmetry_residual(m, grid) / scale
-        if m.family == "radial_extended":
-            checks.append(_check_le("radial-pt-rel", pt, tol["pt-rel"]))
-        elif m.branch == "sin" and m.a != m.b:
+        if m.branch == "sin" and m.a != m.b:
             checks.append(
                 _check_ge("scarf-sin-pt-broken", pt, tol["pt-broken-min"])
             )
-            cos_model = PotentialModel(
-                m.family, m.a, m.b, m.k, m.eps, "cos"
-            )
+            cos_model = replace(m, branch="cos")
             cos_grid = _similarity_grid(cos_model)
             cos_scale = float(np.max(np.abs(models.potential(cos_model, cos_grid))))
             checks.append(
@@ -749,7 +726,7 @@ def _suite_hermiticity(args, tol) -> list:
                 )
             )
         else:
-            checks.append(_check_le(f"{label}-pt-rel", pt, tol["pt-rel"]))
+            checks.append(_check_le(f"{kind}-pt-rel", pt, tol["pt-rel"]))
     return checks
 
 
@@ -772,15 +749,15 @@ def _real_spectrum_checks(label, m0, lo, hi, tol) -> list:
 
 def _suite_spectra(args, tol) -> list:
     checks = []
-    if args.family in (None, "radial"):
-        m0 = PotentialModel("radial_extended", _FIGURE_RADIAL["a"], None, _FIGURE_RADIAL["k"], 0.0)
-        checks += _real_spectrum_checks("radial", m0, 1e-8, 12.0, tol)
-        mc = PotentialModel(
-            "radial_extended", _FIGURE_RADIAL["a"], None, _FIGURE_RADIAL["k"], _FIGURE_RADIAL["eps"]
-        )
-        op = numerics.discretize(mc, -12.0, 12.0, 1200)
+    for kind in _kinds(args):
+        m = _FIGURE[kind]
+        m0 = replace(m, eps=0.0)
+        checks += _real_spectrum_checks(kind, m0, *_spectrum_interval(m0), tol)
+        if kind == "scarf":
+            continue  # shifted Scarf states are not normalizable on the line
+        op = numerics.discretize(m, *_spectrum_interval(m), 1200)
         for n in (1, 2, 3):
-            e_n = models.energy(mc, n)
+            e_n = models.energy(m, n)
             res = numerics.eigen_near_shift(op, e_n + 0.3j, 60)
             checks.append(
                 _check_le(
@@ -796,32 +773,21 @@ def _suite_spectra(args, tol) -> list:
                     tol["spectrum-rel"],
                 )
             )
-    if args.family in (None, "scarf"):
-        m0 = PotentialModel(
-            "scarf_extended", _FIGURE_SCARF["a"], _FIGURE_SCARF["b"], _FIGURE_SCARF["k"], 0.0
-        )
-        _, half = _scarf_cell(m0)
-        checks += _real_spectrum_checks("scarf", m0, -half, half, tol)
     return checks
 
 
 def _suite_residuals(args, tol) -> list:
     checks = []
-    for m in _figure_models(args):
-        label = "radial" if m.family == "radial_extended" else "scarf"
-        hermitian = replace(m, eps=0.0)
-        if m.family == "radial_extended":
-            grids = {0.0: np.linspace(0.4, 6.0, 40), m.eps: np.linspace(-5.0, 5.0, 40)}
-        else:
-            offset, half = _scarf_cell(m)
-            cell = np.linspace(offset - 0.9 * half, offset + 0.9 * half, 40)
-            grids = {0.0: cell, m.eps: cell}
+    for kind in _kinds(args):
+        m = _model(kind, args)
+        # keyed by eps, so with --eps 0 only the Hermitian model is checked
+        grids = dict(zip((0.0, m.eps), _state_grids(m, 40)))
         for eps, grid in grids.items():
-            model = hermitian if eps == 0.0 else m
+            model = replace(m, eps=eps)
             for n in (1, 2, 3):
                 checks.append(
                     _check_le(
-                        f"{label}-eps{eps:g}-n{n}",
+                        f"{kind}-eps{eps:g}-n{n}",
                         numerics.schrodinger_residual(model, n, grid),
                         tol["residual"],
                     )
@@ -829,24 +795,28 @@ def _suite_residuals(args, tol) -> list:
     return checks
 
 
-_SUITE_FUNCS = {
-    "orthogonality": _suite_orthogonality,
-    "zeros": _suite_zeros,
-    "pct": _suite_pct,
-    "hermiticity": _suite_hermiticity,
-    "spectra": _suite_spectra,
-    "residuals": _suite_residuals,
+# each suite and the flags it reads: `verify` refuses a flag that no suite
+# it runs reads, rather than record a value that nothing used
+_SUITES = {
+    "orthogonality": (_suite_orthogonality, ("a", "nmax")),
+    "zeros": (_suite_zeros, ("a", "nmax")),
+    "pct": (_suite_pct, ("family",)),
+    "hermiticity": (_suite_hermiticity, ("family", *_MODEL_FIELDS["scarf"])),
+    "spectra": (_suite_spectra, ("family",)),
+    "residuals": (_suite_residuals, ("family", *_MODEL_FIELDS["scarf"])),
 }
 
 
 def cmd_verify(args) -> int:
-    if args.family == "radial":
-        _reject_scarf_flags(args)
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
+    read = {flag for name in names for flag in _SUITES[name][1]}
+    for flag in ("family", *_MODEL_FIELDS["scarf"], "nmax"):
+        if getattr(args, flag) is not None and flag not in read:
+            raise ArgumentError(f"--{flag} is not read by the {args.suite} suite")
     tol = _tolerances(args)
-    names = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
-        checks += _SUITE_FUNCS[name](args, tol)
+        checks += _SUITES[name][0](args, tol)
     for c in checks:
         print(
             f"{'PASS' if c.passed else 'FAIL'} {c.name}: "
@@ -896,9 +866,13 @@ def _add_model_flags(p, family_required=True, eps_default=0.0):
         default=None,
         help="model family",
     )
-    p.add_argument("--a", type=_finite_float, default=None, help="first index")
+    p.add_argument(
+        "--a", type=_finite_float, required=family_required, help="first index"
+    )
     p.add_argument("--b", type=_finite_float, default=None, help="second index (scarf)")
-    p.add_argument("--k", type=_finite_float, default=None, help="scale parameter")
+    p.add_argument(
+        "--k", type=_finite_float, required=family_required, help="scale parameter"
+    )
     p.add_argument(
         "--eps",
         type=_finite_float,
@@ -921,12 +895,6 @@ def _add_tol_flags(p, names):
         )
 
 
-def _require_model_args(args):
-    missing = [flag for flag, val in (("--a", args.a), ("--k", args.k)) if val is None]
-    if missing:
-        raise ArgumentError(f"missing required flags: {', '.join(missing)}")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="xspectra",
@@ -947,7 +915,7 @@ def build_parser() -> _Parser:
     )
     p_table.add_argument("--out", default=None, help="CSV output path")
     p_table.add_argument("--manifest", default=None, help="JSON manifest path")
-    p_table.set_defaults(func=cmd_table, needs_model=True)
+    p_table.set_defaults(func=cmd_table)
 
     p_spec = sub.add_parser("spectrum", help="formula vs grid eigenvalues as CSV")
     _add_model_flags(p_spec)
@@ -967,15 +935,15 @@ def build_parser() -> _Parser:
     p_spec.add_argument("--out", default=None)
     p_spec.add_argument("--manifest", default=None)
     _add_tol_flags(p_spec, _SPECTRUM_TOLERANCES)
-    p_spec.set_defaults(func=cmd_spectrum, needs_model=True)
+    p_spec.set_defaults(func=cmd_spectrum)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")
-    p_ver.add_argument("--suite", choices=[*_SUITE_FUNCS, "all"], required=True)
+    p_ver.add_argument("--suite", choices=[*_SUITES, "all"], required=True)
     _add_model_flags(p_ver, family_required=False, eps_default=None)
     p_ver.add_argument("--nmax", type=int, default=None)
     p_ver.add_argument("--manifest", default=None)
     _add_tol_flags(p_ver, _TOLERANCES)
-    p_ver.set_defaults(func=cmd_verify, needs_model=False)
+    p_ver.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -987,8 +955,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if getattr(args, "needs_model", False):
-            _require_model_args(args)
         if getattr(args, "nmax", None) is not None and args.nmax < 1:
             raise ArgumentError(f"--nmax must be >= 1, got {args.nmax}")
         return args.func(args)

@@ -163,6 +163,26 @@ class TestBlockEncoder:
         assert got == want
         assert len(calls) == 3
 
+    def test_blocks_are_stacked_one_at_a_time(self, monkeypatch):
+        # the buffer behind each block holds that block only, so a write
+        # keeps no second full copy of the columns
+        rows, blocks = 2 * cli._CHUNK + 5, []
+        encode = cli._encode_block
+
+        def recorded(block):
+            owner = block
+            while isinstance(owner.base, np.ndarray):
+                owner = owner.base
+            blocks.append((len(block), owner.nbytes // (8 * block.shape[1])))
+            return encode(block)
+
+        monkeypatch.setattr(cli, "_encode_block", recorded)
+        columns = [np.arange(rows), np.linspace(-1.0, 1.0, rows), np.ones(rows)]
+        got, want = encoded(columns)
+        assert got == want
+        assert [n for n, _ in blocks] == [cli._CHUNK, cli._CHUNK, 5]
+        assert all(held == n for n, held in blocks)
+
 
 class TestTable:
     def test_deterministic_and_thread_invariant(self, tmp_path):
@@ -425,7 +445,176 @@ class TestVerify:
         assert len(calls) == 5
 
 
+# the check names of each suite with default flags, per family, in the
+# order the suite runs them; a suite without a family axis is under None
+_SUITE_CHECKS = {
+    "orthogonality": {None: [
+        "laguerre-a0.5-offdiag", "laguerre-a0.5-diag-rel", "laguerre-a0.5-map-agreement",
+        "laguerre-a2-offdiag", "laguerre-a2-diag-rel", "laguerre-a2-map-agreement",
+        "jacobi-offdiag",
+    ]},
+    "zeros": {None: ["zero-pattern-a0.5", "zero-pattern-a2", "zero-pattern-a5"]},
+    "pct": {
+        "radial": [
+            "radial-extracted-V-rel", "radial-energy-1-rel", "radial-energy-2-rel",
+            "radial-const-diff", "radial-shift-energy-invariance",
+        ],
+        "scarf": [
+            "scarf-extracted-V-rel", "scarf-energy-1-rel", "scarf-energy-2-rel",
+            "scarf-const-diff", "scarf-shift-energy-invariance",
+            "scarf-rational-matches-minus-8ab", "scarf-rational-excludes-alternative",
+        ],
+    },
+    "hermiticity": {
+        "radial": ["radial-quasi-rel", "radial-pseudo-rel", "radial-pt-rel"],
+        "scarf": [
+            "scarf-quasi-rel", "scarf-pseudo-rel", "scarf-sin-pt-broken", "scarf-cos-pt-rel",
+        ],
+    },
+    "spectra": {
+        "radial": [
+            "radial-spectrum-rel", "radial-conv-factor-min", "radial-conv-factor-max",
+            "radial-complex-1-im-ratio", "radial-complex-1-re-rel",
+            "radial-complex-2-im-ratio", "radial-complex-2-re-rel",
+            "radial-complex-3-im-ratio", "radial-complex-3-re-rel",
+        ],
+        "scarf": ["scarf-spectrum-rel", "scarf-conv-factor-min", "scarf-conv-factor-max"],
+    },
+    "residuals": {
+        "radial": [f"radial-eps{e}-n{n}" for e in ("0", "1.2") for n in (1, 2, 3)],
+        "scarf": [f"scarf-eps{e}-n{n}" for e in ("0", "1") for n in (1, 2, 3)],
+    },
+}
+
+
+def _expected_checks(suite, family):
+    names = []
+    for s in _SUITE_CHECKS if suite == "all" else [suite]:
+        by_family = _SUITE_CHECKS[s]
+        for f in [None] if None in by_family else [family] if family else ["radial", "scarf"]:
+            names += by_family[f]
+    return names
+
+
+class TestVerifyContract:
+    # recorded before the suites took their models from one builder: every
+    # suite and family with default flags gives these checks, all passing,
+    # and a manifest recording no model flag.  `measured` is not pinned:
+    # its last bits depend on the BLAS
+    @pytest.mark.parametrize("suite, family", [
+        ("orthogonality", None), ("zeros", None),
+        *[(s, f) for s in ("pct", "hermiticity", "spectra", "residuals", "all")
+          for f in (None, "radial", "scarf")],
+    ], ids=lambda v: str(v))
+    def test_default_flags(self, tmp_path, monkeypatch, capsys, suite, family):
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--suite", suite] + (["--family", family] if family else [])
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+        names = _expected_checks(suite, family)
+        assert [c["name"] for c in doc["checks"]] == names
+        assert all(c["status"] == "pass" for c in doc["checks"])
+        assert [line.split()[:2] for line in captured.out.splitlines()] == [
+            ["PASS", f"{name}:"] for name in names
+        ]
+        assert doc["parameters"] == {
+            "suite": suite, "family": family, "a": None, "b": None, "k": None,
+            "eps": None, "branch": None, "nmax": None,
+            "tolerances": {
+                "gram-offdiag": 1e-8, "gram-diag-rel": 1e-8, "extract-rel": 1e-8,
+                "const-diff": 1e-9, "quasi-rel": 1e-11, "pseudo-rel": 1e-11,
+                "pt-rel": 1e-12, "pt-broken-min": 1e-2, "spectrum-rel": 1e-3,
+                "conv-lo": 3.5, "conv-hi": 4.5, "im-ratio": 1e-6,
+                "eigen-residual": 1e-8, "residual": 1e-6,
+            },
+        }
+
+
+def assert_usage_error(captured, tmp_path, lines=None):
+    """Exit-2 contract: stderr is `error:` lines only, nothing ran to
+    completion, and no output file was written."""
+    err = captured.err.splitlines()
+    assert err and err[0].startswith("error:")
+    assert not any(line.startswith("warn:") for line in err)
+    if lines is not None:
+        assert err == lines
+    assert "PASS" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv, flag, suite", [
+        (["--suite", "spectra", "--family", "radial", "--a", "3", "--k", "9"], "a", "spectra"),
+        (["--suite", "pct", "--k", "2"], "k", "pct"),
+        (["--suite", "hermiticity", "--nmax", "3"], "nmax", "hermiticity"),
+        (["--suite", "residuals", "--nmax", "3"], "nmax", "residuals"),
+        (["--suite", "zeros", "--family", "scarf"], "family", "zeros"),
+        (["--suite", "orthogonality", "--eps", "1"], "eps", "orthogonality"),
+        (["--suite", "spectra", "--branch", "cos"], "branch", "spectra"),
+        (["--suite", "pct", "--b", "2"], "b", "pct"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_verify_rejects_unread_flags(self, tmp_path, monkeypatch, capsys, argv, flag, suite):
+        # these exited 0 and recorded values the suite never used
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", *argv]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path, [f"error: --{flag} is not read by the {suite} suite"]
+        )
+
+    def test_verify_all_reads_every_flag(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run([
+            "verify", "--suite", "all", "--family", "radial", "--a", "2.5",
+            "--k", "1.5", "--eps", "1", "--nmax", "5",
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "verify.manifest.json").read_text())["parameters"]["a"] == 2.5
+
+    @pytest.mark.parametrize("suite", ["hermiticity", "residuals"])
+    @pytest.mark.parametrize("argv, diagnostic", [
+        (["--family", "radial", "--a", "1", "--eps", "2"],
+         "error: eps^2 = 4a (eps = 2, a = 1) places the rational term's pole at x = 0 "
+         "on the real line"),
+        (["--a=-1"], "error: index a must be positive, got a = -1"),
+        (["--family", "scarf", "--a", "3"],
+         "error: indices must differ (a = b collapses the rational term)"),
+    ], ids=["pole-at-origin", "negative-a", "scarf-a-equals-b"])
+    def test_verify_validates_its_models(
+        self, tmp_path, monkeypatch, capsys, suite, argv, diagnostic
+    ):
+        # these exited 0 on a model `table` refuses
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", suite, *argv]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path, [diagnostic, "error: invalid model parameters"]
+        )
+
+    @pytest.mark.parametrize("eps", ["0", "1.2"], ids=["real", "complex"])
+    @pytest.mark.parametrize("flags", [
+        ["--sigma-imag", "nan"], ["--sigma-imag", "inf"], ["--iters", "0"],
+        ["--sigma-imag", "nan", "--iters", "0"],
+    ], ids=lambda v: "-".join(v).replace("--", ""))
+    def test_spectrum_checks_shift_and_iters(self, tmp_path, capsys, eps, flags):
+        # the real spectrum never reads them, and exited 0
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", eps,
+            "--nmax", "2", *flags, "--out", str(tmp_path / "s.csv"),
+        ]) == 2
+        assert_usage_error(capsys.readouterr(), tmp_path)
+
+    @pytest.mark.parametrize("command", ["table", "spectrum"])
+    @pytest.mark.parametrize("given, missing", [
+        (["--a", "2"], "--k"), (["--k", "1.75"], "--a"), ([], "--a, --k"),
+    ])
+    def test_model_flags_are_required(self, tmp_path, capsys, command, given, missing):
+        assert run([command, "--family", "radial", *given, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage:")
+        assert err[-1] == f"error: the following arguments are required: {missing}"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["table", "spectrum"])
     def test_radial_rejects_branch(self, tmp_path, capsys, command):
         out = tmp_path / "r.csv"
