@@ -8,12 +8,12 @@ from the polynomial family's ODE alone and fits the rational terms.
 """
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
-from xspectra import GMap, X1Family, extract_potential_report
+from xspectra import GMap, PotentialModel, extract_potential_report
+from xspectra.models import cell, x1_family
 
 
 def main() -> int:
@@ -24,8 +24,9 @@ def main() -> int:
     args = ap.parse_args()
     a, b, k = args.a, args.b, args.k
 
-    fam = X1Family("jacobi", a, b)
-    half = 0.5 * math.pi / k
+    m = PotentialModel("scarf_extended", a, b, k)
+    fam = x1_family(m)
+    _, half = cell(m)
     grid = np.linspace(-0.9 * half, 0.9 * half, 50)
     rep = extract_potential_report(GMap("sine", k), fam, (1, 2), grid)
 

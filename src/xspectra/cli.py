@@ -377,19 +377,12 @@ def _model_parameters(family: str, m: PotentialModel) -> dict:
     return {"family": family, "a": m.a, "b": m.b, "k": m.k, "eps": m.eps, "branch": m.branch}
 
 
-def _scarf_cell(m: PotentialModel) -> tuple:
-    """Centre and half-width of the scarf model's central cell."""
-    half = 0.5 * math.pi / abs(m.k)
-    offset = -0.5 * math.pi / m.k if m.branch == "cos" else 0.0
-    return offset, half
-
-
 def _default_range(m: PotentialModel) -> tuple:
     if m.family == "radial_extended":
         return (0.05, 8.0) if m.eps == 0.0 else (-4.0, 4.0)
-    offset, half = _scarf_cell(m)
+    centre, half = models.cell(m)
     margin = 1e-3 * half
-    return (offset - half + margin, offset + half - margin)
+    return (centre - half + margin, centre + half - margin)
 
 
 def _spectrum_interval(m: PotentialModel) -> tuple:
@@ -398,8 +391,8 @@ def _spectrum_interval(m: PotentialModel) -> tuple:
     it, or the Scarf model's central cell."""
     if m.family == "radial_extended":
         return (-12.0, 12.0) if m.eps != 0.0 else (1e-8, 12.0)
-    offset, half = _scarf_cell(m)
-    return offset - half, offset + half
+    centre, half = models.cell(m)
+    return centre - half, centre + half
 
 
 def _state_grids(m: PotentialModel, points: int) -> tuple:
@@ -408,8 +401,8 @@ def _state_grids(m: PotentialModel, points: int) -> tuple:
     Scarf model's central cell twice."""
     if m.family == "radial_extended":
         return np.linspace(0.4, 6.0, points), np.linspace(-5.0, 5.0, points)
-    offset, half = _scarf_cell(m)
-    cell = np.linspace(offset - 0.9 * half, offset + 0.9 * half, points)
+    centre, half = models.cell(m)
+    cell = np.linspace(centre - 0.9 * half, centre + 0.9 * half, points)
     return cell, cell
 
 
@@ -587,8 +580,7 @@ def _suite_orthogonality(args, tol) -> list:
                 1e-9,
             )
         )
-    scarf = _FIGURE["scarf"]
-    fam_j = X1Family("jacobi", scarf.a, scarf.b)
+    fam_j = models.x1_family(_FIGURE["scarf"])
     _, ratio = numerics.gram_matrix(fam_j, 4, finite_quadrature(-1.0, 1.0))
     checks.append(_check_le("jacobi-offdiag", ratio, tol["gram-offdiag"]))
     return checks
@@ -616,10 +608,8 @@ def _pct_checks_for(kind, tol) -> list:
     checks = []
     m = _FIGURE[kind]
     hermitian = replace(m, eps=0.0)
-    if kind == "radial":
-        fam, g = X1Family("laguerre", m.a), "quadratic"
-    else:
-        fam, g = X1Family("jacobi", m.a, m.b), "sine"
+    fam = models.x1_family(m)
+    g = "quadratic" if fam.kind == "laguerre" else "sine"
     grid, shift_grid = _state_grids(m, 50)
     rep = extract_potential_report(GMap(g, m.k, 0.0), fam, (1, 2), grid)
     v_closed = models.potential(hermitian, grid)
@@ -682,8 +672,8 @@ def _suite_pct(args, tol) -> list:
 def _similarity_grid(m: PotentialModel) -> np.ndarray:
     if m.family == "radial_extended":
         return np.linspace(-4.0, 4.0, 200)
-    offset, half = _scarf_cell(m)
-    return np.linspace(offset - 0.98 * half, offset + 0.98 * half, 200)
+    centre, half = models.cell(m)
+    return np.linspace(centre - 0.98 * half, centre + 0.98 * half, 200)
 
 
 def _suite_hermiticity(args, tol) -> list:
@@ -780,14 +770,13 @@ def _suite_residuals(args, tol) -> list:
     checks = []
     for kind in _kinds(args):
         m = _model(kind, args)
-        # keyed by eps, so with --eps 0 only the Hermitian model is checked
-        grids = dict(zip((0.0, m.eps), _state_grids(m, 40)))
-        for eps, grid in grids.items():
-            model = replace(m, eps=eps)
+        # the Hermitian partner on its own grid, then m on its own if shifted
+        partners = [replace(m, eps=0.0)] + ([m] if m.eps != 0.0 else [])
+        for model, grid in zip(partners, _state_grids(m, 40)):
             for n in (1, 2, 3):
                 checks.append(
                     _check_le(
-                        f"{kind}-eps{eps:g}-n{n}",
+                        f"{kind}-eps{model.eps:g}-n{n}",
                         numerics.schrodinger_residual(model, n, grid),
                         tol["residual"],
                     )

@@ -36,6 +36,9 @@ from .xop import X1Family, x1_laguerre_norm, x1_polynomial
 __all__ = [
     "PotentialModel",
     "validate_params",
+    "cell",
+    "real_poles",
+    "x1_family",
     "potential",
     "energy",
     "wavefunction",
@@ -96,7 +99,8 @@ def validate_params(m: PotentialModel) -> list:
 
     Structural problems (unknown family, k = 0) are rejected earlier at
     construction; this reports the constraints that decide whether the
-    model actually has regular normalizable states.
+    model actually has regular normalizable states, and every pole the
+    parameters put on the real line beyond those :func:`real_poles` lists.
     """
     out = []
     if m.family == "radial_extended":
@@ -112,16 +116,68 @@ def validate_params(m: PotentialModel) -> list:
         out.append(
             f"states are regular only for a, b > -1/2, got ({m.a:g}, {m.b:g})"
         )
+    # D = 0 where sin w = (a + b)/(b - a), which leaves [-1, 1] (the X1
+    # Jacobi weight's condition) only for ab > 0; a shift then puts D = 0
+    # on a cell edge where cosh(eps) = |a + b|/|b - a|
     if m.a == m.b:
         out.append("indices must differ (a = b collapses the rational term)")
-    if m.eps != 0.0 and m.a != m.b:
-        ratio = (m.a + m.b) / abs(m.b - m.a)
-        if ratio >= 1.0 and abs(math.cosh(m.eps) - ratio) <= 1e-12 * ratio:
+    elif not m.a * m.b > 0.0:
+        out.append(
+            f"indices with ab <= 0 (a = {m.a:g}, b = {m.b:g}) place the "
+            "rational term's pole in the closed cell"
+        )
+    elif m.eps != 0.0:
+        ratio = abs(m.a + m.b) / abs(m.b - m.a)
+        if abs(math.cosh(m.eps) - ratio) <= 1e-12 * ratio:
             out.append(
-                f"cosh(eps) = (a+b)/|b-a| = {ratio:g} places the rational "
+                f"cosh(eps) = |a+b|/|b-a| = {ratio:g} places the rational "
                 "term's pole on the real line"
             )
     return out
+
+
+def _require_valid(m: PotentialModel) -> None:
+    diagnostics = validate_params(m)
+    if diagnostics:
+        raise DomainError("; ".join(diagnostics))
+
+
+def _offset(m: PotentialModel) -> float:
+    """Phase added to kx: the cos branch is the sin branch at kx + pi/2."""
+    return 0.5 * math.pi if m.branch == "cos" else 0.0
+
+
+def cell(m: PotentialModel) -> tuple:
+    """Centre and half-width of a Scarf model's central cell, where
+    |kx + phase| < pi/2."""
+    if m.family != "scarf_extended":
+        raise ArgumentError("only the scarf family lives on a cell")
+    return -_offset(m) / m.k, 0.5 * math.pi / abs(m.k)
+
+
+def real_poles(m: PotentialModel, lo: float, hi: float) -> list:
+    """Poles of a valid model's potential inside (lo, hi), in order: x = 0
+    for the Hermitian radial model, the cell edges for the Hermitian Scarf
+    model, none once the shift moves them off the line.  Poles within
+    1e-12 (|lo| + |hi| + 1) of an end are left out, as a Dirichlet grid
+    never touches them; an invalid model raises :class:`DomainError`."""
+    _require_valid(m)
+    if m.eps != 0.0:
+        return []
+    if m.family == "radial_extended":
+        poles = [0.0]
+    else:
+        centre, half = cell(m)
+        edges = range(math.ceil((lo - centre) / half), math.floor((hi - centre) / half) + 1)
+        poles = [centre + j * half for j in edges if j % 2]
+    tol = 1e-12 * (abs(lo) + abs(hi) + 1.0)
+    return [p for p in poles if lo + tol < p < hi - tol]
+
+
+def x1_family(m: PotentialModel) -> X1Family:
+    """The X1 family the model's states are built on."""
+    kind = "laguerre" if m.family == "radial_extended" else "jacobi"
+    return X1Family(kind, m.a, m.b)
 
 
 def _first_bad(xs, mask) -> float:
@@ -176,8 +232,7 @@ def potential(m: PotentialModel, x):
         )
     else:
         a, b = m.a, m.b
-        off = 0.5 * math.pi if m.branch == "cos" else 0.0
-        w = m.k * xs + off + (1j * m.eps if want_complex else 0.0)
+        w = m.k * xs + _offset(m) + (1j * m.eps if want_complex else 0.0)
         c = np.cos(w)
         bad = c == 0.0
         if np.any(bad):
@@ -218,19 +273,21 @@ def energy(m: PotentialModel, n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _member(kind: str, a: float, b: Optional[float], n: int):
-    return x1_polynomial(X1Family(kind, a, b), n)
+def _member(family: X1Family, n: int):
+    return x1_polynomial(family, n)
 
 
 @lru_cache(maxsize=None)
-def _scarf_norm_constant(a: float, b: float, k: float, n: int) -> float:
+def _scarf_norm_constant(m: PotentialModel, n: int) -> float:
     """1/sqrt of the squared norm of the unnormalized Hermitian state.
 
-    Computed once per (a, b, k, n) by quadrature over the period cell;
-    the closed form publishes the state only up to a constant.
+    Computed once per Hermitian sin-branch model and level by quadrature
+    over the period cell; the closed form publishes the state only up to
+    a constant, which the cos branch and the shift share.
     """
-    p = _member("jacobi", a, b, n)
-    half = 0.5 * math.pi / k
+    a, b, k = m.a, m.b, m.k
+    p = _member(x1_family(m), n)
+    _, half = cell(m)
 
     def integrand(x):
         s = np.sin(k * x)
@@ -278,13 +335,16 @@ def wavefunction(m: PotentialModel, n: int, x):
     eps != 0 that holds only inside the central cell |kx| < pi/2
     (|kx + pi/2| < pi/2 on the cos branch), and points beyond raise
     :class:`BranchCutError`.  Complex ``x`` is accepted for
-    continuation work and skips the real-domain checks.
+    continuation work and skips the real-domain checks.  A model
+    :func:`validate_params` refuses raises :class:`DomainError`.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
         raise ArgumentError(f"levels are indexed by integers n >= 1, got {n!r}")
+    _require_valid(m)
     xs = np.asarray(x)
     scalar = xs.ndim == 0
     complex_input = np.iscomplexobj(xs)
+    p = _member(x1_family(m), n)
     if m.family == "radial_extended":
         a, k = m.a, m.k
         if not complex_input and m.eps == 0.0 and np.any(xs <= 0.0):
@@ -304,31 +364,22 @@ def wavefunction(m: PotentialModel, n: int, x):
                 f"rational-term pole at x = {_first_bad(xs, bad):g}"
             )
         norm = math.sqrt(
-            k ** (2.0 * a + 2.0) / (2.0 ** (2.0 * a - 3.0) * x1_laguerre_norm(n, a))
+            abs(k) ** (2.0 * a + 2.0) / (2.0 ** (2.0 * a - 3.0) * x1_laguerre_norm(n, a))
         )
-        p = _member("laguerre", a, None, n)
         out = norm * np.power(z, a + 0.5) * np.exp(-0.125 * k * k * z * z) / den * p(u)
     else:
         a, b, k = m.a, m.b, m.k
-        if not (a > -0.5 and b > -0.5):
-            raise DomainError(
-                f"states are regular only for a, b > -1/2, got ({a:g}, {b:g})"
-            )
-        off = 0.5 * math.pi if m.branch == "cos" else 0.0
+        off = _offset(m)
         if not complex_input:
-            wr = k * xs.astype(float) + off
-            half = 0.5 * math.pi
-            if m.eps == 0.0:
-                if np.any(np.abs(wr) > half * (1.0 + 1e-12)):
-                    raise DomainError(
-                        "Hermitian scarf states live on the cell "
-                        f"|kx{' + pi/2' if off else ''}| <= pi/2"
-                    )
-            elif np.any(np.abs(wr) >= half):
+            centre, half = cell(m)
+            dist = np.abs(xs.astype(float) - centre)
+            where = f"|kx{' + pi/2' if off else ''}|"
+            if m.eps == 0.0 and np.any(dist > half * (1.0 + 1e-12)):
+                raise DomainError(f"Hermitian scarf states live on the cell {where} <= pi/2")
+            if m.eps != 0.0 and np.any(dist >= half):
                 raise BranchCutError(
-                    "principal powers stop matching the analytic "
-                    "continuation beyond the central cell "
-                    f"|kx{' + pi/2' if off else ''}| < pi/2"
+                    "principal powers stop matching the analytic continuation "
+                    f"beyond the central cell {where} < pi/2"
                 )
         w = k * xs.astype(complex) + off + 1j * m.eps
         s = np.sin(w)
@@ -341,9 +392,8 @@ def wavefunction(m: PotentialModel, n: int, x):
             raise SingularityError(
                 f"rational-term pole at x = {_first_bad(xs, bad):g}"
             )
-        p = _member("jacobi", a, b, n)
         out = (
-            _scarf_norm_constant(a, b, k, n)
+            _scarf_norm_constant(replace(m, eps=0.0, branch="sin"), n)
             * np.power(one, 0.5 * a + 0.25)
             * np.power(two, 0.5 * b + 0.25)
             / d

@@ -119,56 +119,16 @@ def tridiagonal_from_potential(
     return TridiagonalOperator(diag, off)
 
 
-def _interior_singularities(m: PotentialModel, lo: float, hi: float) -> list:
-    """Real potential poles strictly inside (lo, hi); endpoint poles are
-    fine because the grid is interior-only."""
-    tol = 1e-12 * (abs(lo) + abs(hi) + 1.0)
-    candidates = []
-    if m.family == "radial_extended":
-        if m.eps == 0.0 or abs(m.eps * m.eps - 4.0 * m.a) <= 1e-12 * 4.0 * m.a:
-            candidates.append(0.0)
-    else:
-        off = 0.5 * math.pi if m.branch == "cos" else 0.0
-        w_lo, w_hi = sorted((m.k * lo + off, m.k * hi + off))
-
-        def angles_to_x(thetas):
-            return [(theta - off) / m.k for theta in thetas]
-
-        if m.eps == 0.0:
-            j0 = math.ceil((w_lo - 0.5 * math.pi) / math.pi)
-            j1 = math.floor((w_hi - 0.5 * math.pi) / math.pi)
-            candidates += angles_to_x(
-                [0.5 * math.pi + j * math.pi for j in range(j0, j1 + 1)]
-            )
-            r0 = (m.a + m.b) / (m.b - m.a)
-            if abs(r0) <= 1.0:
-                base = math.asin(r0)
-                for root in (base, math.pi - base):
-                    j0 = math.ceil((w_lo - root) / (2.0 * math.pi))
-                    j1 = math.floor((w_hi - root) / (2.0 * math.pi))
-                    candidates += angles_to_x(
-                        [root + 2.0 * math.pi * j for j in range(j0, j1 + 1)]
-                    )
-        else:
-            ratio = (m.a + m.b) / abs(m.b - m.a)
-            if ratio >= 1.0 and abs(math.cosh(m.eps) - ratio) <= 1e-12 * ratio:
-                j0 = math.ceil((w_lo - 0.5 * math.pi) / math.pi)
-                j1 = math.floor((w_hi - 0.5 * math.pi) / math.pi)
-                candidates += angles_to_x(
-                    [0.5 * math.pi + j * math.pi for j in range(j0, j1 + 1)]
-                )
-    return [p for p in candidates if lo + tol < p < hi - tol]
-
-
 def discretize(m: PotentialModel, lo: float, hi: float, n: int) -> TridiagonalOperator:
     """Grid Hamiltonian for the model on (lo, hi) with n interior points.
 
     The diagonal is complex exactly when ``m.eps != 0``.  A potential
     pole strictly inside the interval raises
     :class:`SingularityError`; poles sitting exactly on the Dirichlet
-    endpoints are allowed since the grid never touches them.
+    endpoints are allowed since the grid never touches them.  A model
+    :func:`models.validate_params` refuses raises :class:`DomainError`.
     """
-    poles = _interior_singularities(m, float(lo), float(hi))
+    poles = models.real_poles(m, float(lo), float(hi))
     if poles:
         raise SingularityError(
             f"potential pole at x = {poles[0]:g} inside ({lo:g}, {hi:g})"
@@ -528,8 +488,8 @@ def schrodinger_residual(m: PotentialModel, n: int, grid) -> float:
 
     The second derivative is a 5-point central difference at steps h and
     h/2, Richardson-combined to sixth order, with h = 1e-4 (1 + |x|)
-    per point.  Grids touching a singular or branch point raise through
-    the model evaluators.
+    per point.  Grids touching a pole, or points outside the states'
+    domain, raise through the model evaluators.
     """
     xs = np.asarray(grid, dtype=float)
     if xs.ndim == 0:

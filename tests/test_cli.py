@@ -246,15 +246,21 @@ class TestTable:
             assert set(check) == {"name", "status", "measured", "tolerance"}
             assert isinstance(check["measured"], float)
 
-    # sha256 of both state tables at the default 401 points: a changed bit
-    # of a member (Jacobi lead, kept Laguerre SVD coefficients) or of gamma
-    # shows here, not only in the benchmark's golden digests
+    # sha256 of the state tables at the default 401 points: a changed bit
+    # of a member (Jacobi lead, kept Laguerre SVD coefficients), of gamma
+    # or of the Scarf cell centre shows here, not only in the benchmark's
+    # golden digests
     @pytest.mark.parametrize("args, digest", [
         (["--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2"],
          "8c944570de55d453272e0a48e3eb2cd40d9b766d340ad4598ff5fcec6a3669e0"),
         (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25", "--eps", "1"],
          "726b34fceb9fb8f232d8d478a2585bc5fadce19de92a0c50c683d7c278df0bbf"),
-    ], ids=["radial", "scarf"])
+        (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25", "--eps", "1",
+          "--branch", "cos"],
+         "0aea720559c692d914db4f2282caac50961ed3c3de5acbc7799a2c9859c0cf37"),
+        (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25"],
+         "0d3f1e8d1e69dbb85e53f75f141a6ffca4c00a713eada4f5c50bb79ad653ed5d"),
+    ], ids=["radial", "scarf", "scarf-cos", "scarf-hermitian"])
     def test_state_table_bytes_are_pinned(self, tmp_path, args, digest):
         out = tmp_path / "pin.csv"
         assert run(["table"] + args + ["--psi", "1,2,3", "--out", str(out)]) == 0
@@ -284,6 +290,21 @@ class TestSpectrum:
         assert np.all(data["rel_err"] <= 1e-3)
         doc = json.loads(manifest.read_text())
         assert doc["parameters"]["tolerances"]["spectrum-rel"] == 1e-3
+
+    # sha256 of the default real spectra; the complex spectra are not
+    # pinned, as their last bits come from LAPACK's eig and qr
+    @pytest.mark.parametrize("args, digest", [
+        (["--family", "radial", "--a", "2", "--k", "1.75"],
+         "fc75b6b0a416eb2da05cc1e4aa7ce0923304faf8a4ac2ca8f7dd9b33c7fa293c"),
+        (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25"],
+         "a6ff585e746905940a7fc59fb2b4a0d5a146be902af5b242b1134a8b79086a97"),
+        (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25", "--branch", "cos"],
+         "a6ff585e746905940a7fc59fb2b4a0d5a146be902af5b242b1134a8b79086a97"),
+    ], ids=["radial", "scarf-sin", "scarf-cos"])
+    def test_real_spectrum_bytes_are_pinned(self, tmp_path, args, digest):
+        out = tmp_path / "pin.csv"
+        assert run(["spectrum"] + args + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_complex_radial_adds_imaginary_column(self, tmp_path):
         out = tmp_path / "spc.csv"
@@ -374,6 +395,27 @@ class TestSpectrum:
         assert run(args + ["--tol-spectrum-rel", "1e-12"]) == 1
 
 
+class TestNegativeK:
+    @pytest.mark.parametrize("args", [
+        ["table", "--family", "radial", "--a", "2.5", "--k", "-1.75", "--eps", "1.2", "--psi", "1"],
+        ["table", "--family", "radial", "--a", "2.25", "--k", "-1.75", "--eps", "1.2", "--psi", "1"],
+        ["table", "--family", "scarf", "--a", "1.75", "--b", "3", "--k", "-1.25", "--psi", "1"],
+        ["table", "--family", "scarf", "--a", "1.75", "--b", "3", "--k", "-1.25", "--eps", "1",
+         "--branch", "cos", "--psi", "1"],
+        ["spectrum", "--family", "scarf", "--a", "1.75", "--b", "3", "--k", "-1.25"],
+        ["verify", "--suite", "residuals", "--family", "scarf", "--k", "-1.25"],
+        ["verify", "--suite", "residuals", "--family", "radial", "--a", "2.5", "--k", "-1.75"],
+    ], ids=[
+        "table-radial-a2.5", "table-radial-a2.25", "table-scarf", "table-scarf-cos",
+        "spectrum-scarf", "residuals-scarf", "residuals-radial",
+    ])
+    def test_negative_k_runs(self, tmp_path, monkeypatch, capsys, args):
+        # these crashed or refused a finite cell before |k| sized it
+        monkeypatch.chdir(tmp_path)
+        assert run(args) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestVerify:
     def test_zeros_suite(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -396,6 +438,22 @@ class TestVerify:
         names = [c["name"] for c in doc["checks"]]
         assert "scarf-rational-matches-minus-8ab" in names
         assert "scarf-rational-excludes-alternative" in names
+
+    @pytest.mark.parametrize("family, names", [
+        ("radial", ["radial-eps0-n1", "radial-eps0-n2", "radial-eps0-n3"]),
+        ("scarf", ["scarf-eps0-n1", "scarf-eps0-n2", "scarf-eps0-n3"]),
+    ])
+    def test_residuals_at_eps_zero_check_the_hermitian_model_once(
+        self, tmp_path, monkeypatch, capsys, family, names
+    ):
+        # the radial Hermitian model was checked on the shifted model's
+        # grid, which crosses x = 0, and exited 2
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "residuals", "--family", family, "--eps", "0"]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+        assert [c["name"] for c in doc["checks"]] == names
+        assert all(c["status"] == "pass" for c in doc["checks"])
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(["verify", "--suite", "everything"]) == 2
@@ -587,6 +645,38 @@ class TestUsageErrors:
         # these exited 0 on a model `table` refuses
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "--suite", suite, *argv]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path, [diagnostic, "error: invalid model parameters"]
+        )
+
+    @pytest.mark.parametrize("argv, diagnostic", [
+        (["table", "--family", "scarf", "--a=-0.25", "--b", "1", "--k", "1.25"],
+         "error: indices with ab <= 0 (a = -0.25, b = 1) place the rational term's pole "
+         "in the closed cell"),
+        (["table", "--family", "scarf", "--a=-0.25", "--b", "1", "--k", "1.25", "--psi", "1"],
+         "error: indices with ab <= 0 (a = -0.25, b = 1) place the rational term's pole "
+         "in the closed cell"),
+        (["spectrum", "--family", "scarf", "--a", "0", "--b", "1", "--k", "1.25"],
+         "error: indices with ab <= 0 (a = 0, b = 1) place the rational term's pole "
+         "in the closed cell"),
+        (["verify", "--suite", "hermiticity", "--family", "scarf", "--a=-0.25", "--b", "1"],
+         "error: indices with ab <= 0 (a = -0.25, b = 1) place the rational term's pole "
+         "in the closed cell"),
+        (["verify", "--suite", "residuals", "--family", "scarf", "--a", "0", "--b", "1"],
+         "error: indices with ab <= 0 (a = 0, b = 1) place the rational term's pole "
+         "in the closed cell"),
+        (["table", "--family", "scarf", "--a=-0.25", "--b=-0.4", "--k", "1.25",
+          "--eps", "2.1458966094693253"],
+         "error: cosh(eps) = |a+b|/|b-a| = 4.33333 places the rational term's pole "
+         "on the real line"),
+    ], ids=["table", "table-psi", "spectrum", "hermiticity", "residuals", "cosh-negative-sum"])
+    def test_scarf_poles_in_the_cell_are_refused(
+        self, tmp_path, monkeypatch, capsys, argv, diagnostic
+    ):
+        # these wrote a table across the pole, exited 1 on quadrature or
+        # on a spectrum 300 % off, or exited 0 on a singular model
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
         assert_usage_error(
             capsys.readouterr(), tmp_path, [diagnostic, "error: invalid model parameters"]
         )

@@ -18,6 +18,7 @@ from xspectra import (
     wavefunction,
 )
 from xspectra import finite_quadrature, integrate, semi_infinite_exp_quadrature
+from xspectra.models import cell, real_poles
 
 from conftest import scarf_half_cell
 
@@ -58,6 +59,58 @@ class TestParameterChecks:
         eps = math.acosh((a + b) / (b - a))
         m = PotentialModel("scarf_extended", a, b, eps=eps)
         assert any("pole" in d for d in validate_params(m))
+
+    @pytest.mark.parametrize("a, b, eps", [
+        (-0.25, 1.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (-0.25, 1.0, 1.0),
+        (-0.25, -0.4, math.acosh(0.65 / 0.15)),
+    ], ids=["mixed-signs", "a-zero", "b-zero", "mixed-signs-shifted", "negative-sum-cosh"])
+    def test_scarf_poles_in_the_cell_are_refused(self, a, b, eps):
+        # ab <= 0 puts sin w = (a + b)/(b - a) inside [-1, 1]; for a + b < 0
+        # the shift's pole condition is cosh(eps) = |a + b|/|b - a|
+        diagnostics = validate_params(PotentialModel("scarf_extended", a, b, eps=eps))
+        assert len(diagnostics) == 1 and "pole" in diagnostics[0]
+
+    def test_negative_indices_with_a_positive_product_are_valid(self):
+        for eps in (0.0, 1.0):
+            assert validate_params(PotentialModel("scarf_extended", -0.25, -0.4, eps=eps)) == []
+
+
+class TestRealPoles:
+    def test_radial_pole_at_the_origin(self, radial_hermitian):
+        assert real_poles(radial_hermitian, -1.0, 5.0) == [0.0]
+        assert real_poles(radial_hermitian, 0.0, 5.0) == []
+
+    @pytest.mark.parametrize("k", [1.25, -1.25])
+    @pytest.mark.parametrize("branch", ["sin", "cos"])
+    def test_scarf_poles_are_the_cell_edges(self, k, branch):
+        m = PotentialModel("scarf_extended", 1.75, 3.0, k=k, branch=branch)
+        centre, half = cell(m)
+        assert half == pytest.approx(0.5 * math.pi / 1.25, rel=1e-15)
+        # three cells, and a margin that keeps the outer edges in
+        lo, hi = centre - 3.5 * half, centre + 2.5 * half
+        want = [centre + j * half for j in (-3, -1, 1)]
+        np.testing.assert_allclose(real_poles(m, lo, hi), want, rtol=0, atol=1e-12)
+        for x in want:
+            w = k * x + (0.5 * math.pi if branch == "cos" else 0.0)
+            assert abs(math.cos(w)) < 1e-12
+        # poles at the ends of the interval are left out
+        assert real_poles(m, centre - half, centre + half) == []
+
+    @pytest.mark.parametrize("m", [
+        PotentialModel("radial_extended", 2.0, k=1.75, eps=1.2),
+        PotentialModel("radial_extended", 2.0, k=-1.75, eps=-0.3),
+        PotentialModel("scarf_extended", 1.75, 3.0, k=1.25, eps=1.0),
+        PotentialModel("scarf_extended", 1.75, 3.0, k=-1.25, eps=1.0, branch="cos"),
+        PotentialModel("scarf_extended", -0.25, -0.4, k=1.25, eps=0.5),
+    ], ids=["radial", "radial-negative-k", "scarf-sin", "scarf-cos-negative-k", "scarf-negative"])
+    def test_shift_moves_every_pole_off_the_line(self, m):
+        assert real_poles(m, -20.0, 20.0) == []
+        xs = np.linspace(-20.0, 20.0, 4001)
+        assert np.all(np.isfinite(potential(m, xs)))
+
+    def test_cell_is_scarf_only(self, radial_hermitian):
+        with pytest.raises(ArgumentError):
+            cell(radial_hermitian)
 
 
 class TestPotential:
@@ -145,6 +198,36 @@ class TestWavefunction:
                 lambda x, n=n: np.abs(wavefunction(scarf_hermitian, n, x)) ** 2, q
             )
             assert val == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("a", [2.0, 2.25, 2.5])
+    @pytest.mark.parametrize("k", [1.75, -1.75])
+    def test_radial_states_keep_unit_norm_at_either_sign_of_k(self, a, k):
+        m = PotentialModel("radial_extended", a, k=k)
+        q = semi_infinite_exp_quadrature()
+        for n in (1, 2):
+            val = integrate(lambda x, n=n: np.abs(wavefunction(m, n, x)) ** 2, q)
+            assert val == pytest.approx(1.0, rel=1e-8)
+
+    @pytest.mark.parametrize("k", [1.25, -1.25])
+    @pytest.mark.parametrize("branch", ["sin", "cos"])
+    def test_scarf_states_keep_unit_norm_at_either_sign_of_k(self, k, branch):
+        m = PotentialModel("scarf_extended", 1.75, 3.0, k=k, branch=branch)
+        centre, half = cell(m)
+        q = finite_quadrature(centre - half, centre + half)
+        for n in (1, 2):
+            val = integrate(lambda x, n=n: np.abs(wavefunction(m, n, x)) ** 2, q)
+            assert val == pytest.approx(1.0, rel=1e-8)
+
+    def test_scarf_sin_state_mirrors_under_negative_k(self, scarf_hermitian):
+        mirrored = replace(scarf_hermitian, k=-scarf_hermitian.k)
+        half = scarf_half_cell(scarf_hermitian)
+        xs = np.linspace(-0.95 * half, 0.95 * half, 41)
+        for n in (1, 2, 3):
+            np.testing.assert_allclose(
+                wavefunction(mirrored, n, xs),
+                wavefunction(scarf_hermitian, n, -xs),
+                rtol=1e-12, atol=1e-14,
+            )
 
     def test_sign_convention(self, radial_hermitian):
         assert np.real(wavefunction(radial_hermitian, 1, 1.0)) < 0.0

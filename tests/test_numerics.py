@@ -217,6 +217,37 @@ class TestDiscretization:
         op = discretize(radial_hermitian, 0.0, 10.0, 500)
         assert op.size == 500
 
+    @pytest.mark.parametrize("m", [
+        models.PotentialModel("radial_extended", 0.0, k=1.75),
+        models.PotentialModel("radial_extended", -1.0, k=1.75, eps=1.2),
+        models.PotentialModel("radial_extended", 1.0, k=1.75, eps=2.0),
+        models.PotentialModel("scarf_extended", 2.0, 2.0, k=1.25),
+        models.PotentialModel("scarf_extended", -0.75, 3.0, k=1.25),
+        models.PotentialModel("scarf_extended", -0.5, -0.25, k=1.25, eps=1.0),
+        models.PotentialModel("scarf_extended", -0.25, 1.0, k=1.25),
+        models.PotentialModel("scarf_extended", 0.0, 1.0, k=1.25, eps=1.0),
+        models.PotentialModel("scarf_extended", -0.25, -0.4, k=1.25, eps=math.acosh(0.65 / 0.15)),
+        models.PotentialModel("scarf_extended", 1.0, 3.0, k=1.25, eps=math.acosh(2.0)),
+    ], ids=[
+        "radial-a-zero", "radial-a-negative", "radial-eps2-4a", "scarf-a-equals-b",
+        "scarf-a-below-half", "scarf-a-at-half", "scarf-mixed-signs", "scarf-a-zero",
+        "scarf-negative-sum-cosh", "scarf-cosh",
+    ])
+    def test_refused_models_raise_validate_params_lines(self, m):
+        # one gate: whatever validate_params refuses, discretize and
+        # wavefunction refuse with its diagnostics
+        diagnostics = models.validate_params(m)
+        assert diagnostics
+        lo, hi = (0.05, 8.0) if m.family == "radial_extended" else (-1.2, 1.2)
+        for call in (
+            lambda: discretize(m, lo, hi, 100),
+            lambda: models.wavefunction(m, 1, 0.3),
+        ):
+            with pytest.raises(DomainError) as exc_info:
+                call()
+            assert type(exc_info.value) is DomainError
+            assert str(exc_info.value) == "; ".join(diagnostics)
+
 
 @st.composite
 def symmetric_tridiagonals(draw):
