@@ -413,6 +413,9 @@ def _parse_levels(raw: str) -> list:
         raise ArgumentError(f"--psi wants comma-separated integers, got {raw!r}")
     if not levels or any(n < 1 for n in levels):
         raise ArgumentError(f"--psi levels must be >= 1, got {raw!r}")
+    for i, n in enumerate(levels):
+        if n in levels[:i]:
+            raise ArgumentError(f"--psi lists level {n} more than once, got {raw!r}")
     return levels
 
 
@@ -434,10 +437,11 @@ def cmd_table(args) -> int:
     v = models.potential(m, grid)
     header = ["x", "re_V", "im_V"]
     columns = [grid, np.real(v), np.imag(v)]
-    for n in _parse_levels(args.psi) if args.psi else []:
-        psi = models.wavefunction(m, n, grid)
-        header += [f"re_psi_{n}", f"im_psi_{n}", f"abs2_psi_{n}"]
-        columns += [np.real(psi), np.imag(psi), np.abs(psi) ** 2]
+    if args.psi:
+        levels = _parse_levels(args.psi)
+        for n, psi in zip(levels, models.wavefunction(m, levels, grid)):
+            header += [f"re_psi_{n}", f"im_psi_{n}", f"abs2_psi_{n}"]
+            columns += [np.real(psi), np.imag(psi), np.abs(psi) ** 2]
     bad = sum(int(np.sum(~np.isfinite(col))) for col in columns)
     checks = [_check_le("finite-values", float(bad), 0.0)]
     out = args.out or f"{args.family}_table.csv"

@@ -258,14 +258,18 @@ def potential(m: PotentialModel, x):
     return out[()] if scalar else out
 
 
+def _check_level(n) -> None:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ArgumentError(f"levels are indexed by integers n >= 1, got {n!r}")
+
+
 def energy(m: PotentialModel, n: int) -> float:
     """n-th bound-state energy; independent of ``eps`` by construction.
 
     radial: k^2 (2n + a - 1) / 2
     scarf:  (k^2 / 4) (2n + a + b - 1)^2
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ArgumentError(f"levels are indexed by integers n >= 1, got {n!r}")
+    _check_level(n)
     k2 = m.k * m.k
     if m.family == "radial_extended":
         return k2 * (2.0 * n + m.a - 1.0) / 2.0
@@ -313,7 +317,7 @@ def _branch_guard(vals, xs, label):
         )
 
 
-def wavefunction(m: PotentialModel, n: int, x):
+def wavefunction(m: PotentialModel, n, x):
     """Normalized bound state psi_n at ``x``; complex-valued.
 
     radial (z = x + i eps / k, u = k^2 z^2 / 4):
@@ -328,6 +332,11 @@ def wavefunction(m: PotentialModel, n: int, x):
 
     with C fixed numerically so the Hermitian state has unit norm.
 
+    An int ``n`` gives psi_n shaped like ``x``; a sequence of levels
+    gives a ``(len(n),) + x.shape`` array, row i holding level n[i].  The
+    factors every level shares are evaluated once per call, and each row
+    is bit-identical to the single-level call.
+
     All fractional powers use the principal branch.  The shifted
     coordinate keeps a fixed-sign imaginary part for either sign of
     ``eps``, so the principal branch agrees with the analytic
@@ -338,13 +347,20 @@ def wavefunction(m: PotentialModel, n: int, x):
     continuation work and skips the real-domain checks.  A model
     :func:`validate_params` refuses raises :class:`DomainError`.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ArgumentError(f"levels are indexed by integers n >= 1, got {n!r}")
+    try:
+        levels, single = tuple(n), False
+    except TypeError:
+        levels, single = (n,), True
+    if not levels:
+        raise ArgumentError("wavefunction needs at least one level")
+    for level in levels:
+        _check_level(level)
     _require_valid(m)
     xs = np.asarray(x)
-    scalar = xs.ndim == 0
     complex_input = np.iscomplexobj(xs)
-    p = _member(x1_family(m), n)
+    members = [_member(x1_family(m), level) for level in levels]
+    # psi_n = norm_n * left * right / den * P_n(t), every level in this
+    # order; all but norm_n and P_n are shared and evaluated once
     if m.family == "radial_extended":
         a, k = m.a, m.k
         if not complex_input and m.eps == 0.0 and np.any(xs <= 0.0):
@@ -356,17 +372,22 @@ def wavefunction(m: PotentialModel, n: int, x):
                 f"state has a branch point at x = {_first_bad(xs, bad):g}"
             )
         _branch_guard(z, xs, "shifted coordinate")
-        u = 0.25 * k * k * z * z
+        t = 0.25 * k * k * z * z
         den = k * k * z * z + 4.0 * a
         bad = den == 0.0
         if np.any(bad):
             raise SingularityError(
                 f"rational-term pole at x = {_first_bad(xs, bad):g}"
             )
-        norm = math.sqrt(
-            abs(k) ** (2.0 * a + 2.0) / (2.0 ** (2.0 * a - 3.0) * x1_laguerre_norm(n, a))
-        )
-        out = norm * np.power(z, a + 0.5) * np.exp(-0.125 * k * k * z * z) / den * p(u)
+        left = np.power(z, a + 0.5)
+        right = np.exp(-0.125 * k * k * z * z)
+        del z
+        norms = [
+            math.sqrt(
+                abs(k) ** (2.0 * a + 2.0) / (2.0 ** (2.0 * a - 3.0) * x1_laguerre_norm(level, a))
+            )
+            for level in levels
+        ]
     else:
         a, b, k = m.a, m.b, m.k
         off = _offset(m)
@@ -382,24 +403,32 @@ def wavefunction(m: PotentialModel, n: int, x):
                     f"beyond the central cell {where} < pi/2"
                 )
         w = k * xs.astype(complex) + off + 1j * m.eps
-        s = np.sin(w)
-        one, two = 1.0 - s, 1.0 + s
+        t = np.sin(w)
+        del w
+        one, two = 1.0 - t, 1.0 + t
         _branch_guard(one, xs, "factor 1 - sin w")
         _branch_guard(two, xs, "factor 1 + sin w")
-        d = a + b - (b - a) * s
-        bad = d == 0.0
+        den = a + b - (b - a) * t
+        bad = den == 0.0
         if np.any(bad):
             raise SingularityError(
                 f"rational-term pole at x = {_first_bad(xs, bad):g}"
             )
-        out = (
-            _scarf_norm_constant(replace(m, eps=0.0, branch="sin"), n)
-            * np.power(one, 0.5 * a + 0.25)
-            * np.power(two, 0.5 * b + 0.25)
-            / d
-            * p(s)
-        )
-    return out[()] if scalar else out
+        left = np.power(one, 0.5 * a + 0.25)
+        right = np.power(two, 0.5 * b + 0.25)
+        del one, two
+        hermitian = replace(m, eps=0.0, branch="sin")
+        norms = [_scarf_norm_constant(hermitian, level) for level in levels]
+    # each row is built in place in that order, which rounds as the
+    # product itself does, with no row-sized temporary beyond P_n(t)'s
+    out = np.empty((len(levels),) + xs.shape, complex)
+    for i, (norm, p) in enumerate(zip(norms, members)):
+        row = out[i, ...]
+        np.multiply(norm, left, out=row)
+        row *= right
+        row /= den
+        row *= p(t)
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

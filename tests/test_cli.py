@@ -97,6 +97,16 @@ def encoded(columns):
     return "".join(cli._csv_chunks(header, columns)), reference_csv(header, columns)
 
 
+def benchmark_workloads(monkeypatch):
+    """The benchmark's workload module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def count_fallbacks(monkeypatch):
     calls = []
     exact = cli._exact_field
@@ -144,11 +154,7 @@ class TestBlockEncoder:
     def test_benchmark_tables_take_no_fallback(self, tmp_path, monkeypatch):
         # the seed-0 tables of the benchmark, at 1e5 points: a fallback
         # here would make the block path silently slow
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
-        spec.loader.exec_module(workloads)
+        workloads = benchmark_workloads(monkeypatch)
         calls = count_fallbacks(monkeypatch)
         for op in workloads.build("table_large", 0, str(tmp_path)):
             assert run(list(op.argv)) == 0
@@ -265,6 +271,25 @@ class TestTable:
         out = tmp_path / "pin.csv"
         assert run(["table"] + args + ["--psi", "1,2,3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_one_state_evaluation_per_table(self, tmp_path, monkeypatch):
+        # the seed-0 benchmark tables ask for --psi 1,2,3 at 1e5 points;
+        # the levels share one call, which evaluates their common factors once
+        workloads = benchmark_workloads(monkeypatch)
+        evaluate = models.wavefunction
+        calls = []
+
+        def counted(m, n, x):
+            calls.append(n)
+            return evaluate(m, n, x)
+
+        monkeypatch.setattr(models, "wavefunction", counted)
+        for op in workloads.build("table_large", 0, str(tmp_path)):
+            calls.clear()
+            assert run(list(op.argv)) == 0
+            assert calls == [[1, 2, 3]]
+            digest = hashlib.sha256(Path(op.csv).read_bytes()).hexdigest()
+            assert digest == workloads.GOLDEN_CSV_SHA256[op.label]
 
     def test_rejects_bad_grid(self, tmp_path, capsys):
         code = run([
@@ -818,6 +843,19 @@ class TestUsageErrors:
             "table", "--family", "radial", "--a", "2", "--k", "1.75",
             "--psi", "1,zero", "--out", str(tmp_path / "p.csv"),
         ]) == 2
+
+    @pytest.mark.parametrize("psi, level", [("1,1", 1), ("2,3,2", 2), ("3, 1,03", 3)])
+    def test_repeated_psi_level(self, tmp_path, monkeypatch, capsys, psi, level):
+        # this exited 0 with the level's three columns written twice
+        monkeypatch.chdir(tmp_path)
+        assert run([
+            "table", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2",
+            "--psi", psi, "--points", "5",
+        ]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path,
+            [f"error: --psi lists level {level} more than once, got {psi!r}"],
+        )
 
 
 def test_module_entry_point(tmp_path):

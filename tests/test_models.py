@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from xspectra import (
     BranchCutError,
     DomainError,
     PotentialModel,
+    SingularityError,
     energy,
     potential,
     pseudo_hermiticity_residual,
@@ -18,7 +20,19 @@ from xspectra import (
     wavefunction,
 )
 from xspectra import finite_quadrature, integrate, semi_infinite_exp_quadrature
-from xspectra.models import cell, real_poles
+from xspectra import models
+from xspectra.models import (
+    _branch_guard,
+    _first_bad,
+    _member,
+    _offset,
+    _require_valid,
+    _scarf_norm_constant,
+    cell,
+    real_poles,
+    x1_family,
+)
+from xspectra.xop import x1_laguerre_norm
 
 from conftest import scarf_half_cell
 
@@ -264,6 +278,170 @@ class TestWavefunction:
             radial_hermitian, 2, xs + 1j * radial_figure.eps / radial_figure.k
         )
         assert np.max(np.abs(shifted - continued)) <= 1e-12 * np.max(np.abs(shifted))
+
+
+def _reference_wavefunction(m, n, x):
+    """One level at a time, as wavefunction evaluated before it took a
+    sequence of levels: the bit-identity reference for every row."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ArgumentError(f"levels are indexed by integers n >= 1, got {n!r}")
+    _require_valid(m)
+    xs = np.asarray(x)
+    scalar = xs.ndim == 0
+    complex_input = np.iscomplexobj(xs)
+    p = _member(x1_family(m), n)
+    if m.family == "radial_extended":
+        a, k = m.a, m.k
+        if not complex_input and m.eps == 0.0 and np.any(xs <= 0.0):
+            raise DomainError("Hermitian radial states live on x > 0")
+        z = xs.astype(complex) + 1j * m.eps / k
+        bad = z == 0.0
+        if np.any(bad):
+            raise SingularityError(
+                f"state has a branch point at x = {_first_bad(xs, bad):g}"
+            )
+        _branch_guard(z, xs, "shifted coordinate")
+        u = 0.25 * k * k * z * z
+        den = k * k * z * z + 4.0 * a
+        bad = den == 0.0
+        if np.any(bad):
+            raise SingularityError(
+                f"rational-term pole at x = {_first_bad(xs, bad):g}"
+            )
+        norm = math.sqrt(
+            abs(k) ** (2.0 * a + 2.0) / (2.0 ** (2.0 * a - 3.0) * x1_laguerre_norm(n, a))
+        )
+        out = norm * np.power(z, a + 0.5) * np.exp(-0.125 * k * k * z * z) / den * p(u)
+    else:
+        a, b, k = m.a, m.b, m.k
+        off = _offset(m)
+        if not complex_input:
+            centre, half = cell(m)
+            dist = np.abs(xs.astype(float) - centre)
+            where = f"|kx{' + pi/2' if off else ''}|"
+            if m.eps == 0.0 and np.any(dist > half * (1.0 + 1e-12)):
+                raise DomainError(f"Hermitian scarf states live on the cell {where} <= pi/2")
+            if m.eps != 0.0 and np.any(dist >= half):
+                raise BranchCutError(
+                    "principal powers stop matching the analytic continuation "
+                    f"beyond the central cell {where} < pi/2"
+                )
+        w = k * xs.astype(complex) + off + 1j * m.eps
+        s = np.sin(w)
+        one, two = 1.0 - s, 1.0 + s
+        _branch_guard(one, xs, "factor 1 - sin w")
+        _branch_guard(two, xs, "factor 1 + sin w")
+        d = a + b - (b - a) * s
+        bad = d == 0.0
+        if np.any(bad):
+            raise SingularityError(
+                f"rational-term pole at x = {_first_bad(xs, bad):g}"
+            )
+        out = (
+            _scarf_norm_constant(replace(m, eps=0.0, branch="sin"), n)
+            * np.power(one, 0.5 * a + 0.25)
+            * np.power(two, 0.5 * b + 0.25)
+            / d
+            * p(s)
+        )
+    return out[()] if scalar else out
+
+
+_STATE_MODELS = {
+    "radial-hermitian": PotentialModel("radial_extended", 2.0, k=1.75),
+    "radial-shifted": PotentialModel("radial_extended", 2.0, k=1.75, eps=1.2),
+    "radial-negative-k": PotentialModel("radial_extended", 2.5, k=-1.75, eps=1.2),
+    "scarf-sin-hermitian": PotentialModel("scarf_extended", 1.75, 3.0, k=1.25),
+    "scarf-sin-shifted": PotentialModel("scarf_extended", 1.75, 3.0, k=1.25, eps=1.0),
+    "scarf-cos-hermitian": PotentialModel("scarf_extended", 1.75, 3.0, k=1.25, branch="cos"),
+    "scarf-cos-shifted": PotentialModel(
+        "scarf_extended", 1.75, 3.0, k=1.25, eps=1.0, branch="cos"
+    ),
+}
+
+
+def _state_grid(m, points):
+    if m.family == "radial_extended":
+        return np.linspace(0.4, 6.0, points)
+    centre, half = cell(m)
+    return np.linspace(centre - 0.9 * half, centre + 0.9 * half, points)
+
+
+class TestStackedLevels:
+    @pytest.mark.parametrize("name", list(_STATE_MODELS))
+    @pytest.mark.parametrize("shape", ["scalar", "1-d", "2-d", "complex"])
+    @pytest.mark.parametrize("levels", [(1, 2, 3), (3, 1), (2,), [4, 1, 3]])
+    def test_rows_match_the_single_level_bytes(self, name, shape, levels):
+        m = _STATE_MODELS[name]
+        grid = _state_grid(m, 24)
+        x = {
+            "scalar": float(grid[7]),
+            "1-d": grid,
+            "2-d": grid.reshape(4, 6).T,  # and not contiguous
+            "complex": grid + 0.05j,
+        }[shape]
+        stacked = wavefunction(m, levels, x)
+        assert stacked.dtype == complex
+        assert stacked.shape == (len(levels),) + np.shape(x)
+        for row, n in zip(stacked, levels):
+            want = _reference_wavefunction(m, n, x)
+            got = wavefunction(m, n, x)
+            assert np.shape(got) == np.shape(x)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert np.asarray(row).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("levels", [
+        (0,), (1, 0), (2, -1, 1), (1, True), (1.5, 2), (1, 2, 1.5), (), [],
+    ])
+    def test_bad_levels_are_refused_before_evaluation(self, radial_hermitian, monkeypatch, levels):
+        def evaluated(*args):
+            raise AssertionError("a level was evaluated")
+
+        monkeypatch.setattr(models, "_member", evaluated)
+        # x = -1 would raise DomainError if anything were evaluated
+        with pytest.raises(ArgumentError):
+            wavefunction(radial_hermitian, levels, -1.0)
+
+    @pytest.mark.parametrize("name, x, error", [
+        ("radial-hermitian", -1.0, DomainError),
+        ("scarf-sin-hermitian", 1.5 * scarf_half_cell(_STATE_MODELS["scarf-sin-hermitian"]),
+         DomainError),
+        ("scarf-cos-shifted", 0.0, BranchCutError),
+        ("scarf-sin-shifted", scarf_half_cell(_STATE_MODELS["scarf-sin-shifted"]),
+         BranchCutError),
+        ("scarf-invalid", 0.0, DomainError),
+    ])
+    def test_domain_errors_keep_their_messages(self, name, x, error):
+        m = _STATE_MODELS.get(name, PotentialModel("scarf_extended", -0.75, 3.0))
+        with pytest.raises(error) as want:
+            _reference_wavefunction(m, 1, x)
+        for levels in (1, (1, 2, 3)):
+            with pytest.raises(error) as got:
+                wavefunction(m, levels, x)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", ["radial-shifted", "scarf-sin-shifted"])
+    def test_extra_levels_cost_only_their_rows(self, name):
+        # a list of rows stacked at the end, or a row-sized temporary per
+        # level, would add at least one more row to the peak; this is
+        # tighter than the single-level peak plus the stacked nbytes
+        m = _STATE_MODELS[name]
+        x = _state_grid(m, 100_000)
+        wavefunction(m, (1, 2, 3), x)  # fills the member and norm caches
+
+        def peak(levels):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = wavefunction(m, levels, x)
+                return tracemalloc.get_traced_memory()[1] - base, out.nbytes
+            finally:
+                tracemalloc.stop()
+
+        single, row = peak(1)
+        stacked, total = peak((1, 2, 3))
+        assert stacked <= single + (total - row) + 64 * 1024
 
 
 class TestSimilarity:
