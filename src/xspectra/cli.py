@@ -840,8 +840,9 @@ def cmd_verify(args) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """Parse type of the model and range flags: a NaN or infinite value
-    there gives only NaN tables or a manifest that is not valid JSON."""
+    """Parse type of the model, range and tolerance flags: a NaN or
+    infinite value there gives only NaN tables, a check that passes or
+    fails whatever it measures, or a manifest that is not valid JSON."""
     try:
         value = float(text)
     except ValueError:
@@ -881,7 +882,7 @@ def _add_tol_flags(p, names):
     for name in names:
         p.add_argument(
             f"--tol-{name}",
-            type=float,
+            type=_finite_float,
             default=None,
             metavar="X",
             help=f"override tolerance {name} (default {_TOLERANCES[name]:g})",

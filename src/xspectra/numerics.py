@@ -169,6 +169,11 @@ _MAX_SWEEPS = (
 # 0.5 MB at 508 probes; 64 was fastest of 16 to 512 on the spectra suite.
 # Must stay <= 255: a clean slab's negatives are summed in uint8.
 _SLAB = 64
+# Pivot floor of lowest_eigenvalues' counts: LAPACK dstebz's
+# safmin max(1, max e_i^2), with 1e-290 for safmin.  The operator is
+# first scaled below norm 1 by a power of two, so e_i^2 < 1 and the
+# floor is 1e-290 itself.
+_PIVMIN = 1e-290
 
 
 def _guarded_sturm_rows(
@@ -205,16 +210,50 @@ def _sturm_counts(
     clamp never fires and q < pivmin is then q < 0; its negatives are
     counted at once.  A slab that has one is redone from the row before
     it by :func:`_guarded_sturm_rows`.  Counts are identical either way.
+
+    The count stops at a slab start s once the rows left are a forbidden
+    tail for every probe.  Let D = fl(min d[s:] - max sigma) and E2 =
+    max e2[s-1:], and take for T, raised to at least pivmin, the
+    smaller fixed point E2 / (D/2 + sqrt(D^2/4 - E2)) of x = D - E2 / x,
+    real when D > 0 and D^2 >= 4 E2.  The exit needs every current
+    pivot >= T and fl(D - fl(E2 / T)) >= T in float64.  Correctly
+    rounded subtraction and division are monotone, so every later
+    fl(d_i - sigma_j) is >= D and, while the pivot before it is >= T,
+    every fl(e2_{i-1} / q) is <= fl(E2 / T); the next pivot is then
+    >= fl(D - fl(E2 / T)) >= T.  By induction no later computed pivot
+    falls below T >= pivmin > 0: none is negative and none is clamped,
+    so the counts are those of the full recurrence.  The bound holds
+    for the float recurrence itself and needs no slack; any T that
+    passes the float test will do, and a NaN T or D passes none.  At
+    the fixed point the test is D - E2 / T = T up to rounding, so it
+    fails about as often as it holds; where it fails, T is sqrt(E2)
+    instead, which maximises D - E2 / x - x and so passes with the
+    widest margin.  A NaN probe makes D NaN, and a NaN pivot fails the
+    pivot test, so such a count never stops early.
     """
     e2_rows = e2.tolist()
     q = np.subtract(d[0], sigmas)
     neg = np.less(q, pivmin)
     np.minimum(q, -pivmin, out=q, where=neg)
     cnt = neg.astype(int)
+    # per slab start s, the pivot floor T of the forbidden-tail exit, or
+    # NaN where no T passes the tail test, so that no pivot row passes it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_low = np.minimum.accumulate(d[::-1])[::-1][1::_SLAB] - sigmas.max()
+        e2_high = np.maximum.accumulate(e2[::-1])[::-1][::_SLAB]
+        floors = np.full(len(d_low), np.nan)
+        # sqrt(E2), then the smaller fixed point wherever it passes too
+        smaller = e2_high / (0.5 * d_low + np.sqrt(0.25 * d_low * d_low - e2_high))
+        for floor in (np.sqrt(e2_high), smaller):
+            floor = np.maximum(floor, pivmin)
+            np.copyto(floors, floor, where=d_low - e2_high / floor >= floor)
+    floors = floors.tolist()
     dsig = np.empty((_SLAB, len(sigmas)))
     slab = np.empty_like(dsig)
     dsig_rows, slab_rows = list(dsig), list(slab)
-    for start in range(1, len(d), _SLAB):
+    for start, exit_floor in zip(range(1, len(d), _SLAB), floors):
+        if q.min() >= exit_floor:
+            break
         stop = min(start + _SLAB, len(d))
         rows = stop - start
         np.subtract(d[start:stop, None], sigmas, out=dsig[:rows])
@@ -273,15 +312,12 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     if not math.isfinite(e_max * e_max):
         raise ArgumentError("operator off-diagonal entries overflow when squared")
     # scale T to norm ~1 by a power of two, which is exact: otherwise e*e
-    # underflows for tiny-norm operators and the pivmin floor swamps them
+    # underflows for tiny-norm operators and the _PIVMIN floor swamps them
     shift = math.frexp(max(d_max, e_max))[1]
     d = np.ldexp(d, -shift)
     e = np.ldexp(e, -shift)
     e2 = e * e
-    off_max = e2.max() if len(e2) else 0.0
-    pivmin = max(1e-290, off_max * 1e-290)
-
-    spread = 2.0 * (np.sqrt(off_max) if off_max else 0.0)
+    spread = 2.0 * np.sqrt(e2.max(initial=0.0))
     lo = np.full(m, d.min() - spread)
     hi = np.full(m, d.max() + spread)
     with np.errstate(over="ignore"):
@@ -316,7 +352,7 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
             )
         # count each distinct probe once: sweep 0's brackets all coincide
         sigmas, where = np.unique(probes[live], return_inverse=True)
-        counts = _sturm_counts(d, e2, pivmin, sigmas)[where].reshape(len(live), -1)
+        counts = _sturm_counts(d, e2, _PIVMIN, sigmas)[where].reshape(len(live), -1)
         above = counts >= targets[live, None]
         # first probe at or above the target; K - 1 stands for hi itself
         first = np.where(above.any(axis=1), above.argmax(axis=1), _SECTIONS - 1)

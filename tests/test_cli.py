@@ -815,12 +815,17 @@ class TestUsageErrors:
         ("spectrum", "hi", "nan"),
         ("verify", "eps", "nan"),
         ("verify", "a", "-inf"),
+        ("verify", "tol-quasi-rel", "nan"),
+        ("verify", "tol-conv-hi", "inf"),
+        ("spectrum", "tol-im-ratio", "inf"),
+        ("spectrum", "tol-spectrum-rel", "-inf"),
     ], ids=lambda v: v)
     def test_non_finite_model_and_range_flags(
         self, tmp_path, capsys, monkeypatch, command, flag, value
     ):
         # a NaN or infinite model or range value gave an all-NaN table
-        # with numpy warnings, or a manifest holding the invalid JSON NaN
+        # with numpy warnings, or a manifest holding the invalid JSON NaN;
+        # an infinite tolerance made its check pass whatever it measured
         monkeypatch.chdir(tmp_path)
         out, manifest = tmp_path / "o.csv", tmp_path / "o.json"
         argv = {

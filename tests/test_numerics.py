@@ -331,6 +331,64 @@ def _multi_slab_cases(draw):
     return d, e * e, pivmin, np.array(sigmas)
 
 
+@st.composite
+def _rising_tail_cases(draw):
+    """Tridiagonals of up to four slabs plus a remainder whose diagonal
+    rises linearly after a random head on a 1/64 grid, so the rows after
+    some slab start s are a forbidden tail for low probes.  Probes sit at
+    that start's tail threshold min d[s:] - 2 max |e[s-1:]|, one ulp or
+    half a pivmin either side of it, some way below it, on diagonal
+    entries, and at NaN and +-inf."""
+    slab = numerics._SLAB
+    n = draw(st.integers(min_value=2, max_value=4 * slab + 8))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    d = rng.integers(-640, 641, n) / 64.0
+    head = draw(st.integers(min_value=1, max_value=n))
+    slope = draw(st.sampled_from([1.0 / 64.0, 0.25, 2.0]))
+    d[head:] = d[head - 1] + slope * np.arange(1, n - head + 1)
+    e = rng.integers(-640, 641, n - 1) / 64.0 * draw(st.sampled_from([1.0 / 64.0, 0.25, 1.0]))
+    e[rng.random(n - 1) < 0.1] = 0.0
+    pivmin = draw(st.sampled_from([2.0**-10, 2.0**-6, 2.0**-2, 1e-290]))
+    e2 = e * e
+    s = draw(st.sampled_from(range(1, n, slab)))
+    edge = d[s:].min() - 2.0 * math.sqrt(e2[s - 1 :].max())
+    near = st.sampled_from([
+        edge,
+        math.nextafter(edge, math.inf),
+        math.nextafter(edge, -math.inf),
+        edge + 0.5 * pivmin,
+        edge - 0.5 * pivmin,
+        edge - 1.0,
+        edge - 16.0,
+    ])
+    on_diagonal = st.sampled_from(d.tolist())
+    special = st.sampled_from([math.nan, math.inf, -math.inf])
+    sigmas = draw(st.lists(
+        st.one_of(near, near, on_diagonal, special), min_size=1, max_size=20
+    ))
+    return d, e2, pivmin, np.array(sigmas)
+
+
+def _logged_sturm_counts(monkeypatch) -> list:
+    """Patch numerics._sturm_counts to read its diagonal through an
+    ndarray subclass that logs the rows of every slab it reads as
+    d[start:stop, None]; returns the list of those row counts."""
+    rows = []
+    counts = numerics._sturm_counts
+
+    class SlabRows(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, tuple) and len(key) == 2 and key[1] is None:
+                rows.append(len(range(*key[0].indices(len(self)))))
+            return np.asarray(self)[key]
+
+    def logged(d, e2, pivmin, sigmas):
+        return counts(d.view(SlabRows), e2, pivmin, sigmas)
+
+    monkeypatch.setattr(numerics, "_sturm_counts", logged)
+    return rows
+
+
 class TestSturmCounts:
     @settings(max_examples=300, deadline=None)
     @given(_sturm_count_cases())
@@ -372,6 +430,65 @@ class TestSturmCounts:
             got = numerics._sturm_counts(d, e2, pivmin, sigmas)
         assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
         assert len(calls) >= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rising_tail_cases())
+    def test_tail_exit_matches_reference(self, case):
+        d, e2, pivmin, sigmas = case
+        got = numerics._sturm_counts(d, e2, pivmin, sigmas)
+        assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
+
+    def test_tail_exit_never_fires_below_the_discriminant(self, monkeypatch):
+        # the discrete Laplacian d = 2, e = -1 has D = 2 - max sigma < 2,
+        # so D^2 < 4 E2 at every slab start although every pivot is
+        # positive there; the probe between lambda_1 and lambda_2 meets
+        # its one negative pivot only in the last rows
+        rows = _logged_sturm_counts(monkeypatch)
+        n = 5 * numerics._SLAB + 9
+        d, e2 = np.full(n, 2.0), np.ones(n - 1)
+        lam1 = 2.0 - 2.0 * math.cos(math.pi / (n + 1))
+        sigmas = np.array([0.5 * lam1, 1.5 * lam1])
+        got = numerics._sturm_counts(d, e2, 2.0**-10, sigmas)
+        assert got.tolist() == [0, 1]
+        assert np.array_equal(got, _reference_sturm_counts(d, e2, 2.0**-10, sigmas))
+        assert sum(rows) == n - 1
+
+    @pytest.mark.parametrize("tail, count, slabs", [(2.5, 0, 1), (2.625, 1, 2)])
+    def test_tail_exit_needs_the_float_test(self, monkeypatch, tail, count, slabs):
+        # the second slab starts from a pivot of exactly T, the computed
+        # smaller fixed point for D = tail, E2 = 1.  At 2.5, T = 0.5 and
+        # D - 1 / T = T exactly, so the pivots stay at T and the count
+        # stops there.  At 2.625, fl(D - fl(1 / T)) falls just below T:
+        # the pivots leave the repelling fixed point downwards and one
+        # turns negative, so the count must not stop before it
+        rows = _logged_sturm_counts(monkeypatch)
+        slab = numerics._SLAB
+        n = 3 * slab + 1
+        floor = 1.0 / (0.5 * tail + math.sqrt(0.25 * tail * tail - 1.0))
+        d = np.full(n, 5.0)
+        d[slab] = floor
+        d[slab + 1 :] = tail
+        e2 = np.ones(n - 1)
+        e2[slab - 1] = 0.0
+        sigmas = np.array([0.0])
+        got = numerics._sturm_counts(d, e2, 2.0**-10, sigmas)
+        assert got.tolist() == [count]
+        assert np.array_equal(got, _reference_sturm_counts(d, e2, 2.0**-10, sigmas))
+        assert rows == [slab] * slabs
+
+    def test_tail_exit_fires_on_a_forbidden_tail(self, monkeypatch):
+        # a steep ramp from the second slab on: the pivots of the two
+        # probes that meet negative pivots in the first slab recover in
+        # the second, and the count stops at the third
+        rows = _logged_sturm_counts(monkeypatch)
+        slab = numerics._SLAB
+        n = 4 * slab + 1
+        d = np.where(np.arange(n) <= slab, 1.0, 100.0 + np.arange(n))
+        e2 = np.full(n - 1, 0.25)
+        sigmas = np.array([-math.inf, -3.0, 0.5, 0.9])
+        got = numerics._sturm_counts(d, e2, 1e-290, sigmas)
+        assert np.array_equal(got, _reference_sturm_counts(d, e2, 1e-290, sigmas))
+        assert rows == [slab, slab]
 
 
 def _spectra_suite_operators(radial_hermitian, scarf_hermitian):
@@ -469,6 +586,20 @@ class TestLowestEigenvalues:
             assert calls[0] == numerics._SECTIONS - 1
         assert sweeps == [7, 6, 6, 6]
         assert sum(sweeps) <= 25
+
+    def test_spectra_suite_operators_stop_counting_in_the_forbidden_tail(
+        self, monkeypatch, radial_hermitian, scarf_hermitian
+    ):
+        # slab rows counted per operator; without the tail exit every
+        # count runs all n - 1 rows, 73975 in all over the 25 sweeps
+        rows = _logged_sturm_counts(monkeypatch)
+        per_operator = []
+        for t in _spectra_suite_operators(radial_hermitian, scarf_hermitian):
+            rows.clear()
+            lowest_eigenvalues(t, 4)
+            per_operator.append(sum(rows))
+        assert per_operator == [9679, 16159, 11979, 23899]
+        assert sum(per_operator) <= 62200
 
     def test_spectra_suite_operators_stay_within_one_eps_norm_of_stebz(
         self, radial_hermitian, scarf_hermitian
