@@ -753,20 +753,13 @@ def _suite_spectra(args, tol) -> list:
         for n in (1, 2, 3):
             e_n = models.energy(m, n)
             res = numerics.eigen_near_shift(op, e_n + 0.3j, 60)
-            checks.append(
-                _check_le(
-                    f"radial-complex-{n}-im-ratio",
-                    abs(res.eigenvalue.imag) / abs(res.eigenvalue),
-                    tol["im-ratio"],
-                )
-            )
-            checks.append(
-                _check_le(
-                    f"radial-complex-{n}-re-rel",
-                    abs(res.eigenvalue.real - e_n) / e_n,
-                    tol["spectrum-rel"],
-                )
-            )
+            lam = res.eigenvalue
+            for name, measured, bound in (
+                ("eigen-residual", res.residual, tol["eigen-residual"]),
+                ("im-ratio", abs(lam.imag) / abs(lam), tol["im-ratio"]),
+                ("re-rel", abs(lam.real - e_n) / e_n, tol["spectrum-rel"]),
+            ):
+                checks.append(_check_le(f"radial-complex-{n}-{name}", measured, bound))
     return checks
 
 

@@ -277,11 +277,6 @@ def energy(m: PotentialModel, n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _member(family: X1Family, n: int):
-    return x1_polynomial(family, n)
-
-
-@lru_cache(maxsize=None)
 def _scarf_norm_constant(m: PotentialModel, n: int) -> float:
     """1/sqrt of the squared norm of the unnormalized Hermitian state.
 
@@ -290,7 +285,7 @@ def _scarf_norm_constant(m: PotentialModel, n: int) -> float:
     a constant, which the cos branch and the shift share.
     """
     a, b, k = m.a, m.b, m.k
-    p = _member(x1_family(m), n)
+    p = x1_polynomial(x1_family(m), n)
     _, half = cell(m)
 
     def integrand(x):
@@ -358,7 +353,7 @@ def wavefunction(m: PotentialModel, n, x):
     _require_valid(m)
     xs = np.asarray(x)
     complex_input = np.iscomplexobj(xs)
-    members = [_member(x1_family(m), level) for level in levels]
+    members = [x1_polynomial(x1_family(m), level) for level in levels]
     # psi_n = norm_n * left * right / den * P_n(t), every level in this
     # order; all but norm_n and P_n are shared and evaluated once
     if m.family == "radial_extended":

@@ -3,16 +3,19 @@
 Both families start at degree one and stay complete in their weighted
 L2 spaces.  Each family's second-order ODE is written once, as the
 polynomials A, B, C of ``A y'' + B y' + C y = 0`` with its denominators
-cleared.  Members are the null space of the coefficient matrix those
-polynomials define, not classical-polynomial identities, and the
-rational coefficients ``q, dq, r`` that the point canonical
-transformation reads are derived from the same A, B, C.
+cleared.  Members solve the banded system those polynomials define, by
+exact back-substitution in ``fractions.Fraction``, not by
+classical-polynomial identities, and the rational coefficients
+``q, dq, r`` that the point canonical transformation reads are derived
+from the same A, B, C.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,9 +93,13 @@ def _check_member_index(n) -> None:
         )
 
 
-def _cleared_ode_polys(family: X1Family, n: int):
+def _cleared_ode_polys(kind: str, a, b, n: int):
     """Coefficients A, B, C (ascending arrays) of ``A y'' + B y' + C y = 0``,
     the family's ODE with its denominators cleared.
+
+    The arithmetic follows the type of ``a`` and ``b`` (``b`` is unused
+    for Laguerre): floats give float64 arrays, ``Fraction`` gives exact
+    object arrays.  The other constants are ints, which neither converts.
 
     Laguerre, in the variable ``g`` on (0, inf), multiplied through by
     ``g (g + a)``:
@@ -107,19 +114,17 @@ def _cleared_ode_polys(family: X1Family, n: int):
     ``B = -((a + b + 2) g + a - b) T - 2 (b - a)(1 - g^2)``,
     ``C = -((b - a) g - (n + a + b)(n - 1)) T - (a - b)^2 (1 - g^2)``
     """
-    if family.kind == "laguerre":
-        a = family.a
-        A = np.array([0.0, a, 1.0])
-        B = np.array([a * (a + 1.0), -1.0, -1.0])
-        C = np.array([a * (n - 2.0), float(n)])
+    if kind == "laguerre":
+        A = np.array([0, a, 1])
+        B = np.array([a * (a + 1), -1, -1])
+        C = np.array([a * (n - 2), n])
         return A, B, C
-    a, b = family.a, family.b
-    ev = (n + a + b) * (n - 1.0)
+    ev = (n + a + b) * (n - 1)
     A = np.array([-(a + b), b - a, a + b, -(b - a)])
     B = np.array(
         [
-            (a - b) * (a + b + 2.0),
-            (b - a) ** 2 + (a + b) * (a + b + 2.0),
+            (a - b) * (a + b + 2),
+            (b - a) ** 2 + (a + b) * (a + b + 2),
             -(b - a) * (a + b),
         ]
     )
@@ -136,7 +141,7 @@ def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
     ``1, -1, (a + b) / (b - a)`` for Jacobi.
     """
     _check_member_index(n)
-    A, B, C = _cleared_ode_polys(family, n)
+    A, B, C = _cleared_ode_polys(family.kind, family.a, family.b, n)
     dA, dB = npp.polyder(A), npp.polyder(B)
 
     def q(g):
@@ -162,15 +167,14 @@ def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
 # member construction
 # ---------------------------------------------------------------------------
 
-_NULL_TOL = 1e-10  # relative singular-value threshold for the null space
-_KEEP_SVD_TOL = 1e-14  # relative agreement under which a Laguerre SVD member is kept
+_KEEP_SVD_TOL = 1e-14  # relative agreement under which the float SVD member is kept
 
 
 def _ode_matrix(A, B, C, n: int) -> np.ndarray:
     """Map from monomial coefficients c_0..c_n of y to the coefficients of
-    A y'' + B y' + C y, one column per c_j."""
+    A y'' + B y' + C y, one column per c_j; exact for exact A, B, C."""
     rows = n + 2
-    m = np.zeros((rows, n + 1))
+    m = np.zeros((rows, n + 1), dtype=A.dtype)
 
     def add(col, poly, shift):
         for i, c in enumerate(poly):
@@ -184,23 +188,6 @@ def _ode_matrix(A, B, C, n: int) -> np.ndarray:
             add(j, B * j, j - 1)
         add(j, C, j)
     return m
-
-
-def _jacobi_null_vector(m: np.ndarray, n: int) -> np.ndarray:
-    _, s, vt = np.linalg.svd(m)
-    if s[-1] > _NULL_TOL * s[0]:
-        raise ConstructionError(
-            f"jacobi ODE has no degree-{n} polynomial null vector "
-            f"(smallest singular value {s[-1]:.3e} vs scale {s[0]:.3e})"
-        )
-    if len(s) >= 2 and s[-2] <= _NULL_TOL * s[0]:
-        raise ConstructionError(
-            f"jacobi ODE null space is not one-dimensional at n = {n}"
-        )
-    v = vt[-1]
-    if abs(v[-1]) <= _NULL_TOL * np.max(np.abs(v)):
-        raise ConstructionError(f"jacobi null vector has degree below {n}")
-    return v
 
 
 def _jacobi_lead(n: int, a: float, b: float) -> float:
@@ -223,58 +210,62 @@ def x1_polynomial(family: X1Family, n: int) -> Polynomial:
     """Degree-``n`` member of the family, built from its ODE.
 
     The cleared ODE maps the ``n + 1`` monomial coefficients linearly to
-    the residual's coefficients; the member spans the one-dimensional null
-    space of that matrix.  The matrix is banded: row ``r`` touches only
-    ``c_{r-1}`` to ``c_{r+2}``, and row ``n + 1`` vanishes identically
-    (the eigenvalue condition).
-
-    Laguerre members come by back-substitution: ``c_n`` is fixed by the
-    normalization, and row ``r`` gives ``c_{r-1}`` through its entry
-    ``n - r + 1``.  Their coefficients span many orders of magnitude, so
-    an SVD null vector, accurate only relative to its largest entry,
-    loses about a digit per degree.  The SVD member is still returned
-    where it agrees with back-substitution to ``1e-14`` relative (low
-    degrees), which keeps earlier outputs byte-identical.  Jacobi members
-    come from the SVD alone (singular values below ``1e-10 * s_max``
-    count as zero; anything but exactly one null direction raises
-    :class:`ConstructionError`), since their back-substitution amplifies
-    rounding and fails row 0 from about n = 8.  Either way a residual of
-    the whole system above ``1e-10`` of its scale raises
-    :class:`ConstructionError`.
+    the residual's coefficients.  The matrix is banded: row ``r`` touches
+    only ``c_{r-1}`` to ``c_{r+2}``, and row ``n + 1`` vanishes
+    identically (the eigenvalue condition).  Every float index is a
+    binary rational, so the matrix is built exactly in ``Fraction`` and
+    the member comes by exact back-substitution: ``c_n`` is fixed by the
+    normalization, and row ``r`` gives ``c_{r-1}`` through its pivot,
+    ``n - r + 1`` for Laguerre and
+    ``(b - a)[(n - 1)(n + a + b) - (r - 2)(r - 1 + a + b)]`` for Jacobi.
+    That pivot vanishes only at ``r = 1`` with ``n = 1, a + b = 0`` or
+    ``n = 2, a + b = -1``; there row 0 gives ``c_0``.  The rows left
+    over must vanish exactly, else :class:`ConstructionError` is raised.
+    Each coefficient is rounded once, except that the float SVD null
+    vector of the matrix is returned where it agrees to ``1e-14`` of the
+    largest coefficient, which keeps outputs computed from it
+    byte-identical.
 
     Normalization: Laguerre members get leading coefficient
     ``(-1)^n / (n - 1)!``; Jacobi members get ``-1/2`` times the leading
-    coefficient of the classical ``P_{n-1}^(a,b)``.  Both conventions
-    reproduce the closed-form degree-1 and degree-2 members and the
-    quadrature norms of the family.
+    coefficient of the classical ``P_{n-1}^(a,b)``, each as a float.
+    Both conventions reproduce the closed-form degree-1 and degree-2
+    members and the quadrature norms of the family.
+
+    Members are cached per family and degree; ``n`` is checked before
+    the lookup, and every integer type of ``n`` shares one entry.
     """
     _check_member_index(n)
-    n = int(n)
-    A, B, C = _cleared_ode_polys(family, n)
-    m = _ode_matrix(A, B, C, n)
-    if family.kind == "laguerre":
-        v = np.zeros(n + 1)
-        v[n] = (-1.0) ** n / math.factorial(n - 1)
-        for r in range(n, 0, -1):
-            v[r - 1] = -(m[r, r:] @ v[r:]) / m[r, r - 1]
-        # members used to come from the SVD null vector; where it agrees
-        # with back-substitution its bits are kept, so tables and golden
-        # digests computed from it stay byte-identical
-        w = np.linalg.svd(m)[2][-1]
-        w = w * (v[n] / w[-1])
-        if np.max(np.abs(w - v)) <= _KEEP_SVD_TOL * np.max(np.abs(v)):
-            v = w
+    return _member(family, int(n))
+
+
+@lru_cache(maxsize=None)
+def _member(family: X1Family, n: int) -> Polynomial:
+    kind, a, b = family.kind, family.a, family.b
+    exact_b = None if b is None else Fraction(b)
+    m = _ode_matrix(*_cleared_ode_polys(kind, Fraction(a), exact_b, n), n)
+    c = np.zeros(n + 1, dtype=object)
+    if kind == "laguerre":
+        c[n] = Fraction((-1.0) ** n / math.factorial(n - 1))
     else:
-        v = _jacobi_null_vector(m, n)
-        lead = -0.5 * _jacobi_lead(n - 1, family.a, family.b)
-        v = v * (lead / v[-1])
-    resid = m @ v
-    scale = np.max(np.abs(m)) * np.max(np.abs(v))
-    if np.max(np.abs(resid)) > 1e-10 * scale:
-        raise ConstructionError(
-            f"cleared-ODE residual {np.max(np.abs(resid)):.3e} exceeds "
-            f"1e-10 of scale {scale:.3e}"
-        )
+        c[n] = Fraction(-0.5 * _jacobi_lead(n - 1, a, b))
+    # (row, unknown) pairs: row r fixes c_{r-1}, except that row 0 fixes
+    # c_0 where row 1's pivot vanishes; every other pivot is nonzero for
+    # the indices X1Family accepts, and so is m[0, 0] where it is used
+    steps = [(r, r - 1) for r in range(n, 1, -1)] + [(1, 0) if m[1, 0] else (0, 0)]
+    for r, k in steps:
+        c[k] = -(m[r, k + 1 : r + 3] @ c[k + 1 : r + 3]) / m[r, k]
+    for r in {0, 1, n + 1} - {r for r, _ in steps}:
+        if m[r] @ c:
+            raise ConstructionError(
+                f"row {r} of the degree-{n} {kind} ODE does not vanish "
+                f"on the back-substituted member"
+            )
+    v = c.astype(float)
+    w = np.linalg.svd(_ode_matrix(*_cleared_ode_polys(kind, a, b, n), n))[2][-1]
+    w = w * (v[n] / w[-1])
+    if np.max(np.abs(w - v)) <= _KEEP_SVD_TOL * np.max(np.abs(v)):
+        v = w
     return Polynomial(tuple(v))
 
 

@@ -557,9 +557,8 @@ _SUITE_CHECKS = {
     "spectra": {
         "radial": [
             "radial-spectrum-rel", "radial-conv-factor-min", "radial-conv-factor-max",
-            "radial-complex-1-im-ratio", "radial-complex-1-re-rel",
-            "radial-complex-2-im-ratio", "radial-complex-2-re-rel",
-            "radial-complex-3-im-ratio", "radial-complex-3-re-rel",
+            *[f"radial-complex-{n}-{check}" for n in (1, 2, 3)
+              for check in ("eigen-residual", "im-ratio", "re-rel")],
         ],
         "scarf": ["scarf-spectrum-rel", "scarf-conv-factor-min", "scarf-conv-factor-max"],
     },

@@ -24,7 +24,6 @@ from xspectra import models
 from xspectra.models import (
     _branch_guard,
     _first_bad,
-    _member,
     _offset,
     _require_valid,
     _scarf_norm_constant,
@@ -32,7 +31,7 @@ from xspectra.models import (
     real_poles,
     x1_family,
 )
-from xspectra.xop import x1_laguerre_norm
+from xspectra.xop import x1_laguerre_norm, x1_polynomial
 
 from conftest import scarf_half_cell
 
@@ -289,7 +288,7 @@ def _reference_wavefunction(m, n, x):
     xs = np.asarray(x)
     scalar = xs.ndim == 0
     complex_input = np.iscomplexobj(xs)
-    p = _member(x1_family(m), n)
+    p = x1_polynomial(x1_family(m), n)
     if m.family == "radial_extended":
         a, k = m.a, m.k
         if not complex_input and m.eps == 0.0 and np.any(xs <= 0.0):
@@ -397,7 +396,7 @@ class TestStackedLevels:
         def evaluated(*args):
             raise AssertionError("a level was evaluated")
 
-        monkeypatch.setattr(models, "_member", evaluated)
+        monkeypatch.setattr(models, "x1_polynomial", evaluated)
         # x = -1 would raise DomainError if anything were evaluated
         with pytest.raises(ArgumentError):
             wavefunction(radial_hermitian, levels, -1.0)

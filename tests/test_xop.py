@@ -1,13 +1,17 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xspectra import xop
 from xspectra import (
     ArgumentError,
+    ConstructionError,
     Polynomial,
     SingularityError,
     X1Family,
@@ -34,8 +38,87 @@ MEMBERS = {
 }
 
 
+# Jacobi members whose row-1 pivot vanishes (n = 1, a + b = 0 and
+# n = 2, a + b = -1), so that row 0 fixes c_0; frozen from the float SVD
+# null vector that built them before the exact back-substitution
+ZERO_PIVOT_MEMBERS = {
+    (0.5, -0.5, 1): (-1.0, -0.5),
+    (0.25, -0.25, 1): (-2.0, -0.5),
+    (-0.25, -0.75, 2): (-0.24999999999999933, 1.375, -0.25),
+}
+
+
 def _family(kind, a, b):
     return X1Family(kind, a) if kind == "laguerre" else X1Family(kind, a, b)
+
+
+def _pmul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _padd(p, q):
+    out = [Fraction(0)] * max(len(p), len(q))
+    for poly in (p, q):
+        for i, x in enumerate(poly):
+            out[i] += x
+    return out
+
+
+def _scaled(s, p):
+    return [s * x for x in p]
+
+
+def _exact_null_vector(kind, a, b, n):
+    """The member by an independent exact solve: the cleared A, B, C
+    multiplied out from their factored forms in rational arithmetic, the
+    ODE applied to each monomial, and the one-dimensional null space of
+    that matrix by Gauss-Jordan elimination.  Scaled to c_pivot = 1 for
+    the free column."""
+    a = Fraction(a)
+    if kind == "laguerre":
+        A = _pmul([0, 1], [a, 1])
+        B = _scaled(-1, _pmul([-a, 1], [a + 1, 1]))
+        C = [a * (n - 2), Fraction(n)]
+    else:
+        b = Fraction(b)
+        t = [-(a + b), b - a]  # T = (b - a) g - (a + b)
+        w = [1, 0, -1]  # 1 - g^2
+        A = _pmul(w, t)
+        B = _padd(_scaled(-1, _pmul([a - b, a + b + 2], t)), _scaled(-2 * (b - a), w))
+        C = _padd(
+            _scaled(-1, _pmul([-(n + a + b) * (n - 1), b - a], t)),
+            _scaled(-((a - b) ** 2), w),
+        )
+    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 2)]
+    for j in range(n + 1):
+        for poly, scale, shift in ((A, j * (j - 1), j - 2), (B, j, j - 1), (C, 1, j)):
+            for i, x in enumerate(poly):
+                if scale and x:
+                    rows[i + shift][j] += scale * x
+    pivots = []
+    for col in range(n + 1):
+        p = next((i for i in range(len(pivots), n + 2) if rows[i][col]), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(n + 2):
+            f = rows[i][col]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    free = [c for c in range(n + 1) if c not in pivots]
+    assert len(free) == 1, free
+    v = [Fraction(0)] * (n + 1)
+    v[free[0]] = Fraction(1)
+    for r, col in enumerate(pivots):
+        v[col] = -rows[r][free[0]]
+    return v
 
 
 def poly_eval_derivs(p, x, m):
@@ -114,6 +197,9 @@ class TestConstruction:
         st.integers(min_value=1, max_value=8),
         st.floats(min_value=-0.95, max_value=0.95),
     )
+    @example(0.5, -0.5, 1, 0.5)  # zero pivot at row 1: n = 1, a + b = 0
+    @example(0.25, -0.25, 1, 0.5)
+    @example(-0.25, -0.75, 2, 0.5)  # zero pivot at row 1: n = 2, a + b = -1
     def test_jacobi_member_solves_its_ode(self, a, b, n, g):
         if abs(a - b) < 0.05:
             return
@@ -127,6 +213,59 @@ class TestConstruction:
         terms = (d2v, ode.q(g) * dv, ode.r(g) * v)
         scale = max(abs(t) for t in terms) + 1.0
         assert abs(sum(terms)) <= 1e-9 * scale
+
+
+    @pytest.mark.parametrize("key", sorted(ZERO_PIVOT_MEMBERS))
+    def test_zero_pivot_members_keep_their_coefficients(self, key):
+        a, b, n = key
+        got = x1_polynomial(X1Family("jacobi", a, b), n).coeffs
+        assert got == ZERO_PIVOT_MEMBERS[key]
+
+    def test_high_degree_members_match_an_exact_solve(self):
+        # a seeded sweep up to degree 20; the reference is scaled to the
+        # returned leading coefficient, whose convention the tests above
+        # check, so this measures the solve alone
+        rng = random.Random(20091)
+        for _ in range(3):
+            a = rng.uniform(0.2, 6.0)
+            ja, jb = rng.uniform(-0.9, 4.0), rng.uniform(-0.9, 4.0)
+            while abs(ja - jb) < 0.05:
+                jb = rng.uniform(-0.9, 4.0)
+            for kind, a, b in (("laguerre", a, None), ("jacobi", ja, jb)):
+                fam = _family(kind, a, b)
+                for n in range(1, 21):
+                    got = np.array(x1_polynomial(fam, n).coeffs)
+                    ref = _exact_null_vector(kind, a, b, n)
+                    scale = Fraction(float(got[-1])) / ref[-1]
+                    want = np.array([float(scale * c) for c in ref])
+                    err = np.max(np.abs(got - want))
+                    assert err <= 1e-14 * np.max(np.abs(want)), (kind, a, b, n, err)
+
+    @pytest.mark.parametrize("fam", [X1Family("laguerre", 2.0), X1Family("jacobi", 1.75, 3.0)])
+    def test_rows_left_over_must_vanish_exactly(self, monkeypatch, fam):
+        cleared = xop._cleared_ode_polys
+
+        def next_eigenvalue(kind, a, b, n):
+            return cleared(kind, a, b, n + 1)
+
+        monkeypatch.setattr(xop, "_cleared_ode_polys", next_eigenvalue)
+        with pytest.raises(ConstructionError, match="does not vanish"):
+            xop._member.__wrapped__(fam, 3)
+
+
+class TestMemberCache:
+    def test_index_is_checked_before_the_lookup(self):
+        fam = X1Family("laguerre", 2.0)
+        x1_polynomial(fam, 1)
+        with pytest.raises(ArgumentError):
+            x1_polynomial(fam, True)
+
+    def test_integer_types_share_an_entry(self):
+        fam = X1Family("jacobi", 1.75, 3.0)
+        p = x1_polynomial(fam, 2)
+        size = xop._member.cache_info().currsize
+        assert x1_polynomial(fam, np.int64(2)) is p
+        assert xop._member.cache_info().currsize == size
 
 
 class TestValidation:
