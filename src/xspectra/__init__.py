@@ -59,6 +59,7 @@ from .polycore import (
 from .xop import (
     OdeCoefficients,
     X1Family,
+    x1_jacobi_norm,
     x1_laguerre_norm,
     x1_ode_coefficients,
     x1_polynomial,
@@ -109,6 +110,7 @@ __all__ = [
     "gamma",
     "OdeCoefficients",
     "X1Family",
+    "x1_jacobi_norm",
     "x1_laguerre_norm",
     "x1_ode_coefficients",
     "x1_polynomial",

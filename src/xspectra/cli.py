@@ -40,7 +40,7 @@ from .polycore import (
     semi_infinite_algebraic_quadrature,
     semi_infinite_exp_quadrature,
 )
-from .xop import X1Family, x1_laguerre_norm, x1_polynomial
+from .xop import X1Family, x1_jacobi_norm, x1_laguerre_norm, x1_polynomial
 
 __all__ = ["main", "entry"]
 
@@ -385,6 +385,44 @@ def _default_range(m: PotentialModel) -> tuple:
     return (centre - half + margin, centre + half - margin)
 
 
+# grid spectra: Sturm counting on _REAL_POINTS points for a Hermitian
+# model; inverse iteration from E_n + i _SIGMA_IMAG for at most _ITERS
+# steps for a shifted one, on fewer points as each step is a complex LU
+_REAL_POINTS, _COMPLEX_POINTS = 4000, 1200
+_SIGMA_IMAG, _ITERS = 0.3, 60
+
+
+def _no_grid_spectrum(m: PotentialModel) -> bool:
+    # shifted Scarf states do not vanish at the real cell edges
+    return m.family == "scarf_extended" and m.eps != 0.0
+
+
+def _grid_levels(m, lo, hi, npts, nmax, sigma_imag=_SIGMA_IMAG, iters=_ITERS) -> tuple:
+    """The nmax lowest levels of m's grid Hamiltonian on (lo, hi) with
+    npts interior points, and None for a Hermitian model; for a shifted
+    one, the complex levels and each level's :class:`EigenResult`."""
+    if _no_grid_spectrum(m):
+        raise ArgumentError(
+            "shifted scarf states are not normalizable on the real line, "
+            "so no grid spectrum exists; verify that case with "
+            "`verify --suite residuals` and `--suite hermiticity`"
+        )
+    # checked for every model, not only where the complex branch uses
+    # them, so that no run accepts a value it would refuse on the other
+    if iters < 1:
+        raise ArgumentError(f"--iters must be >= 1, got {iters}")
+    if not math.isfinite(sigma_imag):
+        raise ArgumentError(f"--sigma-imag must be finite, got {sigma_imag!r}")
+    op = numerics.discretize(m, lo, hi, npts)
+    if m.eps == 0.0:
+        return numerics.lowest_eigenvalues(op, nmax), None
+    results = [
+        numerics.eigen_near_shift(op, models.energy(m, n) + 1j * sigma_imag, iters)
+        for n in range(1, nmax + 1)
+    ]
+    return np.array([res.eigenvalue for res in results]), results
+
+
 def _spectrum_interval(m: PotentialModel) -> tuple:
     """The grid interval of m's spectrum: the Hermitian radial model's
     half-line, the whole line once the shift takes the pole at x = 0 off
@@ -466,37 +504,22 @@ def cmd_table(args) -> int:
 def cmd_spectrum(args) -> int:
     m = _model(args.family, args)
     tol = _tolerances(args)
-    if m.family == "scarf_extended" and m.eps != 0.0:
-        raise ArgumentError(
-            "shifted scarf states are not normalizable on the real line, "
-            "so no grid spectrum exists; verify that case with "
-            "`verify --suite residuals` and `--suite hermiticity`"
-        )
-    # checked here, not where the complex branch uses them, so that no
-    # run accepts a value it would refuse on the other branch
-    if args.iters < 1:
-        raise ArgumentError(f"--iters must be >= 1, got {args.iters}")
-    if not math.isfinite(args.sigma_imag):
-        raise ArgumentError(f"--sigma-imag must be finite, got {args.sigma_imag!r}")
-    complex_case = m.eps != 0.0
     lo, hi = _spectrum_interval(m)
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
     npts = args.grid_points if args.grid_points is not None else (
-        1200 if complex_case else 4000
+        _COMPLEX_POINTS if m.eps != 0.0 else _REAL_POINTS
     )
-    op = numerics.discretize(m, lo, hi, npts)
     nmax = args.nmax
+    levels, results = _grid_levels(m, lo, hi, npts, nmax, args.sigma_imag, args.iters)
     formulas = np.array([models.energy(m, n) for n in range(1, nmax + 1)])
     checks = []
     header = ["n", "E_formula", "E_numeric", "abs_err", "rel_err"]
-    if complex_case:
+    numeric, extra = levels.real, []
+    if results is not None:
         header.append("im_lambda")
-        numeric, imag = [], []
-        for n in range(1, nmax + 1):
-            res = numerics.eigen_near_shift(
-                op, formulas[n - 1] + 1j * args.sigma_imag, args.iters
-            )
+        extra = [levels.imag]
+        for n, res in enumerate(results, 1):
             if not res.converged:
                 _warn(
                     f"level {n}: no convergence after {args.iters} iterations "
@@ -507,23 +530,11 @@ def cmd_spectrum(args) -> int:
                     f"level {n}: {res.shift_retries} singular factorization(s); "
                     "retried with the shift perturbed by 1e-8 (1 + |shift|)"
                 )
-            checks.append(
-                _check_le(f"eigen-residual-{n}", res.residual, tol["eigen-residual"])
-            )
-            checks.append(
-                _check_le(
-                    f"im-ratio-{n}",
-                    abs(res.eigenvalue.imag) / abs(res.eigenvalue),
-                    tol["im-ratio"],
-                )
-            )
-            numeric.append(res.eigenvalue.real)
-            imag.append(res.eigenvalue.imag)
-        numeric = np.array(numeric)
-        extra = [np.array(imag)]
-    else:
-        numeric = numerics.lowest_eigenvalues(op, nmax)
-        extra = []
+            lam = res.eigenvalue
+            checks += [
+                _check_le(f"eigen-residual-{n}", res.residual, tol["eigen-residual"]),
+                _check_le(f"im-ratio-{n}", abs(lam.imag) / abs(lam), tol["im-ratio"]),
+            ]
     abs_err = np.abs(numeric - formulas)
     rel_err = abs_err / np.abs(formulas)
     for n in range(1, nmax + 1):
@@ -543,6 +554,9 @@ def cmd_spectrum(args) -> int:
         "nmax": int(nmax),
         "tolerances": {k: tol[k] for k in _SPECTRUM_TOLERANCES},
     }
+    if results is not None:
+        # the shift and the step cap decide which level is found
+        parameters.update(iters=int(args.iters), sigma_imag=float(args.sigma_imag))
     _write_manifest(manifest, "spectrum", parameters, [out, manifest], checks)
     return 0 if all(c.passed for c in checks) else 1
 
@@ -585,8 +599,11 @@ def _suite_orthogonality(args, tol) -> list:
             )
         )
     fam_j = models.x1_family(_FIGURE["scarf"])
-    _, ratio = numerics.gram_matrix(fam_j, 4, finite_quadrature(-1.0, 1.0))
+    gram, ratio = numerics.gram_matrix(fam_j, 4, finite_quadrature(-1.0, 1.0))
     checks.append(_check_le("jacobi-offdiag", ratio, tol["gram-offdiag"]))
+    want = np.array([x1_jacobi_norm(n, fam_j.a, fam_j.b) for n in range(1, 5)])
+    rel = np.max(np.abs(np.diag(gram) - want) / want)
+    checks.append(_check_le("jacobi-diag-rel", rel, tol["gram-diag-rel"]))
     return checks
 
 
@@ -724,36 +741,30 @@ def _suite_hermiticity(args, tol) -> list:
     return checks
 
 
-def _real_spectrum_checks(label, m0, lo, hi, tol) -> list:
-    """Lowest four grid levels against the formula at 4000 points, and
-    the h^2 convergence factor of their errors from 2000 to 4000 points."""
-    want = np.array([models.energy(m0, n) for n in range(1, 5)])
-    errs = {}
-    for npts in (2000, 4000):
-        op = numerics.discretize(m0, lo, hi, npts)
-        errs[npts] = np.abs(numerics.lowest_eigenvalues(op, 4) - want)
-    factors = errs[2000] / errs[4000]
-    conv = (tol["conv-lo"], tol["conv-hi"])
-    return [
-        _check_le(f"{label}-spectrum-rel", np.max(errs[4000] / want), tol["spectrum-rel"]),
-        _check_in(f"{label}-conv-factor-min", float(np.min(factors)), *conv),
-        _check_in(f"{label}-conv-factor-max", float(np.max(factors)), *conv),
-    ]
-
-
 def _suite_spectra(args, tol) -> list:
+    """Per family: the lowest four Hermitian levels at _REAL_POINTS points
+    and their h^2 convergence from half as many, then three shifted ones."""
     checks = []
+    conv = (tol["conv-lo"], tol["conv-hi"])
     for kind in _kinds(args):
         m = _FIGURE[kind]
         m0 = replace(m, eps=0.0)
-        checks += _real_spectrum_checks(kind, m0, *_spectrum_interval(m0), tol)
-        if kind == "scarf":
-            continue  # shifted Scarf states are not normalizable on the line
-        op = numerics.discretize(m, *_spectrum_interval(m), 1200)
-        for n in (1, 2, 3):
-            e_n = models.energy(m, n)
-            res = numerics.eigen_near_shift(op, e_n + 0.3j, 60)
-            lam = res.eigenvalue
+        want = np.array([models.energy(m0, n) for n in range(1, 5)])
+        coarse, fine = (
+            np.abs(_grid_levels(m0, *_spectrum_interval(m0), npts, 4)[0] - want)
+            for npts in (_REAL_POINTS // 2, _REAL_POINTS)
+        )
+        factors = coarse / fine
+        checks += [
+            _check_le(f"{kind}-spectrum-rel", np.max(fine / want), tol["spectrum-rel"]),
+            _check_in(f"{kind}-conv-factor-min", float(np.min(factors)), *conv),
+            _check_in(f"{kind}-conv-factor-max", float(np.max(factors)), *conv),
+        ]
+        if _no_grid_spectrum(m):
+            continue
+        _, results = _grid_levels(m, *_spectrum_interval(m), _COMPLEX_POINTS, 3)
+        for n, res in enumerate(results, 1):
+            e_n, lam = models.energy(m, n), res.eigenvalue
             for name, measured, bound in (
                 ("eigen-residual", res.residual, tol["eigen-residual"]),
                 ("im-ratio", abs(lam.imag) / abs(lam), tol["im-ratio"]),
@@ -912,11 +923,11 @@ def build_parser() -> _Parser:
     p_spec.add_argument(
         "--grid-points", type=int, default=None, help="interior grid points"
     )
-    p_spec.add_argument("--iters", type=int, default=60)
+    p_spec.add_argument("--iters", type=int, default=_ITERS)
     p_spec.add_argument(
         "--sigma-imag",
         type=float,
-        default=0.3,
+        default=_SIGMA_IMAG,
         help="imaginary offset of the inverse-iteration shift",
     )
     p_spec.add_argument("--out", default=None)
@@ -944,7 +955,10 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "nmax", None) is not None and args.nmax < 1:
             raise ArgumentError(f"--nmax must be >= 1, got {args.nmax}")
-        return args.func(args)
+        # a run reports each non-finite value as an `error:` line or a
+        # failing check; numpy's unprefixed warnings would only repeat it
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ArgumentError, DomainError) as exc:
         _err(str(exc))
         return 2

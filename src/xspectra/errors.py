@@ -1,8 +1,11 @@
-"""Exception taxonomy for the package.
+"""Exception taxonomy for the package, and the one refusal of a grid
+that meets a singular point.
 
 Argument and domain problems derive from ValueError so they read naturally
 at call sites; algorithmic failures derive from RuntimeError.
 """
+
+import numpy as np
 
 
 class ArgumentError(ValueError):
@@ -43,3 +46,13 @@ class FactorizationError(RuntimeError):
 
 class EvaluationError(RuntimeError):
     """An integrand or evaluator returned a non-finite value."""
+
+
+def refuse_where(mask, x, error: type, what: str) -> None:
+    """Raise ``error("<what> at x = <x0>")`` if ``mask`` holds anywhere,
+    with x0 the real part of the first point of ``x`` where it does;
+    ``mask`` has the shape of ``x``."""
+    mask = np.atleast_1d(mask)
+    if mask.any():
+        first = np.atleast_1d(np.real(x))[mask][0]
+        raise error(f"{what} at x = {float(first):g}")

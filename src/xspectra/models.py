@@ -29,6 +29,7 @@ from .errors import (
     BranchCutError,
     DomainError,
     SingularityError,
+    refuse_where,
 )
 from .polycore import finite_quadrature, integrate
 from .xop import X1Family, x1_laguerre_norm, x1_polynomial
@@ -180,11 +181,6 @@ def x1_family(m: PotentialModel) -> X1Family:
     return X1Family(kind, m.a, m.b)
 
 
-def _first_bad(xs, mask) -> float:
-    flat = np.atleast_1d(np.real(np.asarray(xs)))
-    return float(flat[np.atleast_1d(mask)][0])
-
-
 def potential(m: PotentialModel, x):
     """Potential value(s) at ``x`` (real, or complex for continuations).
 
@@ -213,17 +209,9 @@ def potential(m: PotentialModel, x):
         a = m.a
         w = m.k * xs + (1j * m.eps if want_complex else 0.0)
         w2 = w * w
-        bad = w == 0.0
-        if np.any(bad):
-            raise SingularityError(
-                f"centrifugal pole at x = {_first_bad(xs, bad):g}"
-            )
+        refuse_where(w == 0.0, xs, SingularityError, "centrifugal pole")
         den = w2 + 4.0 * a
-        bad = den == 0.0
-        if np.any(bad):
-            raise SingularityError(
-                f"rational-term pole at x = {_first_bad(xs, bad):g}"
-            )
+        refuse_where(den == 0.0, xs, SingularityError, "rational-term pole")
         out = (
             k2 * w2 / 16.0
             + k2 * (a * a - 0.25) / w2
@@ -234,18 +222,10 @@ def potential(m: PotentialModel, x):
         a, b = m.a, m.b
         w = m.k * xs + _offset(m) + (1j * m.eps if want_complex else 0.0)
         c = np.cos(w)
-        bad = c == 0.0
-        if np.any(bad):
-            raise SingularityError(
-                f"sec-type pole at x = {_first_bad(xs, bad):g}"
-            )
+        refuse_where(c == 0.0, xs, SingularityError, "sec-type pole")
         s = np.sin(w)
         d = a + b - (b - a) * s
-        bad = d == 0.0
-        if np.any(bad):
-            raise SingularityError(
-                f"rational-term pole at x = {_first_bad(xs, bad):g}"
-            )
+        refuse_where(d == 0.0, xs, SingularityError, "rational-term pole")
         sec2 = 1.0 / (c * c)
         # the -8ab rational coefficient is pinned by the transformation
         # engine's partial-fraction fit; see the extraction regression test
@@ -304,14 +284,6 @@ def _scarf_norm_constant(m: PotentialModel, n: int) -> float:
     return 1.0 / math.sqrt(value)
 
 
-def _branch_guard(vals, xs, label):
-    bad = (vals.real < 0.0) & (vals.imag == 0.0)
-    if np.any(bad):
-        raise BranchCutError(
-            f"{label} lands on the branch cut at x = {_first_bad(xs, bad):g}"
-        )
-
-
 def wavefunction(m: PotentialModel, n, x):
     """Normalized bound state psi_n at ``x``; complex-valued.
 
@@ -361,19 +333,14 @@ def wavefunction(m: PotentialModel, n, x):
         if not complex_input and m.eps == 0.0 and np.any(xs <= 0.0):
             raise DomainError("Hermitian radial states live on x > 0")
         z = xs.astype(complex) + 1j * m.eps / k
-        bad = z == 0.0
-        if np.any(bad):
-            raise SingularityError(
-                f"state has a branch point at x = {_first_bad(xs, bad):g}"
-            )
-        _branch_guard(z, xs, "shifted coordinate")
+        refuse_where(z == 0.0, xs, SingularityError, "state has a branch point")
+        refuse_where(
+            (z.real < 0.0) & (z.imag == 0.0), xs, BranchCutError,
+            "shifted coordinate lands on the branch cut",
+        )
         t = 0.25 * k * k * z * z
         den = k * k * z * z + 4.0 * a
-        bad = den == 0.0
-        if np.any(bad):
-            raise SingularityError(
-                f"rational-term pole at x = {_first_bad(xs, bad):g}"
-            )
+        refuse_where(den == 0.0, xs, SingularityError, "rational-term pole")
         left = np.power(z, a + 0.5)
         right = np.exp(-0.125 * k * k * z * z)
         del z
@@ -401,17 +368,16 @@ def wavefunction(m: PotentialModel, n, x):
         t = np.sin(w)
         del w
         one, two = 1.0 - t, 1.0 + t
-        _branch_guard(one, xs, "factor 1 - sin w")
-        _branch_guard(two, xs, "factor 1 + sin w")
-        den = a + b - (b - a) * t
-        bad = den == 0.0
-        if np.any(bad):
-            raise SingularityError(
-                f"rational-term pole at x = {_first_bad(xs, bad):g}"
+        for name, factor in (("1 - sin w", one), ("1 + sin w", two)):
+            refuse_where(
+                (factor.real < 0.0) & (factor.imag == 0.0), xs, BranchCutError,
+                f"factor {name} lands on the branch cut",
             )
+        den = a + b - (b - a) * t
+        refuse_where(den == 0.0, xs, SingularityError, "rational-term pole")
         left = np.power(one, 0.5 * a + 0.25)
         right = np.power(two, 0.5 * b + 0.25)
-        del one, two
+        del one, two, factor
         hermitian = replace(m, eps=0.0, branch="sin")
         norms = [_scarf_norm_constant(hermitian, level) for level in levels]
     # each row is built in place in that order, which rounds as the

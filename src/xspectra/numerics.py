@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -102,10 +102,10 @@ class TridiagonalOperator:
 
 
 def tridiagonal_from_potential(
-    v: Optional[Callable], lo: float, hi: float, n: int
+    v: Callable, lo: float, hi: float, n: int
 ) -> TridiagonalOperator:
     """Standard second-order stencil for -psi'' + V psi on (lo, hi) with
-    psi(lo) = psi(hi) = 0; ``v`` may be None for a free particle."""
+    psi(lo) = psi(hi) = 0, V evaluated by ``v`` at the interior points."""
     if n < 100:
         raise ArgumentError(f"need at least 100 interior points, got {n}")
     lo, hi = float(lo), float(hi)
@@ -113,8 +113,7 @@ def tridiagonal_from_potential(
         raise ArgumentError(f"need lo < hi, got ({lo:g}, {hi:g})")
     h = (hi - lo) / (n + 1)
     xg = lo + h * np.arange(1, n + 1)
-    vv = np.zeros(n) if v is None else np.asarray(v(xg))
-    diag = 2.0 / (h * h) + vv
+    diag = 2.0 / (h * h) + np.asarray(v(xg))
     off = np.full(n - 1, -1.0 / (h * h), dtype=diag.dtype)
     return TridiagonalOperator(diag, off)
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, ConsistencyError, SingularityError
+from .errors import ArgumentError, ConsistencyError, SingularityError, refuse_where
 from .xop import OdeCoefficients, X1Family, x1_ode_coefficients
 
 __all__ = [
@@ -98,11 +98,6 @@ class GMap:
         return -k3 * np.cos(w)
 
 
-def _first_bad(x, mask) -> float:
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(xs[np.atleast_1d(mask)][0])
-
-
 def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
     """E - V(x) for the member whose ODE data is ``ode``.
 
@@ -113,26 +108,15 @@ def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
     xs = np.asarray(x)
     gv = gm.g(xs)
     dgv = gm.dg(xs)
-    bad = dgv == 0.0
-    if np.any(bad):
-        raise SingularityError(f"g' vanishes at x = {_first_bad(xs, bad):g}")
+    refuse_where(dgv == 0.0, xs, SingularityError, "g' vanishes")
     for s in ode.singular_points:
-        bad = gv == s
-        if np.any(bad):
-            raise SingularityError(
-                f"g(x) hits the ODE singular point {s:g} at "
-                f"x = {_first_bad(xs, bad):g}"
-            )
+        refuse_where(gv == s, xs, SingularityError, f"g(x) hits the ODE singular point {s:g}")
     out = (
         gm.d3g(xs) / (2.0 * dgv)
         - 0.75 * (gm.d2g(xs) / dgv) ** 2
         + dgv * dgv * (ode.r(gv) - 0.5 * ode.dq(gv) - 0.25 * ode.q(gv) ** 2)
     )
-    if not np.all(np.isfinite(np.atleast_1d(out))):
-        bad = ~np.isfinite(np.atleast_1d(out))
-        raise SingularityError(
-            f"transformation not finite at x = {_first_bad(xs, bad):g}"
-        )
+    refuse_where(~np.isfinite(out), xs, SingularityError, "transformation not finite")
     return out if np.ndim(x) else complex(out) if gm.is_complex else float(out)
 
 

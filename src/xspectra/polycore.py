@@ -236,14 +236,10 @@ def count_real_roots_in(p: Polynomial, lo: float, hi: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Quadrature:
-    """A Gauss-Legendre base rule plus a domain transformation.
+    """A domain transformation for composite panels of the 16-point
+    Gauss-Legendre rule: ``domain_map`` names how the panels are mapped
+    onto the integration domain (lo, hi)."""
 
-    ``nodes``/``weights`` live on (-1, 1); ``domain_map`` names how the
-    composite panels are mapped onto the integration domain.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
     domain_map: str
     lo: float
     hi: float
@@ -258,7 +254,7 @@ def finite_quadrature(lo: float, hi: float) -> Quadrature:
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ArgumentError(f"need finite lo < hi, got ({lo:g}, {hi:g})")
-    return Quadrature(_NODES, _WEIGHTS, "finite", lo, hi)
+    return Quadrature("finite", lo, hi)
 
 
 def semi_infinite_exp_quadrature() -> Quadrature:
@@ -268,12 +264,12 @@ def semi_infinite_exp_quadrature() -> Quadrature:
     with plain -log t a weight exp(-x) cancels the Jacobian exactly and
     polynomial growth survives at t = 0.
     """
-    return Quadrature(_NODES, _WEIGHTS, "semi_infinite_exp", 0.0, math.inf)
+    return Quadrature("semi_infinite_exp", 0.0, math.inf)
 
 
 def semi_infinite_algebraic_quadrature() -> Quadrature:
     """(0, inf) through x = (1 - t) / t, t in (0, 1)."""
-    return Quadrature(_NODES, _WEIGHTS, "semi_infinite_algebraic", 0.0, math.inf)
+    return Quadrature("semi_infinite_algebraic", 0.0, math.inf)
 
 
 # Panels graded geometrically toward both ends of the unit interval;
@@ -330,8 +326,8 @@ def _level_sums(f: Callable, q: Quadrature, level: int):
         edges = q.lo + (q.hi - q.lo) * edges
     left, right = edges[:-1], edges[1:]
     halfw = 0.5 * (right - left)
-    t = (left[:, None] + halfw[:, None] * (q.nodes[None, :] + 1.0)).ravel()
-    wts = (halfw[:, None] * q.weights[None, :]).ravel()
+    t = (left[:, None] + halfw[:, None] * (_NODES[None, :] + 1.0)).ravel()
+    wts = (halfw[:, None] * _WEIGHTS[None, :]).ravel()
     x, jac = _mapped(q, t)
     vals = np.asarray(f(x))
     bad = ~np.isfinite(vals)

@@ -31,6 +31,7 @@ __all__ = [
     "x1_polynomial",
     "x1_weight",
     "x1_laguerre_norm",
+    "x1_jacobi_norm",
 ]
 
 
@@ -190,22 +191,6 @@ def _ode_matrix(A, B, C, n: int) -> np.ndarray:
     return m
 
 
-def _jacobi_lead(n: int, a: float, b: float) -> float:
-    """Leading coefficient of the classical Jacobi ``P_n^(a,b)``.
-
-    The top entry of the three-term recurrence, with the same float
-    operations in the same order, so the bits match the full recurrence;
-    the closed-form product rounds differently in the last place.
-    """
-    if n == 0:
-        return 1.0
-    lead = (a + b + 2.0) / 2.0
-    for k in range(2, n + 1):
-        s = 2 * k + a + b
-        lead = (s - 1.0) * s * (s - 2.0) * lead / (2.0 * k * (k + a + b) * (s - 2.0))
-    return lead
-
-
 def x1_polynomial(family: X1Family, n: int) -> Polynomial:
     """Degree-``n`` member of the family, built from its ODE.
 
@@ -228,7 +213,8 @@ def x1_polynomial(family: X1Family, n: int) -> Polynomial:
 
     Normalization: Laguerre members get leading coefficient
     ``(-1)^n / (n - 1)!``; Jacobi members get ``-1/2`` times the leading
-    coefficient of the classical ``P_{n-1}^(a,b)``, each as a float.
+    coefficient ``(m + a + b + 1)_m / (2^m m!)`` of the classical
+    ``P_m^(a,b)``, m = n - 1, each correctly rounded to a float.
     Both conventions reproduce the closed-form degree-1 and degree-2
     members and the quadrature norms of the family.
 
@@ -248,7 +234,8 @@ def _member(family: X1Family, n: int) -> Polynomial:
     if kind == "laguerre":
         c[n] = Fraction((-1.0) ** n / math.factorial(n - 1))
     else:
-        c[n] = Fraction(-0.5 * _jacobi_lead(n - 1, a, b))
+        rising = math.prod(n + Fraction(a) + exact_b + j for j in range(n - 1))
+        c[n] = Fraction(-0.5 * float(rising / (2 ** (n - 1) * math.factorial(n - 1))))
     # (row, unknown) pairs: row r fixes c_{r-1}, except that row 0 fixes
     # c_0 where row 1's pivot vanishes; every other pivot is nonzero for
     # the indices X1Family accepts, and so is m[0, 0] where it is used
@@ -334,3 +321,27 @@ def x1_laguerre_norm(n: int, a: float) -> float:
     if not a > 0.0:
         raise ArgumentError(f"norm needs a > 0, got a = {a:g}")
     return (a + n) * gamma(a + n - 1.0) / math.factorial(n - 1)
+
+
+def x1_jacobi_norm(n: int, a: float, b: float) -> float:
+    """Squared weighted norm of the degree-``n`` exceptional Jacobi member.
+
+    ``h_{n-1}^(a-1, b+1) (n + a) / (4 (b - a)^2 (n + b - 1))``, where
+    ``h_m^(p,q) = 2^(p+q+1) Gamma(m+p+1) Gamma(m+q+1)
+    / ((2m+p+q+1) Gamma(m+p+q+1) m!)`` is the squared norm of the
+    classical ``P_m^(p,q)`` (Gomez-Ullate, Kamran & Milson, J. Math.
+    Anal. Appl. 359, 2009), for ``a, b > -1`` with ``ab > 0``, where the
+    weight's pole lies outside [-1, 1].
+    """
+    _check_member_index(n)
+    a, b = float(a), float(b)
+    if not (a > -1.0 and b > -1.0 and a * b > 0.0 and a != b):
+        raise ArgumentError(f"norm needs a != b, a, b > -1 and ab > 0, got ({a:g}, {b:g})")
+    # (2m + p + q + 1) Gamma(m + p + q + 1) is Gamma(a + b + 2) at m = 0,
+    # which stays finite where a + b = -1
+    if n == 1:
+        den = math.gamma(a + b + 2.0)
+    else:
+        den = (2 * n + a + b - 1.0) * math.gamma(n + a + b) * math.factorial(n - 1)
+    h = 2.0 ** (a + b + 1.0) * math.gamma(n - 1.0 + a) * math.gamma(n + b + 1.0) / den
+    return h * (n + a) / (4.0 * (b - a) ** 2 * (n + b - 1.0))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +404,65 @@ class TestSpectrum:
             "level-1-rel", "level-2-rel",
         ]
 
+    def test_shifted_manifest_records_the_solver_settings(self, tmp_path):
+        # the shift and the step cap decide which level inverse iteration
+        # finds; a Hermitian spectrum reads neither
+        args = ["spectrum", "--family", "radial", "--a", "2", "--k", "1.75", "--nmax", "1"]
+        for eps, extra, want in (
+            ("1.2", ["--iters", "40", "--sigma-imag", "0.25"], {"iters": 40, "sigma_imag": 0.25}),
+            ("1.2", [], {"iters": 60, "sigma_imag": 0.3}),
+            ("0", [], {}),
+        ):
+            manifest = tmp_path / "s.json"
+            assert run(args + [
+                "--eps", eps, *extra, "--grid-points", "600",
+                "--out", str(tmp_path / "s.csv"), "--manifest", str(manifest),
+            ]) == 0
+            doc = json.loads(manifest.read_text())
+            assert sorted(doc) == ["checks", "command", "outputs", "parameters"]
+            got = {k: doc["parameters"][k] for k in ("iters", "sigma_imag") if k in doc["parameters"]}
+            assert got == want
+
+    def test_solver_settings_reach_the_solver(self, tmp_path, monkeypatch):
+        # `spectrum` passes its flags on; `verify` uses their defaults
+        calls = []
+        solve = numerics.eigen_near_shift
+
+        def recorded(op, sigma, iters):
+            calls.append((op.size, sigma, iters))
+            return solve(op, sigma, iters)
+
+        monkeypatch.setattr(numerics, "eigen_near_shift", recorded)
+        monkeypatch.chdir(tmp_path)
+        m = cli._FIGURE["radial"]
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2",
+            "--nmax", "2", "--iters", "7", "--sigma-imag", "0.25",
+        ]) == 0
+        assert calls == [(1200, models.energy(m, n) + 0.25j, 7) for n in (1, 2)]
+        calls.clear()
+        assert run(["verify", "--suite", "spectra", "--family", "radial"]) == 0
+        assert calls == [(1200, models.energy(m, n) + 0.3j, 60) for n in (1, 2, 3)]
+
+    def test_complex_levels_match_the_spectra_suite(self, tmp_path, monkeypatch):
+        # one grid-spectrum routine serves both commands: at the reference
+        # radial model and its 1200 points they measure the same levels
+        monkeypatch.chdir(tmp_path)
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2",
+            "--nmax", "3", "--out", "s.csv",
+        ]) == 0
+        assert run(["verify", "--suite", "spectra", "--family", "radial"]) == 0
+        data = read_csv(tmp_path / "s.csv")
+        spectrum = {c["name"]: c["measured"] for c in json.loads(
+            (tmp_path / "s.manifest.json").read_text())["checks"]}
+        verify = {c["name"]: c["measured"] for c in json.loads(
+            (tmp_path / "verify.manifest.json").read_text())["checks"]}
+        for n in (1, 2, 3):
+            for name in ("eigen-residual", "im-ratio"):
+                assert spectrum[f"{name}-{n}"] == verify[f"radial-complex-{n}-{name}"]
+            assert data["rel_err"][n - 1] == verify[f"radial-complex-{n}-re-rel"]
+
     def test_shifted_scarf_is_refused(self, tmp_path, capsys):
         code = run([
             "spectrum", "--family", "scarf", "--a", "1.75", "--b", "3",
@@ -509,7 +569,7 @@ class TestVerify:
         assert run(["verify", "--suite", "orthogonality", "--nmax", nmax]) == 0
         assert "FAIL" not in capsys.readouterr().out
         doc = json.loads((tmp_path / "verify.manifest.json").read_text())
-        assert len(doc["checks"]) == 7
+        assert len(doc["checks"]) == 8
         assert all(c["status"] == "pass" for c in doc["checks"])
 
     def test_one_integral_per_gram_matrix(self, tmp_path, monkeypatch, capsys):
@@ -534,7 +594,7 @@ _SUITE_CHECKS = {
     "orthogonality": {None: [
         "laguerre-a0.5-offdiag", "laguerre-a0.5-diag-rel", "laguerre-a0.5-map-agreement",
         "laguerre-a2-offdiag", "laguerre-a2-diag-rel", "laguerre-a2-map-agreement",
-        "jacobi-offdiag",
+        "jacobi-offdiag", "jacobi-diag-rel",
     ]},
     "zeros": {None: ["zero-pattern-a0.5", "zero-pattern-a2", "zero-pattern-a5"]},
     "pct": {
@@ -860,6 +920,25 @@ class TestUsageErrors:
             capsys.readouterr(), tmp_path,
             [f"error: --psi lists level {level} more than once, got {psi!r}"],
         )
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "orthogonality", "--nmax", "18"],
+    ["table", "--family", "radial", "--a", "2", "--k", "1.75", "--xmax", "1e200"],
+    ["table", "--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25", "--eps", "400",
+     "--psi", "1"],
+], ids=["orthogonality-nmax-18", "radial-xmax-1e200", "scarf-eps-400"])
+def test_numpy_warnings_stay_off_stderr(tmp_path, monkeypatch, capsys, argv):
+    # each run reports its non-finite values itself, as an `error:` line
+    # or a failing finite-values check; numpy's RuntimeWarnings printed
+    # unprefixed lines before it
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 1
+    assert all(
+        line.startswith(("error:", "warn:")) for line in capsys.readouterr().err.splitlines()
+    )
 
 
 def test_module_entry_point(tmp_path):

@@ -22,8 +22,6 @@ from xspectra import (
 from xspectra import finite_quadrature, integrate, semi_infinite_exp_quadrature
 from xspectra import models
 from xspectra.models import (
-    _branch_guard,
-    _first_bad,
     _offset,
     _require_valid,
     _scarf_norm_constant,
@@ -277,6 +275,46 @@ class TestWavefunction:
             radial_hermitian, 2, xs + 1j * radial_figure.eps / radial_figure.k
         )
         assert np.max(np.abs(shifted - continued)) <= 1e-12 * np.max(np.abs(shifted))
+
+
+class TestRefusalMessages:
+    # each names the first grid point, in C order, where the model is singular
+    @pytest.mark.parametrize("m, x, message", [
+        (PotentialModel("radial_extended", 2.0, k=1.75), np.array([1.0, -0.0, 0.0]),
+         "centrifugal pole at x = -0"),
+        (PotentialModel("radial_extended", 2.0, k=1.75), 0.0, "centrifugal pole at x = 0"),
+        (PotentialModel("radial_extended", 1.0, eps=2.0), np.array([[1.0, 0.0], [0.0, 2.0]]),
+         "rational-term pole at x = 0"),
+        (PotentialModel("scarf_extended", 1.0, -1.0), np.array([0.3, 0.0]),
+         "rational-term pole at x = 0"),
+    ], ids=["centrifugal", "centrifugal-scalar", "radial-rational", "scarf-rational"])
+    def test_potential(self, m, x, message):
+        with pytest.raises(SingularityError) as got:
+            potential(m, x)
+        assert str(got.value) == message
+
+    def test_potential_sec_type_pole(self, monkeypatch):
+        # cos(kx) is never exactly 0 at a double x, so the test zeroes it
+        monkeypatch.setattr(models.np, "cos", np.zeros_like)
+        m = PotentialModel("scarf_extended", 1.75, 3.0, k=1.25)
+        with pytest.raises(SingularityError) as got:
+            potential(m, np.array([0.5, 0.25]))
+        assert str(got.value) == "sec-type pole at x = 0.5"
+
+
+# the reference states each refusal message itself, as the evaluator
+# did before errors.refuse_where, rather than through that helper
+def _first_bad(xs, mask) -> float:
+    flat = np.atleast_1d(np.real(np.asarray(xs)))
+    return float(flat[np.atleast_1d(mask)][0])
+
+
+def _branch_guard(vals, xs, label):
+    bad = (vals.real < 0.0) & (vals.imag == 0.0)
+    if np.any(bad):
+        raise BranchCutError(
+            f"{label} lands on the branch cut at x = {_first_bad(xs, bad):g}"
+        )
 
 
 def _reference_wavefunction(m, n, x):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xspectra import models, numerics
+from xspectra import models, numerics, polycore
 from xspectra import (
     ArgumentError,
     ConvergenceError,
@@ -34,7 +34,8 @@ from xspectra import (
 class TestQuadrature:
     def test_finite_rule_shape(self):
         q = finite_quadrature(-2.0, 3.0)
-        assert np.all(q.weights > 0.0)
+        assert (q.domain_map, q.lo, q.hi) == ("finite", -2.0, 3.0)
+        assert np.all(polycore._WEIGHTS > 0.0)
 
     @settings(max_examples=30)
     @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=9))
@@ -187,7 +188,7 @@ class TestDiscretization:
         np.testing.assert_allclose(t.matvec(v), dense @ v, rtol=1e-13)
 
     def test_particle_in_a_box(self):
-        t = tridiagonal_from_potential(None, 0.0, math.pi, 1500)
+        t = tridiagonal_from_potential(np.zeros_like, 0.0, math.pi, 1500)
         ev = lowest_eigenvalues(t, 3)
         np.testing.assert_allclose(ev, [1.0, 4.0, 9.0], rtol=1e-4)
 
@@ -198,7 +199,7 @@ class TestDiscretization:
 
     def test_needs_enough_points(self):
         with pytest.raises(ArgumentError):
-            tridiagonal_from_potential(None, 0.0, 1.0, 10)
+            tridiagonal_from_potential(np.zeros_like, 0.0, 1.0, 10)
 
     def test_complex_diagonal_rejected_by_sturm(self):
         d = np.array([2.0 + 3.0j, 5.0, 7.0, 9.0])
@@ -679,7 +680,7 @@ class TestLowestEigenvalues:
             lowest_eigenvalues(t, 1)
 
     def test_sweep_cap_raises(self, monkeypatch):
-        t = tridiagonal_from_potential(None, 0.0, math.pi, 200)
+        t = tridiagonal_from_potential(np.zeros_like, 0.0, math.pi, 200)
         monkeypatch.setattr(numerics, "_MAX_SWEEPS", 2)
         with pytest.raises(ConvergenceError):
             lowest_eigenvalues(t, 3)

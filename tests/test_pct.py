@@ -7,6 +7,7 @@ from xspectra import (
     ArgumentError,
     ConsistencyError,
     GMap,
+    SingularityError,
     X1Family,
     extract_potential_report,
     pct_e_minus_v,
@@ -70,6 +71,24 @@ class TestEMinusV:
         w2 = pct_e_minus_v(gm, x1_ode_coefficients(fam, 2), xs)
         diff = np.mean(w2 - w1)
         assert diff == pytest.approx(23.4619140625 - 12.9150390625, rel=1e-10)
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind, x, message", [
+        ("quadratic", np.array([1.0, 0.0]), "g' vanishes at x = 0"),
+        ("sine", np.array([0.1, math.pi / 2, -math.pi / 2]),
+         "g(x) hits the ODE singular point 1 at x = 1.5708"),
+        ("sine", np.array([0.1, -math.pi / 2]),
+         "g(x) hits the ODE singular point -1 at x = -1.5708"),
+        # q(g)^2 overflows next to the pole at g = 0 that g' still misses
+        ("quadratic", np.array([2.0, 1e-150]), "transformation not finite at x = 1e-150"),
+        ("quadratic", 1e-150, "transformation not finite at x = 1e-150"),
+    ], ids=["dg-zero", "upper-edge", "lower-edge", "not-finite", "not-finite-scalar"])
+    def test_refusal_messages(self, kind, x, message):
+        fam = X1Family("laguerre", 2.0) if kind == "quadratic" else X1Family("jacobi", 1.75, 3.0)
+        with pytest.raises(SingularityError) as got:
+            pct_e_minus_v(GMap(kind, 1.0), x1_ode_coefficients(fam, 1), x)
+        assert str(got.value) == message
 
 
 class TestExtraction:

@@ -15,6 +15,7 @@ from xspectra import (
     Polynomial,
     SingularityError,
     X1Family,
+    x1_jacobi_norm,
     x1_laguerre_norm,
     x1_ode_coefficients,
     x1_polynomial,
@@ -165,6 +166,25 @@ class TestConstruction:
                 want = -0.5 * scipy_special.jacobi(n - 1, a, b).coeffs[0]
                 got = x1_polynomial(fam, n).coeffs[-1]
                 assert got == pytest.approx(want, rel=1e-12), (a, b, n)
+
+    def test_jacobi_lead_is_the_exact_lead_correctly_rounded(self, monkeypatch):
+        # -1/2 (m + a + b + 1)_m / (2^m m!), m = n - 1, rounded once; the
+        # float SVD bits are never kept here, as their rescaling can move
+        # the lead by an ulp
+        mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(xop, "_KEEP_SVD_TOL", -1.0)
+        rng = random.Random(2009)
+        cases = [(1.75, 3.0, n) for n in range(1, 9)] + [
+            (rng.uniform(-0.9, 6.0), rng.uniform(-0.9, 6.0), rng.randint(1, 16))
+            for _ in range(60)
+        ]
+        with mp.workdps(50):
+            for a, b, n in cases:
+                m = n - 1
+                lead = mp.rf(m + mp.mpf(a) + b + 1, m) / (2**m * mp.factorial(m))
+                want = -0.5 * float(mp.nstr(lead, 40))
+                got = xop._member.__wrapped__(X1Family("jacobi", a, b), n).coeffs[-1]
+                assert got == want, (a, b, n)
 
     def test_degree_and_leading_coefficient(self):
         fam = X1Family("laguerre", 3.25)
@@ -451,3 +471,28 @@ class TestWeightsAndNorms:
             x1_laguerre_norm(0, 2.0)
         with pytest.raises(ArgumentError):
             x1_laguerre_norm(1, -1.0)
+
+    @pytest.mark.parametrize("a, b", [
+        (1.75, 3.0), (3.0, 0.25), (-0.5, -0.25), (-0.25, -0.75),
+    ], ids=["reference", "a-above-b", "negative", "a-plus-b-minus-one"])
+    def test_jacobi_norm_matches_direct_integral(self, a, b):
+        # u = -1 + v^4 and u = 1 - v^4 take the endpoint powers, which
+        # are singular for negative indices, out of the integrand
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in range(1, 7):
+                c = [mp.mpf(x) for x in reversed(x1_polynomial(X1Family("jacobi", a, b), n).coeffs)]
+
+                def weighted(u, left, right):
+                    return left**a * right**b / (a + b - (b - a) * u) ** 2 * mp.polyval(c, u) ** 2
+
+                val = mp.quad(lambda v: 4 * v**3 * weighted(-1 + v**4, 2 - v**4, v**4), [0, 1])
+                val += mp.quad(lambda v: 4 * v**3 * weighted(1 - v**4, v**4, 2 - v**4), [0, 1])
+                assert x1_jacobi_norm(n, a, b) == pytest.approx(float(val), rel=1e-14), n
+
+    @pytest.mark.parametrize("n, a, b", [
+        (0, 1.75, 3.0), (1, 1.75, 1.75), (1, -0.25, 1.0), (1, 0.0, 1.0), (1, -1.0, -0.5),
+    ])
+    def test_jacobi_norm_rejects_bad_arguments(self, n, a, b):
+        with pytest.raises(ArgumentError):
+            x1_jacobi_norm(n, a, b)
