@@ -135,22 +135,26 @@ def _check_in(name, measured, lo, hi) -> CheckResult:
 
 def _write_atomic(path: str, chunks) -> None:
     """Write an iterable of strings to ``path`` via a temp file and a
-    rename, so the target holds either its old bytes or all new ones."""
+    rename, so the target holds either its old bytes or all new ones.  A
+    path that cannot be written is refused as an argument."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xspectra-")
     try:
-        # mkstemp creates 0600; give the file the mode open() would.
-        # The umask can only be read by setting it.
-        mask = os.umask(0)
-        os.umask(mask)
-        os.fchmod(fd, 0o666 & ~mask)
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".xspectra-")
+        try:
+            # mkstemp creates 0600; give the file the mode open() would.
+            # The umask can only be read by setting it.
+            mask = os.umask(0)
+            os.umask(mask)
+            os.fchmod(fd, 0o666 & ~mask)
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ArgumentError(f"cannot write {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +328,27 @@ def _csv_chunks(header: list, columns: list):
         yield _encode_block(np.column_stack([c[start:start + _CHUNK] for c in columns]))
 
 
-def _write_csv(path: str, header: list, columns: list) -> None:
-    _write_atomic(path, _csv_chunks(header, columns))
-
-
-def _write_manifest(path, command, parameters, outputs, checks) -> None:
+def _finish(args, command, parameters, checks, header=None, columns=None) -> int:
+    """Every subcommand's ending: write the CSV, if there is one, then the
+    manifest (next to the CSV unless --manifest names it), warn once per
+    failed check, and return the exit code."""
+    if header is None:
+        outputs = [args.manifest or f"{command}.manifest.json"]
+    else:
+        out = args.out or f"{args.family}_{command}.csv"
+        outputs = [out, args.manifest or os.path.splitext(out)[0] + ".manifest.json"]
+        _write_atomic(out, _csv_chunks(header, columns))
     doc = {
         "command": command,
         "parameters": parameters,
-        "outputs": list(outputs),
+        "outputs": outputs,
         "checks": [c.row() for c in checks],
     }
-    _write_atomic(path, [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
-
-
-def _default_manifest(out: str) -> str:
-    return os.path.splitext(out)[0] + ".manifest.json"
+    _write_atomic(outputs[-1], [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+    failed = [c for c in checks if not c.passed]
+    for c in failed:
+        _warn(f"check failed: {c.name} measured {c.measured:.6e}")
+    return 1 if failed else 0
 
 
 def _tolerances(args) -> dict:
@@ -482,9 +491,6 @@ def cmd_table(args) -> int:
             columns += [np.real(psi), np.imag(psi), np.abs(psi) ** 2]
     bad = sum(int(np.sum(~np.isfinite(col))) for col in columns)
     checks = [_check_le("finite-values", float(bad), 0.0)]
-    out = args.out or f"{args.family}_table.csv"
-    manifest = args.manifest or _default_manifest(out)
-    _write_csv(out, header, columns)
     parameters = {
         **_model_parameters(args.family, m),
         "xmin": float(lo),
@@ -492,8 +498,7 @@ def cmd_table(args) -> int:
         "points": int(args.points),
         "psi": args.psi,
     }
-    _write_manifest(manifest, "table", parameters, [out, manifest], checks)
-    return 0 if all(c.passed for c in checks) else 1
+    return _finish(args, "table", parameters, checks, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +544,6 @@ def cmd_spectrum(args) -> int:
     rel_err = abs_err / np.abs(formulas)
     for n in range(1, nmax + 1):
         checks.append(_check_le(f"level-{n}-rel", rel_err[n - 1], tol["spectrum-rel"]))
-    out = args.out or f"{args.family}_spectrum.csv"
-    manifest = args.manifest or _default_manifest(out)
-    _write_csv(
-        out,
-        header,
-        [np.arange(1, nmax + 1), formulas, numeric, abs_err, rel_err] + extra,
-    )
     parameters = {
         **_model_parameters(args.family, m),
         "lo": float(lo),
@@ -557,8 +555,8 @@ def cmd_spectrum(args) -> int:
     if results is not None:
         # the shift and the step cap decide which level is found
         parameters.update(iters=int(args.iters), sigma_imag=float(args.sigma_imag))
-    _write_manifest(manifest, "spectrum", parameters, [out, manifest], checks)
-    return 0 if all(c.passed for c in checks) else 1
+    columns = [np.arange(1, nmax + 1), formulas, numeric, abs_err, rel_err] + extra
+    return _finish(args, "spectrum", parameters, checks, header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +817,6 @@ def cmd_verify(args) -> int:
             f"{'PASS' if c.passed else 'FAIL'} {c.name}: "
             f"measured={c.measured:.6e} tolerance={c.tolerance:.6e}"
         )
-    manifest = args.manifest or "verify.manifest.json"
     parameters = {
         "suite": args.suite,
         "family": args.family,
@@ -831,11 +828,7 @@ def cmd_verify(args) -> int:
         "nmax": args.nmax,
         "tolerances": tol,
     }
-    _write_manifest(manifest, "verify", parameters, [manifest], checks)
-    failed = [c for c in checks if not c.passed]
-    for c in failed:
-        _warn(f"check failed: {c.name} measured {c.measured:.6e}")
-    return 0 if not failed else 1
+    return _finish(args, "verify", parameters, checks)
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,12 @@ def gram_matrix(family: X1Family, nmax: int, q: Quadrature):
     rows, cols = np.triu_indices(nmax)
 
     def products(x):
+        w = weight(x)
         p = np.array([member(x) for member in members])
-        return (weight(x) * p)[rows] * p[cols]
+        # far out a member's Horner sum overflows where the weight has
+        # underflowed; the product is 0 there, not inf * 0 = NaN
+        p[:, w == 0.0] = 0.0
+        return (w * p)[rows] * p[cols]
 
     g = np.zeros((nmax, nmax))
     g[rows, cols] = g[cols, rows] = integrate(products, q)

@@ -67,35 +67,14 @@ class GMap:
     def is_complex(self) -> bool:
         return self.d.imag != 0.0
 
-    def _w(self, x):
-        shift = self.d if self.is_complex else self.d.real
-        return self.k * np.asarray(x) + shift
-
-    def g(self, x):
-        w = self._w(x)
-        if self.kind == "quadratic":
-            return 0.25 * w * w
-        return np.sin(w)
-
-    def dg(self, x):
-        w = self._w(x)
-        if self.kind == "quadratic":
-            return 0.5 * self.k * w
-        return self.k * np.cos(w)
-
-    def d2g(self, x):
-        w = self._w(x)
+    def derivatives(self, x) -> tuple:
+        """(g, g', g'', g''') at ``x``, all from one w = kx + d."""
+        w = self.k * np.asarray(x) + (self.d if self.is_complex else self.d.real)
         k2 = self.k * self.k
         if self.kind == "quadratic":
-            return 0.5 * k2 * np.ones_like(w)
-        return -k2 * np.sin(w)
-
-    def d3g(self, x):
-        w = self._w(x)
-        k3 = self.k ** 3
-        if self.kind == "quadratic":
-            return np.zeros_like(w)
-        return -k3 * np.cos(w)
+            return 0.25 * w * w, 0.5 * self.k * w, 0.5 * k2 * np.ones_like(w), np.zeros_like(w)
+        sin, cos = np.sin(w), np.cos(w)
+        return sin, self.k * cos, -k2 * sin, -self.k ** 3 * cos
 
 
 def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
@@ -106,14 +85,13 @@ def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
     :func:`pct_extract_potential`.
     """
     xs = np.asarray(x)
-    gv = gm.g(xs)
-    dgv = gm.dg(xs)
+    gv, dgv, d2gv, d3gv = gm.derivatives(xs)
     refuse_where(dgv == 0.0, xs, SingularityError, "g' vanishes")
     for s in ode.singular_points:
         refuse_where(gv == s, xs, SingularityError, f"g(x) hits the ODE singular point {s:g}")
     out = (
-        gm.d3g(xs) / (2.0 * dgv)
-        - 0.75 * (gm.d2g(xs) / dgv) ** 2
+        d3gv / (2.0 * dgv)
+        - 0.75 * (d2gv / dgv) ** 2
         + dgv * dgv * (ode.r(gv) - 0.5 * ode.dq(gv) - 0.25 * ode.q(gv) ** 2)
     )
     refuse_where(~np.isfinite(out), xs, SingularityError, "transformation not finite")
@@ -125,7 +103,7 @@ def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
 # ---------------------------------------------------------------------------
 
 
-def _family_basis(family: X1Family):
+def _family_basis(family: X1Family) -> dict:
     """Rational basis spanning the x-dependent part of E - V over g.
 
     Partial fractions of the transformed coefficient combination leave
@@ -136,46 +114,37 @@ def _family_basis(family: X1Family):
     """
     if family.kind == "laguerre":
         a = family.a
-        funcs = (
-            lambda g: g,
-            lambda g: 1.0 / g,
-            lambda g: 1.0 / g ** 2,
-            lambda g: 1.0 / (g + a),
-            lambda g: 1.0 / (g + a) ** 2,
-        )
-        names = ("g", "1/g", "1/g^2", "1/(g+a)", "1/(g+a)^2")
-        return funcs, names
+        return {
+            "g": lambda g: g,
+            "1/g": lambda g: 1.0 / g,
+            "1/g^2": lambda g: 1.0 / g ** 2,
+            "1/(g+a)": lambda g: 1.0 / (g + a),
+            "1/(g+a)^2": lambda g: 1.0 / (g + a) ** 2,
+        }
     a, b = family.a, family.b
-    funcs = (
-        lambda g: 1.0 / (1.0 - g),
-        lambda g: 1.0 / (1.0 - g) ** 2,
-        lambda g: 1.0 / (1.0 + g),
-        lambda g: 1.0 / (1.0 + g) ** 2,
-        lambda g: 1.0 / (a + b - (b - a) * g),
-        lambda g: 1.0 / (a + b - (b - a) * g) ** 2,
-    )
-    names = ("1/(1-g)", "1/(1-g)^2", "1/(1+g)", "1/(1+g)^2", "1/D", "1/D^2")
-    return funcs, names
+    return {
+        "1/(1-g)": lambda g: 1.0 / (1.0 - g),
+        "1/(1-g)^2": lambda g: 1.0 / (1.0 - g) ** 2,
+        "1/(1+g)": lambda g: 1.0 / (1.0 + g),
+        "1/(1+g)^2": lambda g: 1.0 / (1.0 + g) ** 2,
+        "1/D": lambda g: 1.0 / (a + b - (b - a) * g),
+        "1/D^2": lambda g: 1.0 / (a + b - (b - a) * g) ** 2,
+    }
 
 
 @dataclass(frozen=True)
 class PotentialExtraction:
     """Result of separating E_n from V(x) on a grid.
 
-    ``term_coefficients[i]`` multiplies the basis function named
-    ``term_names[i]`` in V(g); ``D`` abbreviates a + b - (b - a) g.
+    ``terms[name]`` multiplies the basis function ``name`` in V(g);
+    ``D`` abbreviates a + b - (b - a) g.
     """
 
     v_values: np.ndarray
     energies: tuple
-    term_names: tuple
-    term_coefficients: tuple
+    terms: dict
     dw_spread: float
     fit_residual: float
-
-    @property
-    def terms(self) -> dict:
-        return dict(zip(self.term_names, self.term_coefficients))
 
 
 def extract_potential_report(
@@ -208,14 +177,13 @@ def extract_potential_report(
             f"(mean {mean:.6g}); the map does not match this family"
         )
 
-    funcs, names = _family_basis(family)
-    gv = gm.g(xs)
+    basis = _family_basis(family)
+    gv = gm.derivatives(xs)[0]
     dtype = complex if gm.is_complex else float
-    ncols = 2 + len(funcs)
-    m = np.zeros((2 * xs.size, ncols), dtype=dtype)
+    m = np.zeros((2 * xs.size, 2 + len(basis)), dtype=dtype)
     m[: xs.size, 0] = 1.0
     m[xs.size :, 1] = 1.0
-    for j, fn in enumerate(funcs):
+    for j, fn in enumerate(basis.values()):
         col = fn(gv)
         m[: xs.size, 2 + j] = -col
         m[xs.size :, 2 + j] = -col
@@ -235,8 +203,7 @@ def extract_potential_report(
     return PotentialExtraction(
         v_values=v,
         energies=(e1, e2),
-        term_names=names,
-        term_coefficients=tuple(sol[2:]),
+        terms=dict(zip(basis, sol[2:])),
         dw_spread=spread,
         fit_residual=resid,
     )

@@ -29,6 +29,15 @@ def read_csv(path):
     return np.genfromtxt(path, delimiter=",", names=True)
 
 
+def failed_check_lines(manifest):
+    """The `warn:` line of each failing row of a manifest, in its order."""
+    doc = json.loads(Path(manifest).read_text())
+    return [
+        f"warn: check failed: {c['name']} measured {c['measured']:.6e}"
+        for c in doc["checks"] if c["status"] == "fail"
+    ]
+
+
 def reference_csv(header, columns):
     """The CSV text of the per-field writer the block writer replaced."""
     lines = [",".join(header)]
@@ -50,14 +59,14 @@ class TestWriter:
             for _ in range(4)
         ]
         out = tmp_path / "w.csv"
-        cli._write_csv(str(out), header, columns)
+        cli._write_atomic(str(out), cli._csv_chunks(header, columns))
         assert out.read_text() == reference_csv(header, columns)
 
     def test_edge_values(self, tmp_path):
         edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7e308, -1.7e308])
         columns = [edge, edge[::-1], np.arange(len(edge))]
         out = tmp_path / "e.csv"
-        cli._write_csv(str(out), ["a", "b", "i"], columns)
+        cli._write_atomic(str(out), cli._csv_chunks(["a", "b", "i"], columns))
         text = out.read_text()
         assert text == reference_csv(["a", "b", "i"], columns)
         assert "nan,-1.6999999999999999e+308,0.0000000000000000e+00" in text
@@ -471,13 +480,18 @@ class TestSpectrum:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_tolerance_override_flips_outcome(self, tmp_path):
+    def test_tolerance_override_flips_outcome(self, tmp_path, capsys):
         args = [
             "spectrum", "--family", "radial", "--a", "2", "--k", "1.75",
             "--grid-points", "600", "--out", str(tmp_path / "w.csv"),
         ]
         assert run(args) == 0
+        assert capsys.readouterr().err == ""
         assert run(args + ["--tol-spectrum-rel", "1e-12"]) == 1
+        # one warning per failing row, in manifest order, as `verify` gives
+        warned = failed_check_lines(tmp_path / "w.manifest.json")
+        assert len(warned) == 4
+        assert capsys.readouterr().err.splitlines() == warned
 
 
 class TestNegativeK:
@@ -559,12 +573,14 @@ class TestVerify:
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "--suite", "orthogonality", "--nmax", "8"]) == 0
 
-    @pytest.mark.parametrize("nmax", ["10", "12"])
+    @pytest.mark.parametrize("nmax", ["10", "12", "18"])
     def test_orthogonality_suite_at_high_degree(
         self, tmp_path, monkeypatch, capsys, nmax
     ):
-        # the a = 2 exp-map tail did not settle here while the map put
-        # infinity at t -> 1, where the panel grading is capped
+        # the a = 2 exp-map tail did not settle at 10 and 12 while the map
+        # put infinity at t -> 1, where the panel grading is capped; at 18
+        # the algebraic map's overflowed members met the underflowed
+        # weight as inf * 0 = NaN
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "--suite", "orthogonality", "--nmax", nmax]) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -921,13 +937,58 @@ class TestUsageErrors:
             [f"error: --psi lists level {level} more than once, got {psi!r}"],
         )
 
+    # an unwritable path ended in a traceback and exit 1
+
+    def test_unwritable_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["table", "--family", "radial", "--a", "2", "--k", "1.75",
+                    "--out", str(out)]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path,
+            [f"error: cannot write {out}: No such file or directory"],
+        )
+
+    def test_directory_as_out(self, tmp_path, monkeypatch, capsys):
+        # the temp file is made, but the rename onto a directory fails
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        assert run(["table", "--family", "radial", "--a", "2", "--k", "1.75",
+                    "--out", "d"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot write d: Is a directory"
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert list((tmp_path / "d").iterdir()) == []
+
+    def test_unwritable_verify_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "missing" / "v.json"
+        assert run(["verify", "--suite", "zeros", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {manifest}: No such file or directory"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_manifest_keeps_the_written_csv(self, tmp_path, monkeypatch, capsys):
+        # the CSV is written before the manifest, so it stays, whole
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "missing" / "t.json"
+        argv = ["table", "--family", "radial", "--a", "2", "--k", "1.75", "--points", "11"]
+        assert run(argv + ["--out", "t.csv", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {manifest}: No such file or directory"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+        written = (tmp_path / "t.csv").read_bytes()
+        assert run(argv + ["--out", "u.csv"]) == 0
+        assert written == (tmp_path / "u.csv").read_bytes()
+
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--suite", "orthogonality", "--nmax", "18"],
+    ["verify", "--suite", "orthogonality", "--nmax", "20"],
     ["table", "--family", "radial", "--a", "2", "--k", "1.75", "--xmax", "1e200"],
     ["table", "--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25", "--eps", "400",
      "--psi", "1"],
-], ids=["orthogonality-nmax-18", "radial-xmax-1e200", "scarf-eps-400"])
+], ids=["orthogonality-nmax-20", "radial-xmax-1e200", "scarf-eps-400"])
 def test_numpy_warnings_stay_off_stderr(tmp_path, monkeypatch, capsys, argv):
     # each run reports its non-finite values itself, as an `error:` line
     # or a failing finite-values check; numpy's RuntimeWarnings printed
@@ -936,9 +997,12 @@ def test_numpy_warnings_stay_off_stderr(tmp_path, monkeypatch, capsys, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv) == 1
-    assert all(
-        line.startswith(("error:", "warn:")) for line in capsys.readouterr().err.splitlines()
-    )
+    err = capsys.readouterr().err.splitlines()
+    assert all(line.startswith(("error:", "warn:")) for line in err)
+    if argv[0] == "table":
+        # a table warned of nothing while its finite-values check failed
+        assert err == failed_check_lines(tmp_path / f"{argv[2]}_table.manifest.json")
+        assert err[0].startswith("warn: check failed: finite-values measured ")
 
 
 def test_module_entry_point(tmp_path):

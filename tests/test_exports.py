@@ -2,11 +2,15 @@ import importlib
 import importlib.util
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import xspectra
+from xspectra import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
 SUBMODULES = sorted(
     info.name for info in pkgutil.iter_modules(xspectra.__path__)
@@ -27,10 +31,28 @@ def test_submodule_exports_resolve(name):
 
 
 def test_readme_library_block_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = re.search(r"## Library\s+```python\n(.*?)```", readme, re.S).group(1)
+    block = re.search(r"## Library\s+```python\n(.*?)```", README, re.S).group(1)
     assert "from xspectra import" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+COMMANDS = [
+    line for line in re.search(
+        r"## Command line\s.*?```sh\n(.*?)```", README, re.S
+    ).group(1).splitlines()
+    if line.startswith("xspectra ")
+]
+
+
+def test_readme_command_block_is_found():
+    assert len(COMMANDS) >= 6
+
+
+@pytest.mark.parametrize("line", COMMANDS)
+def test_readme_command_block_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(shlex.split(line)[1:]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_benchmark_tracer_targets_resolve():

@@ -165,6 +165,30 @@ class TestGram:
             assert np.max(np.abs(np.diag(gram) - want) / want) <= 1e-11
             assert ratio <= 1e-10
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_members_under_an_underflowed_weight(self):
+        # near x = 3e19 the degree-18 Horner sums overflow to inf where
+        # the weight has underflowed to 0; their product was NaN and
+        # the integral refused
+        fam = X1Family("laguerre", 2.0)
+        gram, ratio = gram_matrix(fam, 18, semi_infinite_algebraic_quadrature())
+        want = np.array([x1_laguerre_norm(n, 2.0) for n in range(1, 19)])
+        assert np.max(np.abs(np.diag(gram) - want) / want) <= 1e-9
+        assert ratio <= 1e-8
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_under_a_nonzero_weight_is_refused(self, monkeypatch):
+        # only a zero weight zeroes a member: under the weight 1 a member
+        # that has overflowed to inf must still reach the integral's
+        # finiteness check
+        monkeypatch.setattr(numerics, "x1_weight", lambda family: np.ones_like)
+        monkeypatch.setattr(
+            numerics, "x1_polynomial",
+            lambda family, n: lambda x: np.where(x > 0.5, np.inf, 1.0),
+        )
+        with pytest.raises(EvaluationError, match="integrand not finite at x = 0.5"):
+            gram_matrix(X1Family("laguerre", 2.0), 2, finite_quadrature(0.0, 1.0))
+
     def test_maps_agree(self):
         fam = X1Family("laguerre", 0.5)
         g1, _ = gram_matrix(fam, 6, semi_infinite_exp_quadrature())
