@@ -458,7 +458,9 @@ def _parse_levels(raw: str) -> list:
         levels = [int(piece) for piece in raw.split(",") if piece.strip()]
     except ValueError:
         raise ArgumentError(f"--psi wants comma-separated integers, got {raw!r}")
-    if not levels or any(n < 1 for n in levels):
+    if not levels:
+        raise ArgumentError(f"--psi names no level, got {raw!r}")
+    if any(n < 1 for n in levels):
         raise ArgumentError(f"--psi levels must be >= 1, got {raw!r}")
     for i, n in enumerate(levels):
         if n in levels[:i]:
@@ -484,7 +486,7 @@ def cmd_table(args) -> int:
     v = models.potential(m, grid)
     header = ["x", "re_V", "im_V"]
     columns = [grid, np.real(v), np.imag(v)]
-    if args.psi:
+    if args.psi is not None:
         levels = _parse_levels(args.psi)
         for n, psi in zip(levels, models.wavefunction(m, levels, grid)):
             header += [f"re_psi_{n}", f"im_psi_{n}", f"abs2_psi_{n}"]

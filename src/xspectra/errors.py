@@ -7,6 +7,19 @@ at call sites; algorithmic failures derive from RuntimeError.
 
 import numpy as np
 
+__all__ = [
+    "ArgumentError",
+    "DomainError",
+    "PoleError",
+    "SingularityError",
+    "BranchCutError",
+    "ConstructionError",
+    "ConsistencyError",
+    "ConvergenceError",
+    "FactorizationError",
+    "EvaluationError",
+]
+
 
 class ArgumentError(ValueError):
     """An argument violates a documented precondition."""

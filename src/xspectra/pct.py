@@ -26,7 +26,6 @@ from .xop import OdeCoefficients, X1Family, x1_ode_coefficients
 __all__ = [
     "GMap",
     "pct_e_minus_v",
-    "pct_extract_potential",
     "PotentialExtraction",
     "extract_potential_report",
 ]
@@ -82,7 +81,7 @@ def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
 
     For fixed member index n the result equals E_n - V(x), with the split
     into constant and x-dependent parts left to
-    :func:`pct_extract_potential`.
+    :func:`extract_potential_report`.
     """
     xs = np.asarray(x)
     gv, dgv, d2gv, d3gv = gm.derivatives(xs)
@@ -153,8 +152,13 @@ def extract_potential_report(
     n_pair: Sequence[int],
     grid: Sequence[float],
 ) -> PotentialExtraction:
-    """Like :func:`pct_extract_potential` but keeps the fitted rational
-    coefficients of V for inspection."""
+    """Split E_n - V(x) into constants E_{n1}, E_{n2} and pointwise V.
+
+    The split is a joint linear fit of both members' E - V values against
+    the constant (energy) plus the family's rational basis in g
+    (potential).  ``v_values`` holds V on the grid, ``energies`` the pair
+    (E_{n1}, E_{n2}) and ``terms`` the fitted coefficients of V.
+    """
     n1, n2 = n_pair
     if n1 == n2:
         raise ArgumentError("need two distinct member indices")
@@ -163,8 +167,8 @@ def extract_potential_report(
         raise ArgumentError("grid too small to separate energy from potential")
     ode1 = x1_ode_coefficients(family, n1)
     ode2 = x1_ode_coefficients(family, n2)
-    w1 = np.atleast_1d(pct_e_minus_v(gm, ode1, xs))
-    w2 = np.atleast_1d(pct_e_minus_v(gm, ode2, xs))
+    w1 = pct_e_minus_v(gm, ode1, xs)
+    w2 = pct_e_minus_v(gm, ode2, xs)
 
     # W_{n1} - W_{n2} = E_{n1} - E_{n2} must be x-independent; a spread
     # here means the map does not linearize this family's n dependence.
@@ -207,20 +211,3 @@ def extract_potential_report(
         dw_spread=spread,
         fit_residual=resid,
     )
-
-
-def pct_extract_potential(
-    gm: GMap,
-    family: X1Family,
-    n_pair: Sequence[int],
-    grid: Sequence[float],
-):
-    """Split E_n - V(x) into constants E_{n1}, E_{n2} and pointwise V.
-
-    The split is a joint linear fit of both members' E - V values against
-    the constant (energy) plus the family's rational basis in g
-    (potential); see :func:`extract_potential_report` for the fitted
-    coefficients.  Returns ``(V values on the grid, E_{n1}, E_{n2})``.
-    """
-    rep = extract_potential_report(gm, family, n_pair, grid)
-    return rep.v_values, rep.energies[0], rep.energies[1]

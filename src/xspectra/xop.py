@@ -79,8 +79,6 @@ class OdeCoefficients:
     the member index ``n`` of the eigenvalue term.
     """
 
-    family: X1Family
-    n: int
     q: Callable
     dq: Callable
     r: Callable
@@ -161,7 +159,7 @@ def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
         poles = (0.0, -family.a)
     else:
         poles = (1.0, -1.0, (family.a + family.b) / (family.b - family.a))
-    return OdeCoefficients(family, int(n), q, dq, r, poles)
+    return OdeCoefficients(q, dq, r, poles)
 
 
 # ---------------------------------------------------------------------------

@@ -937,6 +937,19 @@ class TestUsageErrors:
             [f"error: --psi lists level {level} more than once, got {psi!r}"],
         )
 
+    @pytest.mark.parametrize("psi", ["", ","])
+    def test_psi_list_naming_no_level(self, tmp_path, monkeypatch, capsys, psi):
+        # "" exited 0 with no state columns; "," said levels must be >= 1
+        monkeypatch.chdir(tmp_path)
+        assert run([
+            "table", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2",
+            "--psi", psi, "--points", "5",
+        ]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path,
+            [f"error: --psi names no level, got {psi!r}"],
+        )
+
     # an unwritable path ended in a traceback and exit 1
 
     def test_unwritable_out(self, tmp_path, monkeypatch, capsys):

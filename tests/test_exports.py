@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -30,10 +31,36 @@ def test_submodule_exports_resolve(name):
     assert missing == []
 
 
+LIBRARY = re.search(r"## Library\s+```python\n(.*?)```", README, re.S).group(1)
+
+# the modules whose __all__ make up the package's, in import order
+PUBLIC_MODULES = ("errors", "models", "numerics", "pct", "polycore", "xop")
+
+
+def test_package_list_is_the_module_lists():
+    expected = [
+        name
+        for module in PUBLIC_MODULES
+        for name in importlib.import_module(f"xspectra.{module}").__all__
+    ] + ["__version__"]
+    assert xspectra.__all__ == expected
+    assert len(set(expected)) == len(expected)
+
+
+def test_readme_library_imports_are_public():
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(LIBRARY))
+        if isinstance(node, ast.ImportFrom) and node.module == "xspectra"
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if name not in xspectra.__all__] == []
+
+
 def test_readme_library_block_runs():
-    block = re.search(r"## Library\s+```python\n(.*?)```", README, re.S).group(1)
-    assert "from xspectra import" in block
-    exec(compile(block, "README.md", "exec"), {})
+    assert "from xspectra import" in LIBRARY
+    exec(compile(LIBRARY, "README.md", "exec"), {})
 
 
 COMMANDS = [

@@ -11,7 +11,6 @@ from xspectra import (
     X1Family,
     extract_potential_report,
     pct_e_minus_v,
-    pct_extract_potential,
     potential,
     x1_ode_coefficients,
 )
@@ -96,7 +95,8 @@ class TestExtraction:
         gm = GMap("quadratic", radial_hermitian.k)
         fam = X1Family("laguerre", radial_hermitian.a)
         xs = np.linspace(0.4, 6.0, 50)
-        v, e1, e2 = pct_extract_potential(gm, fam, (1, 2), xs)
+        rep = extract_potential_report(gm, fam, (1, 2), xs)
+        v, (e1, e2) = rep.v_values, rep.energies
         want = potential(radial_hermitian, xs)
         assert np.max(np.abs(v - want)) <= 1e-10 * np.max(np.abs(want))
         assert e1 == pytest.approx(4.59375, rel=1e-10)
@@ -107,7 +107,8 @@ class TestExtraction:
         fam = X1Family("jacobi", scarf_hermitian.a, scarf_hermitian.b)
         half = 0.5 * math.pi / scarf_hermitian.k
         xs = np.linspace(-0.9 * half, 0.9 * half, 50)
-        v, e1, e2 = pct_extract_potential(gm, fam, (1, 2), xs)
+        rep = extract_potential_report(gm, fam, (1, 2), xs)
+        v, (e1, e2) = rep.v_values, rep.energies
         want = potential(scarf_hermitian, xs)
         assert np.max(np.abs(v - want)) <= 1e-10 * np.max(np.abs(want))
         assert e1 == pytest.approx(12.9150390625, rel=1e-10)
@@ -118,7 +119,7 @@ class TestExtraction:
         fam = X1Family("laguerre", 2.0)
         xs = np.linspace(0.5, 5.0, 20)
         results = {
-            pair: pct_extract_potential(gm, fam, pair, xs)[0]
+            pair: extract_potential_report(gm, fam, pair, xs).v_values
             for pair in ((1, 2), (1, 3), (2, 3))
         }
         scale = np.max(np.abs(results[(1, 2)]))
@@ -129,8 +130,8 @@ class TestExtraction:
         k, d = 1.75, 0.35
         fam = X1Family("laguerre", 2.0)
         xs = np.linspace(0.8, 5.0, 30)
-        v0, *_ = pct_extract_potential(GMap("quadratic", k), fam, (1, 2), xs + d / k)
-        vd, *_ = pct_extract_potential(GMap("quadratic", k, d), fam, (1, 2), xs)
+        v0 = extract_potential_report(GMap("quadratic", k), fam, (1, 2), xs + d / k).v_values
+        vd = extract_potential_report(GMap("quadratic", k, d), fam, (1, 2), xs).v_values
         assert np.max(np.abs(vd - v0)) <= 1e-10 * np.max(np.abs(v0))
 
     def test_imaginary_shift_keeps_energies(self):
@@ -145,7 +146,7 @@ class TestExtraction:
     def test_wrong_map_is_rejected(self):
         fam = X1Family("laguerre", 2.0)
         with pytest.raises(ConsistencyError):
-            pct_extract_potential(
+            extract_potential_report(
                 GMap("sine", 1.0), fam, (1, 2), np.linspace(0.1, 0.9, 20)
             )
 
@@ -153,9 +154,9 @@ class TestExtraction:
         gm = GMap("quadratic", 1.0)
         fam = X1Family("laguerre", 1.0)
         with pytest.raises(ArgumentError):
-            pct_extract_potential(gm, fam, (2, 2), np.linspace(1.0, 2.0, 10))
+            extract_potential_report(gm, fam, (2, 2), np.linspace(1.0, 2.0, 10))
         with pytest.raises(ArgumentError):
-            pct_extract_potential(gm, fam, (1, 2), [1.0, 2.0, 3.0])
+            extract_potential_report(gm, fam, (1, 2), [1.0, 2.0, 3.0])
 
 
 class TestRationalTerm:
