@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -626,60 +627,36 @@ def _suite_zeros(args, tol) -> list:
 
 
 def _pct_checks_for(kind, tol) -> list:
-    checks = []
     m = _FIGURE[kind]
     hermitian = replace(m, eps=0.0)
     fam = models.x1_family(m)
     g = "quadratic" if fam.kind == "laguerre" else "sine"
     grid, shift_grid = _state_grids(m, 50)
-    rep = extract_potential_report(GMap(g, m.k, 0.0), fam, (1, 2), grid)
-    v_closed = models.potential(hermitian, grid)
-    scale = np.max(np.abs(v_closed))
-    checks.append(
-        _check_le(
-            f"{kind}-extracted-V-rel",
-            np.max(np.abs(rep.v_values - v_closed)) / scale,
-            tol["extract-rel"],
-        )
-    )
+
+    def extract(d, model, xs):  # the report and its V against model.potential
+        rep = extract_potential_report(GMap(g, m.k, d), fam, (1, 2), xs)
+        want = models.potential(model, xs)
+        return rep, np.max(np.abs(rep.v_values - want)) / np.max(np.abs(want))
+
+    rep, rel = extract(0.0, hermitian, grid)
+    checks = [_check_le(f"{kind}-extracted-V-rel", rel, tol["extract-rel"])]
     for idx, n in enumerate((1, 2)):
         want = models.energy(hermitian, n)
-        checks.append(
-            _check_le(
-                f"{kind}-energy-{n}-rel",
-                abs(rep.energies[idx] - want) / want,
-                tol["extract-rel"],
-            )
-        )
+        rel = abs(rep.energies[idx] - want) / want
+        checks.append(_check_le(f"{kind}-energy-{n}-rel", rel, tol["extract-rel"]))
     de = abs(rep.energies[0] - rep.energies[1])
-    checks.append(
-        _check_le(f"{kind}-const-diff", rep.dw_spread / de, tol["const-diff"])
-    )
-    rep_shift = extract_potential_report(GMap(g, m.k, 1j * m.eps), fam, (1, 2), shift_grid)
-    shift_dev = max(
-        abs(complex(rep_shift.energies[i]) - rep.energies[i]) / rep.energies[i]
-        for i in range(2)
-    )
-    checks.append(_check_le(f"{kind}-shift-energy-invariance", shift_dev, 1e-9))
+    checks.append(_check_le(f"{kind}-const-diff", rep.dw_spread / de, tol["const-diff"]))
+    _, rel = extract(1j * m.eps, m, shift_grid)
+    checks.append(_check_le(f"{kind}-shifted-V-rel", rel, tol["extract-rel"]))
     if kind == "scarf":
-        a, b, k = m.a, m.b, m.k
-        fitted = float(np.real(rep.terms["1/D^2"]))
-        adjudicated = -8.0 * k * k * a * b
-        alternative = 2.0 * k * k * ((a - b) ** 2 - 4.0 * a * b)
-        checks.append(
-            _check_le(
-                "scarf-rational-matches-minus-8ab",
-                abs(fitted - adjudicated) / abs(adjudicated),
-                tol["extract-rel"],
-            )
-        )
-        checks.append(
-            _check_ge(
-                "scarf-rational-excludes-alternative",
-                abs(fitted - alternative) / abs(alternative),
-                1e-2,
-            )
-        )
+        # V's exact 1/D^2 coefficient over k^2, with D = a + b - (b - a) g
+        a, b = Fraction(m.a), Fraction(m.b)
+        exact = rep.terms[((a + b) / (b - a), 2)] * (a - b) ** 2
+        adjudicated, alternative = -8 * a * b, 2 * ((a - b) ** 2 - 4 * a * b)
+        rel = abs(exact - adjudicated) / abs(adjudicated)
+        checks.append(_check_le("scarf-rational-matches-minus-8ab", rel, tol["extract-rel"]))
+        rel = abs(exact - alternative) / abs(alternative)
+        checks.append(_check_ge("scarf-rational-excludes-alternative", rel, 1e-2))
     return checks
 
 

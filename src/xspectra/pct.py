@@ -7,21 +7,26 @@ gives
     E - V(x) = g'''/(2 g') - (3/4)(g''/g')^2
                + g'^2 (R - (1/2) dQ/dg - (1/4) Q^2)
 
-This module evaluates E - V for the maps used by the solvable models and
-separates the x-independent energy from the potential mechanically.  The
-prefactor f is not evaluated here; the closed-form states are in
-:mod:`xspectra.models`.
+For the maps used by the solvable models, (E - V) / k^2 is a rational
+function of g, split here exactly by partial fractions: the constant is
+the energy and the rest is the potential.  The prefactor f is not
+evaluated here; the closed-form states are in :mod:`xspectra.models`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
 from typing import Sequence
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from .errors import ArgumentError, ConsistencyError, SingularityError, refuse_where
 from .xop import OdeCoefficients, X1Family, x1_ode_coefficients
+from .xop import _cleared_ode_polys, _exact_singular_points
 
 __all__ = [
     "GMap",
@@ -76,12 +81,29 @@ class GMap:
         return sin, self.k * cos, -k2 * sin, -self.k ** 3 * cos
 
 
-def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
-    """E - V(x) for the member whose ODE data is ``ode``.
+# With the cleared ODE A F'' + B F' + C F = 0, g'^2 = k^2 M(g) and
+# g'''/(2 g') - (3/4)(g''/g')^2 = k^2 T(g), both maps give
+#     (E - V) / k^2 = M (4 C A - 2 B' A + 2 B A' - B^2) / (4 A^2) + T
+#   quadratic: M = g,        T = -3 / (16 g)
+#   sine:      M = 1 - g^2,  T = -1/2 - (3/4) g^2 / (1 - g^2)
+#                                = 1/4 + (3/8) / (g - 1) - (3/8) / (g + 1)
+# Per kind: M, and T in partial fractions keyed as PotentialExtraction.terms.
+_MAP_TERMS = {
+    "quadratic": ((0, 1), {(0, 1): Fraction(-3, 16)}),
+    "sine": (
+        (1, 0, -1),
+        {(0, 0): Fraction(1, 4), (1, 1): Fraction(3, 8), (-1, 1): Fraction(-3, 8)},
+    ),
+}
 
-    For fixed member index n the result equals E_n - V(x), with the split
-    into constant and x-dependent parts left to
-    :func:`extract_potential_report`.
+
+def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
+    """E - V(x) for the member whose ODE data is ``ode``, in float.
+
+    For fixed member index n the result equals E_n - V(x).  It is the
+    float evaluation of the transformation, independent of the exact
+    split in :func:`extract_potential_report`, which measures the two
+    against each other.
     """
     xs = np.asarray(x)
     gv, dgv, d2gv, d3gv = gm.derivatives(xs)
@@ -102,48 +124,68 @@ def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
 # ---------------------------------------------------------------------------
 
 
-def _family_basis(family: X1Family) -> dict:
-    """Rational basis spanning the x-dependent part of E - V over g.
-
-    Partial fractions of the transformed coefficient combination leave
-    poles only at the ODE's singular points (orders <= 2) plus, for the
-    quadratic map, a term linear in g.  The constant function is excluded
-    on purpose: it is the energy, and keeping it out of the basis is what
-    makes the energy/potential split unique.
+def _partial_fractions(num, den, roots) -> dict:
+    """num / den as ``{(p, j): c}``, the sum of ``c (g - p)^-j``, given
+    den's distinct roots: the polynomial part at p = 0, j <= 0, then at
+    each root r of multiplicity m (the number of leading zeros of
+    den(r + t)) the first m terms of the series num(r + t) t^m / den(r + t).
     """
-    if family.kind == "laguerre":
-        a = family.a
-        return {
-            "g": lambda g: g,
-            "1/g": lambda g: 1.0 / g,
-            "1/g^2": lambda g: 1.0 / g ** 2,
-            "1/(g+a)": lambda g: 1.0 / (g + a),
-            "1/(g+a)^2": lambda g: 1.0 / (g + a) ** 2,
-        }
-    a, b = family.a, family.b
-    return {
-        "1/(1-g)": lambda g: 1.0 / (1.0 - g),
-        "1/(1-g)^2": lambda g: 1.0 / (1.0 - g) ** 2,
-        "1/(1+g)": lambda g: 1.0 / (1.0 + g),
-        "1/(1+g)^2": lambda g: 1.0 / (1.0 + g) ** 2,
-        "1/D": lambda g: 1.0 / (a + b - (b - a) * g),
-        "1/D^2": lambda g: 1.0 / (a + b - (b - a) * g) ** 2,
-    }
+    parts = {(0, -j): c for j, c in enumerate(npp.polydiv(num, den)[0])}
+    for r in roots:
+        # Taylor shifts: the coefficients of num(r + t) and den(r + t)
+        u, d = ([sum(c * comb(j, i) * r ** (j - i) for j, c in enumerate(p[i:], i))
+                 for i in range(len(p))] for p in (num, den))
+        m = next(i for i, c in enumerate(d) if c)
+        u, d, s = u + [0] * m, d[m:] + [0] * m, []
+        for i in range(m):
+            s.append((u[i] - sum(d[j] * s[i - j] for j in range(1, i + 1))) / d[0])
+        parts.update({(r, m - i): c for i, c in enumerate(s)})
+    return parts
+
+
+@lru_cache(maxsize=None)
+def _exact_split(family: X1Family, kind: str, n: int) -> tuple:
+    """``(E_n / k^2, terms, float terms)`` of the degree-``n`` member
+    under the map ``kind``, where ``terms`` is V / k^2 as in
+    :class:`PotentialExtraction` and the float terms are its
+    ``(p, j, c)`` rounded; neither depends on ``k`` or ``d``."""
+    a, b = Fraction(family.a), None if family.b is None else Fraction(family.b)
+    A, B, C = (list(map(Fraction, p)) for p in _cleared_ode_polys(family.kind, a, b, n))
+    dA, dB = npp.polyder(A), npp.polyder(B)
+    rest = npp.polysub(
+        npp.polyadd(4 * npp.polymul(C, A), 2 * npp.polymul(B, dA)),
+        npp.polyadd(2 * npp.polymul(dB, A), npp.polymul(B, B)),
+    )
+    m, t = _MAP_TERMS[kind]
+    num, den = npp.polymul(m, rest), 4 * npp.polymul(A, A)
+    parts = _partial_fractions(num, den, _exact_singular_points(family))
+    for key, c in t.items():
+        parts[key] = parts.get(key, 0) + c
+    energy = parts.pop((0, 0))
+    # V = E - (E - V)
+    terms = {(Fraction(p), j): -c for (p, j), c in parts.items() if c}
+    return energy, terms, tuple((float(p), j, float(c)) for (p, j), c in terms.items())
 
 
 @dataclass(frozen=True)
 class PotentialExtraction:
-    """Result of separating E_n from V(x) on a grid.
+    """E_{n1}, E_{n2} and V of one member pair, split exactly.
 
-    ``terms[name]`` multiplies the basis function ``name`` in V(g);
-    ``D`` abbreviates a + b - (b - a) g.
+    ``terms`` is V / k^2 as a rational function of g, in ``Fraction``:
+    ``terms[(p, j)]`` multiplies ``(g - p)^-j``.  The poles p are the
+    roots of the ODE's A and of the map term; the polynomial part sits
+    at p = 0 with j < 0.  With D = a + b - (b - a) g, the Jacobi 1/D^j
+    coefficient is ``terms[((a + b) / (b - a), j)] * (a - b)^j``.
+    ``v_values`` is V on the grid, ``energies`` is (E_{n1}, E_{n2}) as
+    floats, and ``dw_spread`` is the largest distance on the grid of the
+    float E - V difference of the two members from the exact
+    E_{n1} - E_{n2}.
     """
 
     v_values: np.ndarray
     energies: tuple
     terms: dict
     dw_spread: float
-    fit_residual: float
 
 
 def extract_potential_report(
@@ -152,62 +194,33 @@ def extract_potential_report(
     n_pair: Sequence[int],
     grid: Sequence[float],
 ) -> PotentialExtraction:
-    """Split E_n - V(x) into constants E_{n1}, E_{n2} and pointwise V.
+    """Split E_n - V into the energies E_{n1}, E_{n2} and V.
 
-    The split is a joint linear fit of both members' E - V values against
-    the constant (energy) plus the family's rational basis in g
-    (potential).  ``v_values`` holds V on the grid, ``energies`` the pair
-    (E_{n1}, E_{n2}) and ``terms`` the fitted coefficients of V.
+    Each member's (E - V) / k^2 is split exactly into partial fractions
+    in g: the constant is E_n / k^2, rounded once to E_n, and the rest is
+    V / k^2, which must be the same for both members, else the map does
+    not match the family and :class:`ConsistencyError` is raised.  The
+    split is cached per family, map kind and member.  ``v_values`` is the
+    exact V evaluated at g on ``grid``, real or complex, and
+    ``dw_spread`` measures :func:`pct_e_minus_v` there.
     """
     n1, n2 = n_pair
     if n1 == n2:
         raise ArgumentError("need two distinct member indices")
+    ode1, ode2 = (x1_ode_coefficients(family, n) for n in n_pair)
+    (c1, terms, floats), (c2, terms2, _) = (_exact_split(family, gm.kind, int(n)) for n in n_pair)
+    if terms != terms2:
+        raise ConsistencyError(
+            f"E - V of members {n1} and {n2} differ by more than a constant "
+            f"under the {gm.kind} map; the map does not match this family"
+        )
+    k2 = Fraction(gm.k) ** 2
     xs = np.asarray(grid, dtype=float)
-    if xs.size < 4:
-        raise ArgumentError("grid too small to separate energy from potential")
-    ode1 = x1_ode_coefficients(family, n1)
-    ode2 = x1_ode_coefficients(family, n2)
-    w1 = pct_e_minus_v(gm, ode1, xs)
-    w2 = pct_e_minus_v(gm, ode2, xs)
-
-    # W_{n1} - W_{n2} = E_{n1} - E_{n2} must be x-independent; a spread
-    # here means the map does not linearize this family's n dependence.
-    dw = w1 - w2
-    mean = complex(np.mean(dw))
-    spread = float(np.max(np.abs(dw - mean)))
-    if spread > 1e-9 * abs(mean):
-        raise ConsistencyError(
-            f"W_{n1} - W_{n2} varies by {spread:.3e} across the grid "
-            f"(mean {mean:.6g}); the map does not match this family"
-        )
-
-    basis = _family_basis(family)
-    gv = gm.derivatives(xs)[0]
-    dtype = complex if gm.is_complex else float
-    m = np.zeros((2 * xs.size, 2 + len(basis)), dtype=dtype)
-    m[: xs.size, 0] = 1.0
-    m[xs.size :, 1] = 1.0
-    for j, fn in enumerate(basis.values()):
-        col = fn(gv)
-        m[: xs.size, 2 + j] = -col
-        m[xs.size :, 2 + j] = -col
-    rhs = np.concatenate([w1, w2]).astype(dtype)
-    sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    resid = float(np.max(np.abs(m @ sol - rhs)))
-    scale = float(np.max(np.abs(rhs)))
-    if resid > 1e-9 * max(scale, 1.0):
-        raise ConsistencyError(
-            f"transformed coefficients leave residual {resid:.3e} outside "
-            "the family's rational basis"
-        )
-    e1, e2 = sol[0], sol[1]
-    if not gm.is_complex:
-        e1, e2 = float(e1), float(e2)
-    v = e1 - w1
+    dw = pct_e_minus_v(gm, ode1, xs) - pct_e_minus_v(gm, ode2, xs) - float((c1 - c2) * k2)
+    g = gm.derivatives(xs)[0]
     return PotentialExtraction(
-        v_values=v,
-        energies=(e1, e2),
-        terms=dict(zip(basis, sol[2:])),
-        dw_spread=spread,
-        fit_residual=resid,
+        v_values=gm.k * gm.k * sum(c * (g - p) ** -j for p, j, c in floats),
+        energies=(float(c1 * k2), float(c2 * k2)),
+        terms=terms,
+        dw_spread=float(np.max(np.abs(dw), initial=0.0)),
     )

@@ -136,8 +136,8 @@ def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
 
     Derived from the cleared polynomials of :func:`_cleared_ode_polys`:
     ``q = B / A``, ``r = C / A`` and ``dq = (B' A - B A') / A^2``.  The
-    singular points are the roots of ``A``: ``0, -a`` for Laguerre and
-    ``1, -1, (a + b) / (b - a)`` for Jacobi.
+    singular points are the distinct roots of ``A``, rounded from
+    :func:`_exact_singular_points`.
     """
     _check_member_index(n)
     A, B, C = _cleared_ode_polys(family.kind, family.a, family.b, n)
@@ -155,11 +155,18 @@ def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
     def r(g):
         return npp.polyval(g, C) / npp.polyval(g, A)
 
+    return OdeCoefficients(q, dq, r, tuple(map(float, _exact_singular_points(family))))
+
+
+def _exact_singular_points(family: X1Family) -> tuple:
+    """The distinct roots of the cleared ODE's ``A``, in ``Fraction``:
+    ``0, -a`` for Laguerre and ``1, -1, (a + b) / (b - a)`` for Jacobi,
+    where the last meets ``1`` at ``a = 0`` and ``-1`` at ``b = 0``."""
+    a = Fraction(family.a)
     if family.kind == "laguerre":
-        poles = (0.0, -family.a)
-    else:
-        poles = (1.0, -1.0, (family.a + family.b) / (family.b - family.a))
-    return OdeCoefficients(q, dq, r, poles)
+        return (Fraction(0), -a)
+    b = Fraction(family.b)
+    return tuple(dict.fromkeys((Fraction(1), Fraction(-1), (a + b) / (b - a))))
 
 
 # ---------------------------------------------------------------------------

@@ -96,22 +96,25 @@ def test_criterion_3_zero_structure():
 
 
 def test_criterion_4_pct_consistency():
-    worst_v, worst_e, worst_dw = 0.0, 0.0, 0.0
+    worst_v, worst_e, worst_dw, worst_shift = 0.0, 0.0, 0.0, 0.0
     cases = [
         (
             GMap("quadratic", RADIAL.k),
             X1Family("laguerre", RADIAL.a),
-            replace(RADIAL, eps=0.0),
+            RADIAL,
             np.linspace(0.4, 6.0, 50),
+            np.linspace(-5.0, 5.0, 50),
         ),
         (
             GMap("sine", SCARF.k),
             X1Family("jacobi", SCARF.a, SCARF.b),
-            replace(SCARF, eps=0.0),
+            SCARF,
+            np.linspace(-0.9, 0.9, 50) * (0.5 * math.pi / SCARF.k),
             np.linspace(-0.9, 0.9, 50) * (0.5 * math.pi / SCARF.k),
         ),
     ]
-    for gm, fam, model, grid in cases:
+    for gm, fam, shifted, grid, shift_grid in cases:
+        model = replace(shifted, eps=0.0)
         rep = extract_potential_report(gm, fam, (1, 2), grid)
         want = potential(model, grid)
         worst_v = max(
@@ -125,12 +128,21 @@ def test_criterion_4_pct_consistency():
             )
         de = abs(rep.energies[0] - rep.energies[1])
         worst_dw = max(worst_dw, rep.dw_spread / de)
-    ok = worst_v <= 1e-8 and worst_e <= 1e-8 and worst_dw <= 1e-9
+        # the exact V at the complex points of the shifted map
+        rep = extract_potential_report(
+            GMap(gm.kind, gm.k, 1j * shifted.eps), fam, (1, 2), shift_grid
+        )
+        want = potential(shifted, shift_grid)
+        worst_shift = max(
+            worst_shift, np.max(np.abs(rep.v_values - want)) / np.max(np.abs(want))
+        )
+    ok = worst_v <= 1e-8 and worst_e <= 1e-8 and worst_dw <= 1e-9 and worst_shift <= 1e-8
     report(
         4,
         "pct-consistency",
         ok,
-        f"V err {worst_v:.2e}, E err {worst_e:.2e}, spread {worst_dw:.2e}",
+        f"V err {worst_v:.2e}, E err {worst_e:.2e}, spread {worst_dw:.2e}, "
+        f"shifted V err {worst_shift:.2e}",
     )
 
 

@@ -616,11 +616,11 @@ _SUITE_CHECKS = {
     "pct": {
         "radial": [
             "radial-extracted-V-rel", "radial-energy-1-rel", "radial-energy-2-rel",
-            "radial-const-diff", "radial-shift-energy-invariance",
+            "radial-const-diff", "radial-shifted-V-rel",
         ],
         "scarf": [
             "scarf-extracted-V-rel", "scarf-energy-1-rel", "scarf-energy-2-rel",
-            "scarf-const-diff", "scarf-shift-energy-invariance",
+            "scarf-const-diff", "scarf-shifted-V-rel",
             "scarf-rational-matches-minus-8ab", "scarf-rational-excludes-alternative",
         ],
     },

@@ -1,12 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from xspectra import pct
 from xspectra import (
     ArgumentError,
     ConsistencyError,
     GMap,
+    PotentialModel,
     SingularityError,
     X1Family,
     extract_potential_report,
@@ -155,40 +158,102 @@ class TestExtraction:
         fam = X1Family("laguerre", 1.0)
         with pytest.raises(ArgumentError):
             extract_potential_report(gm, fam, (2, 2), np.linspace(1.0, 2.0, 10))
-        with pytest.raises(ArgumentError):
-            extract_potential_report(gm, fam, (1, 2), [1.0, 2.0, 3.0])
+
+    def test_split_needs_no_grid_points(self):
+        gm = GMap("quadratic", 1.75)
+        fam = X1Family("laguerre", 2.0)
+        rep = extract_potential_report(gm, fam, (1, 2), [])
+        assert rep.v_values.shape == (0,)
+        assert rep.dw_spread == 0.0
+        assert rep.energies == (4.59375, 7.65625)
+        one = extract_potential_report(gm, fam, (1, 2), [1.5])
+        assert one.v_values[0] == pytest.approx(potential(PotentialModel(
+            "radial_extended", 2.0, None, 1.75), 1.5), rel=1e-15)
+
+    def test_split_is_cached_across_shifts(self, monkeypatch):
+        fam = X1Family("jacobi", 0.5, 1.5)
+        xs = np.linspace(-1.0, 1.0, 20)
+        rep = extract_potential_report(GMap("sine", 1.25), fam, (1, 2), xs)
+
+        def no_split(*args):
+            raise AssertionError("the split was computed again")
+
+        monkeypatch.setattr(pct, "_partial_fractions", no_split)
+        again = extract_potential_report(GMap("sine", 2.0, 0.8j), fam, (2, 1), xs)
+        assert again.terms == rep.terms
+        assert again.energies == (25.0, 9.0)  # (n + 1/2)^2 k^2
+
+
+def _exact_index(x):
+    return Fraction(float(x))
+
+
+class TestExactSplit:
+    """The split against closed forms, compared in ``Fraction``; each
+    energy must be the exact E_n rounded once."""
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 3.7])
+    def test_laguerre_closed_form(self, a):
+        # (E - V)/k^2 = (n + (a - 1)/2) - g/4 - (4a^2 - 1)/(16 g)
+        #               - 1/(g + a) + 2a/(g + a)^2
+        A, k = _exact_index(a), 1.75
+        want = {(0, -1): Fraction(1, 4), (0, 1): (4 * A * A - 1) / 16,
+                (-A, 1): Fraction(1), (-A, 2): -2 * A}
+        want = {key: c for key, c in want.items() if c}
+        for pair in ((1, 2), (3, 4)):
+            rep = extract_potential_report(
+                GMap("quadratic", k), X1Family("laguerre", a), pair, [])
+            assert rep.terms == want
+            for n, e in zip(pair, rep.energies):
+                assert e == float((n + (A - 1) / 2) * Fraction(k) ** 2)
+
+    @pytest.mark.parametrize("a, b", [(1.75, 3.0), (0.5, 1.5), (2.3, 0.7), (-0.25, -0.4)])
+    def test_jacobi_rational_terms_and_energies(self, a, b):
+        A, B, k = _exact_index(a), _exact_index(b), 1.25
+        pole = (A + B) / (B - A)  # the root of D = a + b - (b - a) g
+        for pair in ((1, 2), (3, 4)):
+            rep = extract_potential_report(
+                GMap("sine", k), X1Family("jacobi", a, b), pair, [])
+            assert rep.terms[(pole, 2)] * (A - B) ** 2 == -8 * A * B
+            assert rep.terms[(pole, 1)] * (A - B) == 2 * (A + B)
+            for n, e in zip(pair, rep.energies):
+                assert e == float((n + (A + B - 1) / 2) ** 2 * Fraction(k) ** 2)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.5), (1.5, 0.0), (-0.25, -0.4)])
+    def test_jacobi_energies_where_the_poles_meet(self, a, b):
+        # at a zero index D's root meets +-1; the least-squares split
+        # this replaced gave E_1 / k^2 = 1.5624999999987748 for 25/16 there
+        A, B, k = _exact_index(a), _exact_index(b), 1.25
+        half = 0.5 * math.pi / k
+        rep = extract_potential_report(
+            GMap("sine", k), X1Family("jacobi", a, b), (1, 2),
+            np.linspace(-0.9 * half, 0.9 * half, 50))
+        for n, e in zip((1, 2), rep.energies):
+            want = (n + (A + B - 1) / 2) ** 2 * Fraction(k) ** 2
+            assert abs(Fraction(e) - want) / want <= 1e-15
 
 
 class TestRationalTerm:
     """The 1/D^2 coefficient of the trigonometric potential.
 
     Two inequivalent printed forms circulate for this term; the engine's
-    partial-fraction fit is the arbiter.  Frozen here so the adjudicated
-    value cannot silently drift.
+    exact partial fractions are the arbiter.  Frozen here so the
+    adjudicated value cannot silently drift.
     """
 
-    def test_fit_pins_the_product_form(self, scarf_hermitian):
-        a, b, k = scarf_hermitian.a, scarf_hermitian.b, scarf_hermitian.k
-        gm = GMap("sine", k)
-        fam = X1Family("jacobi", a, b)
-        half = 0.5 * math.pi / k
-        rep = extract_potential_report(
-            gm, fam, (1, 2), np.linspace(-0.9 * half, 0.9 * half, 50)
-        )
-        fitted = float(np.real(rep.terms["1/D^2"]))
-        product_form = -8.0 * k * k * a * b  # -65.625 at these parameters
-        difference_form = 2.0 * k * k * ((a - b) ** 2 - 4.0 * a * b)
-        assert fitted == pytest.approx(product_form, rel=1e-8)
-        assert abs(fitted - difference_form) / abs(difference_form) > 1e-2
+    def test_split_pins_the_product_form(self, scarf_hermitian):
+        a, b = _exact_index(scarf_hermitian.a), _exact_index(scarf_hermitian.b)
+        k = Fraction(scarf_hermitian.k)
+        fam = X1Family("jacobi", scarf_hermitian.a, scarf_hermitian.b)
+        rep = extract_potential_report(GMap("sine", scarf_hermitian.k), fam, (1, 2), [])
+        exact = rep.terms[((a + b) / (b - a), 2)] * (a - b) ** 2 * k * k
+        product_form = -8 * k * k * a * b  # -65.625 at these parameters
+        difference_form = 2 * k * k * ((a - b) ** 2 - 4 * a * b)
+        assert exact == product_form
+        assert abs(exact - difference_form) / abs(difference_form) > Fraction(1, 100)
 
     def test_first_order_term(self, scarf_hermitian):
-        a, b, k = scarf_hermitian.a, scarf_hermitian.b, scarf_hermitian.k
-        gm = GMap("sine", k)
-        fam = X1Family("jacobi", a, b)
-        half = 0.5 * math.pi / k
-        rep = extract_potential_report(
-            gm, fam, (1, 2), np.linspace(-0.9 * half, 0.9 * half, 50)
-        )
-        assert float(np.real(rep.terms["1/D"])) == pytest.approx(
-            2.0 * k * k * (a + b), rel=1e-8
-        )
+        a, b = _exact_index(scarf_hermitian.a), _exact_index(scarf_hermitian.b)
+        fam = X1Family("jacobi", scarf_hermitian.a, scarf_hermitian.b)
+        rep = extract_potential_report(GMap("sine", scarf_hermitian.k), fam, (1, 2), [])
+        assert rep.terms[((a + b) / (b - a), 1)] * (a - b) == 2 * (a + b)

@@ -334,6 +334,21 @@ class TestOdeData:
         assert sp[:2] == (1.0, -1.0)
         assert sp[2] == pytest.approx(4.75 / 1.25)
 
+    @pytest.mark.parametrize("a, b, want", [
+        (1.75, 3.0, (1, -1, Fraction(19, 5))),
+        (0.0, 1.5, (1, -1)),  # D's root meets 1
+        (1.5, 0.0, (1, -1)),  # and -1
+        (-0.25, -0.4, (1, -1, (Fraction(-0.25) + Fraction(-0.4)) / (Fraction(-0.4) - Fraction(-0.25)))),
+    ])
+    def test_singular_points_are_the_distinct_exact_roots(self, a, b, want):
+        fam = X1Family("jacobi", a, b)
+        exact = xop._exact_singular_points(fam)
+        assert exact == want
+        assert all(isinstance(p, Fraction) for p in exact)
+        assert x1_ode_coefficients(fam, 2).singular_points == tuple(map(float, want))
+        A, _, _ = xop._cleared_ode_polys("jacobi", Fraction(a), Fraction(b), 2)
+        assert all(npp.polyval(p, A) == 0 for p in exact)
+
 
 def _hand_written_ode(family, n):
     """The rational q, dq, r of each family written out by hand, the
