@@ -31,7 +31,6 @@ from .errors import (
     ConvergenceError,
     DomainError,
     EvaluationError,
-    FactorizationError,
 )
 from .models import PotentialModel
 from .pct import GMap, extract_potential_report
@@ -533,11 +532,6 @@ def cmd_spectrum(args) -> int:
                     f"level {n}: no convergence after {args.iters} iterations "
                     f"(residual {res.residual:.3e})"
                 )
-            if res.shift_retries:
-                _warn(
-                    f"level {n}: {res.shift_retries} singular factorization(s); "
-                    "retried with the shift perturbed by 1e-8 (1 + |shift|)"
-                )
             lam = res.eigenvalue
             checks += [
                 _check_le(f"eigen-residual-{n}", res.residual, tol["eigen-residual"]),
@@ -939,7 +933,6 @@ def main(argv=None) -> int:
         ConstructionError,
         ConvergenceError,
         EvaluationError,
-        FactorizationError,
     ) as exc:
         _err(str(exc))
         return 1

@@ -16,7 +16,6 @@ __all__ = [
     "ConstructionError",
     "ConsistencyError",
     "ConvergenceError",
-    "FactorizationError",
     "EvaluationError",
 ]
 
@@ -51,10 +50,6 @@ class ConsistencyError(RuntimeError):
 
 class ConvergenceError(RuntimeError):
     """An iterative scheme exhausted its refinement or iteration budget."""
-
-
-class FactorizationError(RuntimeError):
-    """A matrix factorization broke down even after the retry perturbation."""
 
 
 class EvaluationError(RuntimeError):

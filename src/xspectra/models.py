@@ -227,8 +227,9 @@ def potential(m: PotentialModel, x):
         d = a + b - (b - a) * s
         refuse_where(d == 0.0, xs, SingularityError, "rational-term pole")
         sec2 = 1.0 / (c * c)
-        # the -8ab rational coefficient is pinned by the transformation
-        # engine's partial-fraction fit; see the extraction regression test
+        # the -8ab rational coefficient is pinned by the exact partial
+        # fractions of the transformation engine; see the verify check
+        # scarf-rational-matches-minus-8ab
         out = (
             k2 * (2.0 * a * a + 2.0 * b * b - 1.0) / 4.0 * sec2
             - k2 * (b * b - a * a) / 2.0 * s * sec2

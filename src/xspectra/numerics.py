@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ArgumentError,
     ConvergenceError,
-    FactorizationError,
     SingularityError,
 )
 from . import models
@@ -368,10 +367,23 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _zero_pivot(dl, d, du, sigma) -> float:
+    """eps times the largest |entry| of T - sigma, or 1 where T - sigma
+    is zero and any nonzero pivot serves."""
+    norm = max(np.abs(x).max(initial=0.0) for x in (np.subtract(d, sigma), dl, du))
+    return float(np.finfo(float).eps * norm) or 1.0
+
+
 def _tri_lu_factor(dl, d, du, sigma):
     """LU with partial pivoting of (T - sigma), as LAPACK zgttrf.  Row
     swaps put fill-in on a second superdiagonal.  Returns lists (multipliers,
     swapped flags, u main, u first super, u second super).
+
+    It cannot fail: an exactly zero pivot is replaced by eps times the
+    largest |entry| of T - sigma (Peters & Wilkinson, Handbook for
+    Automatic Computation II, 1971, contribution II/18; LAPACK dlagts
+    with JOB = -1), so the solve stays finite and inverse iteration
+    still finds the eigenvector at sigma.  Only exact zeros move.
 
     The row loop runs on Python complex scalars: indexing numpy arrays
     one element at a time costs several times more per row.
@@ -387,7 +399,7 @@ def _tri_lu_factor(dl, d, du, sigma):
         bi, ai = b[i], a[i]
         if abs(bi) >= abs(ai):
             if bi == 0.0:
-                raise FactorizationError(f"zero pivot at row {i}")
+                bi = b[i] = _zero_pivot(dl, d, du, sigma)
             fact = ai / bi
             mult[i] = fact
             b[i + 1] = b[i + 1] - fact * c[i]
@@ -403,7 +415,7 @@ def _tri_lu_factor(dl, d, du, sigma):
                 du2[i] = c[i + 1]
                 c[i + 1] = -fact * c[i + 1]
     if b[n - 1] == 0.0:
-        raise FactorizationError(f"zero pivot at row {n - 1}")
+        b[n - 1] = _zero_pivot(dl, d, du, sigma)
     return mult, swap, b, c, du2
 
 
@@ -438,8 +450,6 @@ class EigenResult:
     residual: float
     iterations: int
     converged: bool
-    # singular factorizations that were retried with a perturbed shift
-    shift_retries: int = 0
 
 
 _FIXED_SHIFT_STEPS = 4
@@ -464,10 +474,12 @@ def eigen_near_shift(
     The next step starts from w, not y: y has shed the partner's
     direction, which the next Ritz step needs.  The shift stays at sigma for a few steps
     to lock onto the nearest eigenvectors, then follows the running
-    estimate.  A singular factorization perturbs the shift by
-    1e-8 (1 + |shift|) and retries once; ``shift_retries`` counts those
-    retries.  Raises :class:`ArgumentError` for a non-finite sigma or
-    non-finite operator entries.
+    estimate.  A shift that makes T - shift exactly singular needs no
+    retry: the LU replaces the zero pivot by eps ||T - shift||, as in
+    Peters & Wilkinson (Handbook II/18) and LAPACK dstein, and the solve
+    returns the eigenvector of the eigenvalue at the shift.  Raises
+    :class:`ArgumentError` for a non-finite sigma or non-finite operator
+    entries.
     """
     if iters < 1:
         raise ArgumentError(f"need at least one iteration, got {iters}")
@@ -478,23 +490,12 @@ def eigen_near_shift(
         raise ArgumentError(f"shift must be finite, got {sigma}")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ArgumentError("operator has non-finite entries")
-    retries = 0
-
-    def factor(shift):
-        nonlocal retries
-        try:
-            return _tri_lu_factor(e, d, e, shift)
-        except FactorizationError:
-            retries += 1
-            bumped = shift + 1e-8 * (1.0 + abs(shift))
-            return _tri_lu_factor(e, d, e, bumped)
-
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
     v /= np.linalg.norm(v)
     lam = sigma
     resid = math.inf
-    factors = factor(sigma)
+    factors = _tri_lu_factor(e, d, e, sigma)
     for it in range(1, iters + 1):
         w = _tri_lu_solve(factors, v)
         w /= np.linalg.norm(w)
@@ -510,11 +511,11 @@ def eigen_near_shift(
             lam = (y * ty).sum() / yty
         resid = float(np.linalg.norm(ty - lam * y))
         if resid <= _RESIDUAL_TARGET:
-            return EigenResult(complex(lam), resid, it, True, retries)
+            return EigenResult(complex(lam), resid, it, True)
         if it >= _FIXED_SHIFT_STEPS:
-            factors = factor(lam)
+            factors = _tri_lu_factor(e, d, e, lam)
         v = w
-    return EigenResult(complex(lam), resid, iters, False, retries)
+    return EigenResult(complex(lam), resid, iters, False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ else from the package apart from the error types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -89,9 +90,14 @@ class Polynomial:
     ``coeffs`` has length ``degree + 1`` and a nonzero last entry; the zero
     polynomial is stored as the single coefficient ``(0.0,)`` and reports
     ``is_zero``.  Instances are immutable, hence freely shareable.
+    ``exact``, where known, holds the rational coefficients that
+    ``coeffs`` round; root counting reads it, comparison ignores it.
     """
 
     coeffs: tuple[float, ...]
+    exact: Optional[tuple[Fraction, ...]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.coeffs:
@@ -121,16 +127,19 @@ class Polynomial:
 # Sturm-chain root counting
 # ---------------------------------------------------------------------------
 
-# Every float is an exact binary rational, so a polynomial with float
-# coefficients is, up to a positive power-of-two factor, one with integer
-# coefficients.  The chain below is built and evaluated in Python
+# Every float is an exact binary rational, so a polynomial with float or
+# Fraction coefficients is, up to the positive factor of the lcm of their
+# denominators (the largest one for floats, all powers of two), one with
+# integer coefficients.  The chain below is built and evaluated in Python
 # integers, with no rounding anywhere.  Coefficient lists are descending.
 
 
 def _integer_coeffs(p: Polynomial) -> list[int]:
-    """Descending integer coefficients of a positive multiple of ``p``."""
-    ratios = [c.as_integer_ratio() for c in reversed(p.coeffs)]
-    scale = max(den for _, den in ratios)  # every denominator is a power of 2
+    """Descending integer coefficients of a positive multiple of ``p``, of
+    its exact coefficients where it has them."""
+    coeffs = p.coeffs if p.exact is None else p.exact
+    ratios = [c.as_integer_ratio() for c in reversed(coeffs)]
+    scale = math.lcm(*(den for _, den in ratios))
     return [num * (scale // den) for num, den in ratios]
 
 
@@ -200,12 +209,12 @@ def _sign_variations(vals: list[int]) -> int:
 def count_real_roots_in(p: Polynomial, lo: float, hi: float) -> int:
     """Number of distinct real roots of ``p`` in the open interval (lo, hi).
 
-    Exact: the coefficients are scaled to integers, reduced to the
-    squarefree part ``p / gcd(p, p')``, and Sturm's theorem is applied to
-    its primitive pseudo-remainder chain with signs evaluated in integer
-    arithmetic.  For a squarefree chain, V(lo) - V(hi) counts the roots
-    in (lo, hi]; a root at ``hi`` is then subtracted.  ``lo``/``hi`` may
-    be ``-inf``/``inf``.
+    Exact: the coefficients, ``p.exact`` where set, are scaled to
+    integers, reduced to the squarefree part ``p / gcd(p, p')``, and
+    Sturm's theorem is applied to its primitive pseudo-remainder chain
+    with signs evaluated in integer arithmetic.  For a squarefree chain,
+    V(lo) - V(hi) counts the roots in (lo, hi]; a root at ``hi`` is then
+    subtracted.  ``lo``/``hi`` may be ``-inf``/``inf``.
     """
     if p.is_zero:
         raise ArgumentError("root counting needs a nonzero polynomial")

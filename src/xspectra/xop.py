@@ -214,7 +214,11 @@ def x1_polynomial(family: X1Family, n: int) -> Polynomial:
     Each coefficient is rounded once, except that the float SVD null
     vector of the matrix is returned where it agrees to ``1e-14`` of the
     largest coefficient, which keeps outputs computed from it
-    byte-identical.
+    byte-identical.  Those kept bits are accurate only normwise, so a
+    coefficient of size O(a) can be noise: at a = 1e-15 the degree-2
+    member comes back as (0, 4e-15, 1) for about (-2e-15, 0, 1), with
+    roots 0 and -4e-15 instead of +-4.5e-8.  The exact coefficients ride
+    along as ``Polynomial.exact``, which root counting reads.
 
     Normalization: Laguerre members get leading coefficient
     ``(-1)^n / (n - 1)!``; Jacobi members get ``-1/2`` times the leading
@@ -258,7 +262,7 @@ def _member(family: X1Family, n: int) -> Polynomial:
     w = w * (v[n] / w[-1])
     if np.max(np.abs(w - v)) <= _KEEP_SVD_TOL * np.max(np.abs(v)):
         v = w
-    return Polynomial(tuple(v))
+    return Polynomial(tuple(v), exact=tuple(c))
 
 
 # ---------------------------------------------------------------------------

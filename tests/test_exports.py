@@ -82,16 +82,34 @@ def test_readme_command_block_runs(line, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_benchmark_tracer_targets_resolve():
-    # the benchmark's tracer wraps these functions by name; a rename
-    # should fail here rather than in a traced benchmark run
+def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the benchmark's tracer wraps these functions by name; a rename
+    # should fail here rather than in a traced benchmark run
+    tracer = _load_tracer()
     missing = [
         f"{module}.{attr}"
         for module, attr, _ in tracer._TARGETS
         if not callable(getattr(importlib.import_module(f"xspectra.{module}"), attr, None))
     ]
     assert missing == []
+
+
+def test_benchmark_tracer_reads_the_eigen_results(tmp_path):
+    # the tracer's hook on eigen_near_shift reads the fields of its result
+    with _load_tracer().Tracer() as t:
+        assert cli.main([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75",
+            "--eps", "1.2", "--nmax", "2", "--out", str(tmp_path / "s.csv"),
+        ]) == 0
+    counts = t.layer_metrics()
+    assert counts["numerics.eigen_near_shift.calls"] == 2
+    assert counts["numerics.eigen_near_shift.iterations"] >= 2
+    assert counts["numerics.eigen_near_shift.unconverged"] == 0

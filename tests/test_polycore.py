@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,7 +93,9 @@ class TestRootCounting:
         with pytest.raises(ArgumentError):
             count_real_roots_in(Polynomial((1.0, bad, 1.0)), -1.0, 1.0)
 
-    @pytest.mark.parametrize("a", [0.5, 2.0, 5.0])
+    # at a = 1e-15 the float members' O(a) coefficients are noise; the
+    # count reads the exact ones
+    @pytest.mark.parametrize("a", [0.5, 2.0, 5.0, 1e-15])
     def test_x1_laguerre_zero_pattern_to_degree_20(self, a):
         # n - 1 zeros in (0, inf) and one in (-inf, -a) for every member
         fam = X1Family("laguerre", a)
@@ -100,6 +103,26 @@ class TestRootCounting:
             p = x1_polynomial(fam, n)
             assert count_real_roots_in(p, -math.inf, -a) == 1, n
             assert count_real_roots_in(p, 0.0, math.inf) == n - 1, n
+
+    def test_exact_coefficients_are_counted(self):
+        # x^2 - 1e-30 has roots +-1e-15; its rounding x^2 + 0 has one, at 0
+        exact = (-Fraction(1, 10**30), Fraction(0), Fraction(1))
+        p = Polynomial((0.0, 0.0, 1.0), exact=exact)
+        assert p == Polynomial((0.0, 0.0, 1.0))
+        assert count_real_roots_in(Polynomial((0.0, 0.0, 1.0)), -1.0, 1.0) == 1
+        assert count_real_roots_in(p, -1.0, 1.0) == 2
+        assert count_real_roots_in(p, 0.0, 1.0) == 1
+        # x^2 / 4 - 1/6 has roots +-0.816: the scale is lcm(4, 6), not 6
+        p = Polynomial((-1 / 6, 0.0, 0.25), exact=(-Fraction(1, 6), 0, Fraction(1, 4)))
+        assert count_real_roots_in(p, -0.9, 0.9) == 2
+
+    def test_members_carry_their_exact_coefficients(self):
+        # at a = 1e-15 the kept float member of degree 2 is (0, 4e-15, 1),
+        # with roots 0 and -4e-15; the exact one is (-2a (1 + O(a)), 0, 1)
+        a = 1e-15
+        exact = x1_polynomial(X1Family("laguerre", a), 2).exact
+        assert exact[1:] == (0, 1)
+        assert float(exact[0]) == pytest.approx(-2.0 * a, rel=1e-14)
 
     @settings(max_examples=40)
     @given(
