@@ -61,6 +61,11 @@ _TOLERANCES = {
     "pt-rel": 1e-12,
     "pt-broken-min": 1e-2,
     "spectrum-rel": 1e-3,
+    # the spectra suite's Richardson-extrapolated Hermitian levels: their
+    # rounding floor on the 2000-point grids is (r + 1)/(r - 1) eps ||T|| / E_1
+    # <= 2.3e-10 (Scarf) and the h^4 term left is measured <= 3.9e-10
+    # (radial level 4); 1e-8 is 1e5 times tighter than spectrum-rel
+    "extrapolated-rel": 1e-8,
     "conv-lo": 3.5,
     "conv-hi": 4.5,
     "im-ratio": 1e-6,
@@ -394,16 +399,28 @@ def _default_range(m: PotentialModel) -> tuple:
     return (centre - half + margin, centre + half - margin)
 
 
-# grid spectra: Sturm counting on _REAL_POINTS points for a Hermitian
-# model; inverse iteration from E_n + i _SIGMA_IMAG for at most _ITERS
-# steps for a shifted one, on fewer points as each step is a complex LU
+# grid spectra: `spectrum` counts a Hermitian model's levels by Sturm
+# multisection on _REAL_POINTS points; a shifted one takes inverse
+# iteration from E_n + i _SIGMA_IMAG for at most _ITERS steps, on fewer
+# points as each step is a complex LU.  `verify --suite spectra` solves
+# the Hermitian levels on the _SUITE_POINTS pair and extrapolates them
 _REAL_POINTS, _COMPLEX_POINTS = 4000, 1200
+_SUITE_POINTS = (1000, 2000)
 _SIGMA_IMAG, _ITERS = 0.3, 60
 
 
 def _no_grid_spectrum(m: PotentialModel) -> bool:
     # shifted Scarf states do not vanish at the real cell edges
     return m.family == "scarf_extended" and m.eps != 0.0
+
+
+def _extrapolated(coarse, fine, points) -> np.ndarray:
+    """Richardson's extrapolation of O(h^2) grid levels from a coarse and
+    a fine grid of one interval with ``points`` interior points each:
+    (r E(h') - E(h)) / (r - 1), with r = (h / h')^2 from the exact
+    spacings h = (hi - lo) / (N + 1)."""
+    r = ((points[1] + 1) / (points[0] + 1)) ** 2
+    return (r * fine - coarse) / (r - 1.0)
 
 
 def _grid_levels(m, lo, hi, npts, nmax, sigma_imag=_SIGMA_IMAG, iters=_ITERS) -> tuple:
@@ -713,23 +730,30 @@ def _suite_hermiticity(args, tol) -> list:
 
 
 def _suite_spectra(args, tol) -> list:
-    """Per family: the lowest four Hermitian levels at _REAL_POINTS points
-    and their h^2 convergence from half as many, then three shifted ones."""
+    """Per family: the lowest four Hermitian levels on the _SUITE_POINTS
+    grids, the fine grid's error, its h^2 convergence from the coarse one
+    and their Richardson extrapolation; then three shifted levels."""
     checks = []
     conv = (tol["conv-lo"], tol["conv-hi"])
     for kind in _kinds(args):
         m = _FIGURE[kind]
         m0 = replace(m, eps=0.0)
         want = np.array([models.energy(m0, n) for n in range(1, 5)])
-        coarse, fine = (
-            np.abs(_grid_levels(m0, *_spectrum_interval(m0), npts, 4)[0] - want)
-            for npts in (_REAL_POINTS // 2, _REAL_POINTS)
-        )
+        levels = [
+            _grid_levels(m0, *_spectrum_interval(m0), npts, 4)[0] for npts in _SUITE_POINTS
+        ]
+        coarse, fine = (np.abs(lev - want) for lev in levels)
         factors = coarse / fine
+        extrapolated = _extrapolated(*levels, _SUITE_POINTS)
         checks += [
             _check_le(f"{kind}-spectrum-rel", np.max(fine / want), tol["spectrum-rel"]),
             _check_in(f"{kind}-conv-factor-min", float(np.min(factors)), *conv),
             _check_in(f"{kind}-conv-factor-max", float(np.max(factors)), *conv),
+            _check_le(
+                f"{kind}-extrapolated-rel",
+                np.max(np.abs(extrapolated - want) / want),
+                tol["extrapolated-rel"],
+            ),
         ]
         if _no_grid_spectrum(m):
             continue

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -390,6 +391,21 @@ class TestSpectrum:
         assert "warn:" not in err
         assert not (tmp_path / "nan.csv").exists()
 
+    @pytest.mark.parametrize("offset", ["1e200", "1e300"])
+    def test_far_shift_is_a_failed_check(self, tmp_path, capsys, offset):
+        # inverse iteration from so far off the axis ended in numpy's
+        # LinAlgError: the first iterate's norm underflowed to 0
+        code = run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75",
+            "--eps", "1.2", "--nmax", "1", "--sigma-imag", offset,
+            "--out", str(tmp_path / "far.csv"),
+        ])
+        assert code == 1
+        warned = failed_check_lines(tmp_path / "far.manifest.json")
+        assert capsys.readouterr().err.splitlines() == warned
+        assert warned[0].startswith("warn: check failed: level-1-rel measured ")
+        assert np.all(np.isfinite(read_csv(tmp_path / "far.csv")["E_numeric"]))
+
     def test_complex_check_rows(self, tmp_path, capsys):
         manifest = tmp_path / "r.json"
         assert run([
@@ -567,6 +583,47 @@ class TestVerify:
         assert "FAIL" in captured.out
         assert "warn:" in captured.err
 
+    def test_extrapolated_levels_are_near_the_formula(self, tmp_path, monkeypatch):
+        # they read 3.9e-10 (radial) and 1.9e-11 (Scarf); with r = 4 in
+        # place of the exact (2001/1001)^2 they read 1.35e-8 and 4.6e-9
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "spectra"]) == 0
+        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+        rows = {c["name"]: c for c in doc["checks"] if "extrapolated" in c["name"]}
+        assert sorted(rows) == ["radial-extrapolated-rel", "scarf-extrapolated-rel"]
+        for row in rows.values():
+            assert row["measured"] <= 1e-9
+            assert row["tolerance"] == 1e-8
+
+    def test_extrapolated_tolerance_override_fails_each_family(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "spectra", "--tol-extrapolated-rel", "1e-13"]) == 1
+        warned = failed_check_lines(tmp_path / "verify.manifest.json")
+        assert [line.split()[3] for line in warned] == [
+            "radial-extrapolated-rel", "scarf-extrapolated-rel",
+        ]
+        assert capsys.readouterr().err.splitlines() == warned
+
+    def test_extrapolation_is_fourth_order(self):
+        # the Dirichlet Laplacian on (0, pi) with N interior points has
+        # the levels (4/h^2) sin^2(k h/2), h = pi/(N + 1), against k^2;
+        # their h^2 term cancels, so doubling both grids cuts the error
+        # about 16 times (about 8 with r = 4 in place of the exact ratio)
+        k = np.arange(1, 5)
+
+        def levels(n):
+            h = math.pi / (n + 1)
+            return 4.0 / (h * h) * np.sin(0.5 * k * h) ** 2
+
+        errors = [
+            np.abs(cli._extrapolated(levels(n), levels(2 * n), (n, 2 * n)) - k * k)
+            for n in (100, 200)
+        ]
+        assert np.all(errors[0] <= 2e-7 * k * k)
+        assert np.all((15.0 < errors[0] / errors[1]) & (errors[0] / errors[1] < 17.0))
+
     def test_orthogonality_suite_at_nmax_8(self, tmp_path, monkeypatch):
         # each Gram matrix stops on its largest entry, not entry by entry
         monkeypatch.chdir(tmp_path)
@@ -632,10 +689,14 @@ _SUITE_CHECKS = {
     "spectra": {
         "radial": [
             "radial-spectrum-rel", "radial-conv-factor-min", "radial-conv-factor-max",
+            "radial-extrapolated-rel",
             *[f"radial-complex-{n}-{check}" for n in (1, 2, 3)
               for check in ("eigen-residual", "im-ratio", "re-rel")],
         ],
-        "scarf": ["scarf-spectrum-rel", "scarf-conv-factor-min", "scarf-conv-factor-max"],
+        "scarf": [
+            "scarf-spectrum-rel", "scarf-conv-factor-min", "scarf-conv-factor-max",
+            "scarf-extrapolated-rel",
+        ],
     },
     "residuals": {
         "radial": [f"radial-eps{e}-n{n}" for e in ("0", "1.2") for n in (1, 2, 3)],
@@ -683,7 +744,7 @@ class TestVerifyContract:
                 "gram-offdiag": 1e-8, "gram-diag-rel": 1e-8, "extract-rel": 1e-8,
                 "const-diff": 1e-9, "quasi-rel": 1e-11, "pseudo-rel": 1e-11,
                 "pt-rel": 1e-12, "pt-broken-min": 1e-2, "spectrum-rel": 1e-3,
-                "conv-lo": 3.5, "conv-hi": 4.5, "im-ratio": 1e-6,
+                "extrapolated-rel": 1e-8, "conv-lo": 3.5, "conv-hi": 4.5, "im-ratio": 1e-6,
                 "eigen-residual": 1e-8, "residual": 1e-6,
             },
         }

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xspectra import models, numerics, polycore
+from xspectra import cli, models, numerics, polycore
 from xspectra import (
     ArgumentError,
     ConvergenceError,
@@ -516,8 +517,8 @@ class TestSturmCounts:
 
 
 def _spectra_suite_operators(radial_hermitian, scarf_hermitian):
-    """The four grid operators of the spectra suite: radial, then Scarf,
-    each at 2000 and 4000 points."""
+    """Four grid operators on the intervals of `spectrum`: radial, then
+    Scarf, each at 2000 points and at `spectrum`'s default 4000."""
     half = 0.5 * math.pi / scarf_hermitian.k
     for model, lo, hi in ((radial_hermitian, 1e-8, 12.0), (scarf_hermitian, -half, half)):
         for npts in (2000, 4000):
@@ -624,6 +625,28 @@ class TestLowestEigenvalues:
             per_operator.append(sum(rows))
         assert per_operator == [9679, 16159, 11979, 23899]
         assert sum(per_operator) <= 62200
+
+    def test_spectra_suite_work_is_pinned(self, monkeypatch, tmp_path):
+        # each family's four Hermitian levels on 1000 and 2000 points:
+        # on 2000 and 4000 the suite took 25 sweeps and 61716 slab rows
+        rows = _logged_sturm_counts(monkeypatch)
+        sizes, sweeps = [], []
+        lowest, counts = numerics.lowest_eigenvalues, numerics._sturm_counts
+
+        def sized(t, m):
+            sizes.append(t.size)
+            return lowest(t, m)
+
+        def counted(*args):
+            sweeps.append(1)
+            return counts(*args)
+
+        monkeypatch.setattr(numerics, "lowest_eigenvalues", sized)
+        monkeypatch.setattr(numerics, "_sturm_counts", counted)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["verify", "--suite", "spectra"]) == 0
+        assert sizes == [1000, 2000, 1000, 2000]
+        assert (len(sweeps), sum(rows)) == (26, 32619)
 
     def test_spectra_suite_operators_stay_within_one_eps_norm_of_stebz(
         self, radial_hermitian, scarf_hermitian
@@ -794,6 +817,15 @@ class TestEigenNearShift:
         assert near.converged
         assert abs(near.eigenvalue - sturm) <= 1e-8 * abs(sturm)
         assert abs(near.eigenvalue.imag) <= 1e-10
+
+    @pytest.mark.parametrize("offset", [1e200, 1e300])
+    def test_far_shift_gives_a_finite_eigenvalue(self, radial_figure, offset):
+        # the first solve's max|w| is ~1e-202 at 1e200: its norm underflowed
+        # to 0 and the normalised w was NaN
+        op = discretize(radial_figure, -12.0, 12.0, 1200)
+        res = eigen_near_shift(op, models.energy(radial_figure, 1) + 1j * offset)
+        assert cmath.isfinite(res.eigenvalue)
+        assert math.isfinite(res.residual)
 
     def test_iteration_budget_is_respected(self, radial_figure):
         op = discretize(radial_figure, -12.0, 12.0, 400)
