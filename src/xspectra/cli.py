@@ -73,9 +73,6 @@ _TOLERANCES = {
     "residual": 1e-6,
 }
 
-# the tolerances `spectrum` compares against; `table` has none
-_SPECTRUM_TOLERANCES = ("spectrum-rel", "im-ratio", "eigen-residual")
-
 # the reference model of each family, which `verify` checks wherever the
 # caller pins no model, and the model fields each family takes from flags
 _FIGURE = {
@@ -356,13 +353,29 @@ def _finish(args, command, parameters, checks, header=None, columns=None) -> int
     return 1 if failed else 0
 
 
-def _tolerances(args) -> dict:
-    out = dict(_TOLERANCES)
-    for name in _TOLERANCES:
-        val = getattr(args, "tol_" + name.replace("-", "_"), None)
-        if val is not None:
-            out[name] = float(val)
-    return out
+def _refuse_unread(args, flags, reader: str) -> None:
+    """Refuse each of ``flags`` that the caller set but ``reader`` does not read."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_"), None) is not None:
+            raise ArgumentError(f"--{flag} is not read by {reader}")
+
+
+class _Tolerances(dict):
+    """Each tolerance, or its --tol-<name> value, recording the names the
+    checks look up: a manifest lists exactly the ones compared against."""
+
+    def __init__(self, args):
+        given = {n: getattr(args, "tol_" + n.replace("-", "_"), None) for n in _TOLERANCES}
+        super().__init__({n: _TOLERANCES[n] if v is None else v for n, v in given.items()})
+        self.args, self.read = args, set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def compared(self, reader: str) -> dict:
+        _refuse_unread(self.args, [f"tol-{n}" for n in self if n not in self.read], reader)
+        return {name: value for name, value in self.items() if name in self.read}
 
 
 def _model(kind: str, args) -> PotentialModel:
@@ -425,20 +438,14 @@ def _extrapolated(coarse, fine, points) -> np.ndarray:
 
 def _grid_levels(m, lo, hi, npts, nmax, sigma_imag=_SIGMA_IMAG, iters=_ITERS) -> tuple:
     """The nmax lowest levels of m's grid Hamiltonian on (lo, hi) with
-    npts interior points, and None for a Hermitian model; for a shifted
-    one, the complex levels and each level's :class:`EigenResult`."""
+    npts interior points, and None for a Hermitian model; for a shifted one,
+    eigen_near_shift's levels and results (it checks sigma_imag and iters)."""
     if _no_grid_spectrum(m):
         raise ArgumentError(
             "shifted scarf states are not normalizable on the real line, "
             "so no grid spectrum exists; verify that case with "
             "`verify --suite residuals` and `--suite hermiticity`"
         )
-    # checked for every model, not only where the complex branch uses
-    # them, so that no run accepts a value it would refuse on the other
-    if iters < 1:
-        raise ArgumentError(f"--iters must be >= 1, got {iters}")
-    if not math.isfinite(sigma_imag):
-        raise ArgumentError(f"--sigma-imag must be finite, got {sigma_imag!r}")
     op = numerics.discretize(m, lo, hi, npts)
     if m.eps == 0.0:
         return numerics.lowest_eigenvalues(op, nmax), None
@@ -527,7 +534,11 @@ def cmd_table(args) -> int:
 
 def cmd_spectrum(args) -> int:
     m = _model(args.family, args)
-    tol = _tolerances(args)
+    if m.eps == 0.0:
+        _refuse_unread(args, ("iters", "sigma-imag"), "a Hermitian spectrum")
+    iters = _ITERS if args.iters is None else args.iters
+    sigma_imag = _SIGMA_IMAG if args.sigma_imag is None else args.sigma_imag
+    tol = _Tolerances(args)
     lo, hi = _spectrum_interval(m)
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
@@ -535,7 +546,7 @@ def cmd_spectrum(args) -> int:
         _COMPLEX_POINTS if m.eps != 0.0 else _REAL_POINTS
     )
     nmax = args.nmax
-    levels, results = _grid_levels(m, lo, hi, npts, nmax, args.sigma_imag, args.iters)
+    levels, results = _grid_levels(m, lo, hi, npts, nmax, sigma_imag, iters)
     formulas = np.array([models.energy(m, n) for n in range(1, nmax + 1)])
     checks = []
     header = ["n", "E_formula", "E_numeric", "abs_err", "rel_err"]
@@ -546,7 +557,7 @@ def cmd_spectrum(args) -> int:
         for n, res in enumerate(results, 1):
             if not res.converged:
                 _warn(
-                    f"level {n}: no convergence after {args.iters} iterations "
+                    f"level {n}: no convergence after {iters} iterations "
                     f"(residual {res.residual:.3e})"
                 )
             lam = res.eigenvalue
@@ -564,11 +575,11 @@ def cmd_spectrum(args) -> int:
         "hi": float(hi),
         "grid_points": int(npts),
         "nmax": int(nmax),
-        "tolerances": {k: tol[k] for k in _SPECTRUM_TOLERANCES},
+        "tolerances": tol.compared("a Hermitian spectrum"),
     }
     if results is not None:
         # the shift and the step cap decide which level is found
-        parameters.update(iters=int(args.iters), sigma_imag=float(args.sigma_imag))
+        parameters.update(iters=int(iters), sigma_imag=float(sigma_imag))
     columns = [np.arange(1, nmax + 1), formulas, numeric, abs_err, rel_err] + extra
     return _finish(args, "spectrum", parameters, checks, header, columns)
 
@@ -787,8 +798,8 @@ def _suite_residuals(args, tol) -> list:
     return checks
 
 
-# each suite and the flags it reads: `verify` refuses a flag that no suite
-# it runs reads, rather than record a value that nothing used
+# each suite and the model flags it reads: `verify` refuses a flag, like a
+# --tol-<name>, that nothing it runs reads, rather than record an unused value
 _SUITES = {
     "orthogonality": (_suite_orthogonality, ("a", "nmax")),
     "zeros": (_suite_zeros, ("a", "nmax")),
@@ -802,30 +813,22 @@ _SUITES = {
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     read = {flag for name in names for flag in _SUITES[name][1]}
-    for flag in ("family", *_MODEL_FIELDS["scarf"], "nmax"):
-        if getattr(args, flag) is not None and flag not in read:
-            raise ArgumentError(f"--{flag} is not read by the {args.suite} suite")
-    tol = _tolerances(args)
+    flags, reader = ("family", *_MODEL_FIELDS["scarf"], "nmax"), f"the {args.suite} suite"
+    _refuse_unread(args, [flag for flag in flags if flag not in read], reader)
+    tol = _Tolerances(args)
     checks = []
     for name in names:
         checks += _SUITES[name][0](args, tol)
-    for c in checks:
-        print(
-            f"{'PASS' if c.passed else 'FAIL'} {c.name}: "
-            f"measured={c.measured:.6e} tolerance={c.tolerance:.6e}"
-        )
     parameters = {
         "suite": args.suite,
-        "family": args.family,
-        "a": args.a,
-        "b": args.b,
-        "k": args.k,
-        "eps": args.eps,
-        "branch": args.branch,
-        "nmax": args.nmax,
-        "tolerances": tol,
+        **{flag: getattr(args, flag) for flag in flags},
+        "tolerances": tol.compared(reader),
     }
-    return _finish(args, "verify", parameters, checks)
+    code = _finish(args, "verify", parameters, checks)
+    for c in checks:
+        status = "PASS" if c.passed else "FAIL"
+        print(f"{status} {c.name}: measured={c.measured:.6e} tolerance={c.tolerance:.6e}")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -913,16 +916,16 @@ def build_parser() -> _Parser:
     p_spec.add_argument(
         "--grid-points", type=int, default=None, help="interior grid points"
     )
-    p_spec.add_argument("--iters", type=int, default=_ITERS)
+    p_spec.add_argument("--iters", type=int, default=None)
     p_spec.add_argument(
         "--sigma-imag",
         type=float,
-        default=_SIGMA_IMAG,
+        default=None,
         help="imaginary offset of the inverse-iteration shift",
     )
     p_spec.add_argument("--out", default=None)
     p_spec.add_argument("--manifest", default=None)
-    _add_tol_flags(p_spec, _SPECTRUM_TOLERANCES)
+    _add_tol_flags(p_spec, ("spectrum-rel", "im-ratio", "eigen-residual"))
     p_spec.set_defaults(func=cmd_spectrum)
 
     p_ver = sub.add_parser("verify", help="run a named verification suite")

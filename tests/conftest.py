@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from xspectra import PotentialModel, X1Family
@@ -34,7 +32,3 @@ def laguerre_family() -> X1Family:
 @pytest.fixture
 def jacobi_family() -> X1Family:
     return X1Family("jacobi", 1.75, 3.0)
-
-
-def scarf_half_cell(m: PotentialModel) -> float:
-    return 0.5 * math.pi / abs(m.k)

@@ -531,7 +531,7 @@ class TestVerify:
             assert "PASS zero-pattern-a5" in out
             doc = json.loads((tmp_path / "verify.manifest.json").read_text())
             assert all(c["status"] == "pass" for c in doc["checks"])
-        assert doc["parameters"]["tolerances"]["residual"] == 1e-6
+        assert doc["parameters"]["tolerances"] == {}
 
     @pytest.mark.parametrize("a", ["1e-15", "1e-18", "1e-300"])
     def test_zeros_suite_at_tiny_index(self, a, tmp_path, capsys, monkeypatch):
@@ -705,10 +705,37 @@ _SUITE_CHECKS = {
 }
 
 
-def _expected_checks(suite, family):
+# the tolerances each suite compares against with default flags, per family
+_SUITE_TOLERANCES = {
+    "orthogonality": {None: ["gram-offdiag", "gram-diag-rel"]},
+    "zeros": {None: []},
+    "pct": {"radial": ["extract-rel", "const-diff"], "scarf": ["extract-rel", "const-diff"]},
+    "hermiticity": {
+        "radial": ["quasi-rel", "pseudo-rel", "pt-rel"],
+        "scarf": ["quasi-rel", "pseudo-rel", "pt-broken-min", "pt-rel"],
+    },
+    "spectra": {
+        "radial": [
+            "spectrum-rel", "conv-lo", "conv-hi", "extrapolated-rel", "eigen-residual", "im-ratio",
+        ],
+        "scarf": ["spectrum-rel", "conv-lo", "conv-hi", "extrapolated-rel"],
+    },
+    "residuals": {"radial": ["residual"], "scarf": ["residual"]},
+}
+
+_DEFAULT_TOLERANCES = {
+    "gram-offdiag": 1e-8, "gram-diag-rel": 1e-8, "extract-rel": 1e-8,
+    "const-diff": 1e-9, "quasi-rel": 1e-11, "pseudo-rel": 1e-11,
+    "pt-rel": 1e-12, "pt-broken-min": 1e-2, "spectrum-rel": 1e-3,
+    "extrapolated-rel": 1e-8, "conv-lo": 3.5, "conv-hi": 4.5, "im-ratio": 1e-6,
+    "eigen-residual": 1e-8, "residual": 1e-6,
+}
+
+
+def _expected(table, suite, family):
     names = []
-    for s in _SUITE_CHECKS if suite == "all" else [suite]:
-        by_family = _SUITE_CHECKS[s]
+    for s in table if suite == "all" else [suite]:
+        by_family = table[s]
         for f in [None] if None in by_family else [family] if family else ["radial", "scarf"]:
             names += by_family[f]
     return names
@@ -717,8 +744,9 @@ def _expected_checks(suite, family):
 class TestVerifyContract:
     # recorded before the suites took their models from one builder: every
     # suite and family with default flags gives these checks, all passing,
-    # and a manifest recording no model flag.  `measured` is not pinned:
-    # its last bits depend on the BLAS
+    # and a manifest recording no model flag and exactly the tolerances
+    # its checks compared against.  `measured` is not pinned: its last
+    # bits depend on the BLAS
     @pytest.mark.parametrize("suite, family", [
         ("orthogonality", None), ("zeros", None),
         *[(s, f) for s in ("pct", "hermiticity", "spectra", "residuals", "all")
@@ -731,7 +759,7 @@ class TestVerifyContract:
         captured = capsys.readouterr()
         assert captured.err == ""
         doc = json.loads((tmp_path / "verify.manifest.json").read_text())
-        names = _expected_checks(suite, family)
+        names = _expected(_SUITE_CHECKS, suite, family)
         assert [c["name"] for c in doc["checks"]] == names
         assert all(c["status"] == "pass" for c in doc["checks"])
         assert [line.split()[:2] for line in captured.out.splitlines()] == [
@@ -741,24 +769,36 @@ class TestVerifyContract:
             "suite": suite, "family": family, "a": None, "b": None, "k": None,
             "eps": None, "branch": None, "nmax": None,
             "tolerances": {
-                "gram-offdiag": 1e-8, "gram-diag-rel": 1e-8, "extract-rel": 1e-8,
-                "const-diff": 1e-9, "quasi-rel": 1e-11, "pseudo-rel": 1e-11,
-                "pt-rel": 1e-12, "pt-broken-min": 1e-2, "spectrum-rel": 1e-3,
-                "extrapolated-rel": 1e-8, "conv-lo": 3.5, "conv-hi": 4.5, "im-ratio": 1e-6,
-                "eigen-residual": 1e-8, "residual": 1e-6,
+                name: _DEFAULT_TOLERANCES[name]
+                for name in _expected(_SUITE_TOLERANCES, suite, family)
             },
         }
 
+    # a value for each tolerance that fails a check comparing against it
+    @pytest.mark.parametrize("name, value", [
+        (name, {"conv-lo": "5", "conv-hi": "3", "pt-broken-min": "1e300"}.get(name, "-1"))
+        for name in _DEFAULT_TOLERANCES
+    ], ids=lambda v: v)
+    def test_every_tolerance_is_compared(self, tmp_path, monkeypatch, capsys, name, value):
+        # so no --tol-<name> flag is one that nothing reads
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "all", f"--tol-{name}", value]) == 1
+        manifest = tmp_path / "verify.manifest.json"
+        warned = failed_check_lines(manifest)
+        assert warned and capsys.readouterr().err.splitlines() == warned
+        tolerances = json.loads(manifest.read_text())["parameters"]["tolerances"]
+        assert tolerances == {**_DEFAULT_TOLERANCES, name: float(value)}
+
 
 def assert_usage_error(captured, tmp_path, lines=None):
-    """Exit-2 contract: stderr is `error:` lines only, nothing ran to
-    completion, and no output file was written."""
+    """Exit-2 contract: stderr is `error:` lines only, stdout is empty,
+    and no output file was written."""
     err = captured.err.splitlines()
     assert err and err[0].startswith("error:")
     assert not any(line.startswith("warn:") for line in err)
     if lines is not None:
         assert err == lines
-    assert "PASS" not in captured.out
+    assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
 
@@ -772,6 +812,14 @@ class TestUsageErrors:
         (["--suite", "orthogonality", "--eps", "1"], "eps", "orthogonality"),
         (["--suite", "spectra", "--branch", "cos"], "branch", "spectra"),
         (["--suite", "pct", "--b", "2"], "b", "pct"),
+        # a tolerance is refused where no check the suite ran compared
+        # against it, which the suite finds out only by running
+        (["--suite", "zeros", "--tol-spectrum-rel", "1e-30"], "tol-spectrum-rel", "zeros"),
+        (["--suite", "hermiticity", "--family", "radial", "--tol-pt-broken-min", "5"],
+         "tol-pt-broken-min", "hermiticity"),
+        (["--suite", "spectra", "--family", "scarf", "--tol-im-ratio", "1"],
+         "tol-im-ratio", "spectra"),
+        (["--suite", "residuals", "--tol-gram-offdiag", "1"], "tol-gram-offdiag", "residuals"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_verify_rejects_unread_flags(self, tmp_path, monkeypatch, capsys, argv, flag, suite):
         # these exited 0 and recorded values the suite never used
@@ -779,6 +827,24 @@ class TestUsageErrors:
         assert run(["verify", *argv]) == 2
         assert_usage_error(
             capsys.readouterr(), tmp_path, [f"error: --{flag} is not read by the {suite} suite"]
+        )
+
+    @pytest.mark.parametrize("flag, value", [
+        ("iters", "40"), ("sigma-imag", "0.25"),
+        ("tol-im-ratio", "1"), ("tol-eigen-residual", "1"),
+    ], ids=lambda v: v)
+    def test_hermitian_spectrum_rejects_solver_flags(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        # a Hermitian spectrum is counted by Sturm bisection: no shift, no
+        # step cap and no inverse-iteration checks; these exited 0
+        monkeypatch.chdir(tmp_path)
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75", "--nmax", "2",
+            f"--{flag}", value,
+        ]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path, [f"error: --{flag} is not read by a Hermitian spectrum"]
         )
 
     def test_verify_all_reads_every_flag(self, tmp_path, monkeypatch, capsys):
@@ -1038,9 +1104,11 @@ class TestUsageErrors:
         monkeypatch.chdir(tmp_path)
         manifest = tmp_path / "missing" / "v.json"
         assert run(["verify", "--suite", "zeros", "--manifest", str(manifest)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: cannot write {manifest}: No such file or directory"]
-        assert list(tmp_path.iterdir()) == []
+        # the report's PASS lines were printed before this error
+        assert_usage_error(
+            capsys.readouterr(), tmp_path,
+            [f"error: cannot write {manifest}: No such file or directory"],
+        )
 
     def test_unwritable_manifest_keeps_the_written_csv(self, tmp_path, monkeypatch, capsys):
         # the CSV is written before the manifest, so it stays, whole

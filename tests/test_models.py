@@ -31,7 +31,9 @@ from xspectra.models import (
 )
 from xspectra.xop import x1_laguerre_norm, x1_polynomial
 
-from conftest import scarf_half_cell
+
+def scarf_half_cell(m: PotentialModel) -> float:
+    return 0.5 * math.pi / abs(m.k)
 
 
 class TestParameterChecks:
