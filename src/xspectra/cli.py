@@ -332,13 +332,16 @@ def _csv_chunks(header: list, columns: list):
 
 def _finish(args, command, parameters, checks, header=None, columns=None) -> int:
     """Every subcommand's ending: write the CSV, if there is one, then the
-    manifest (next to the CSV unless --manifest names it), warn once per
-    failed check, and return the exit code."""
+    manifest (next to the CSV unless --manifest names it; the two must be
+    different files), warn once per failed check, and return the exit
+    code."""
     if header is None:
         outputs = [args.manifest or f"{command}.manifest.json"]
     else:
         out = args.out or f"{args.family}_{command}.csv"
         outputs = [out, args.manifest or os.path.splitext(out)[0] + ".manifest.json"]
+        if os.path.realpath(out) == os.path.realpath(outputs[1]):
+            raise ArgumentError(f"the CSV and the manifest name one file, {out}")
         _write_atomic(out, _csv_chunks(header, columns))
     doc = {
         "command": command,

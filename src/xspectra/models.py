@@ -32,7 +32,7 @@ from .errors import (
     refuse_where,
 )
 from .polycore import finite_quadrature, integrate
-from .xop import X1Family, x1_laguerre_norm, x1_polynomial
+from .xop import X1Family, _check_member_index, x1_laguerre_norm, x1_polynomial
 
 __all__ = [
     "PotentialModel",
@@ -239,18 +239,13 @@ def potential(m: PotentialModel, x):
     return out[()] if scalar else out
 
 
-def _check_level(n) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ArgumentError(f"levels are indexed by integers n >= 1, got {n!r}")
-
-
 def energy(m: PotentialModel, n: int) -> float:
     """n-th bound-state energy; independent of ``eps`` by construction.
 
     radial: k^2 (2n + a - 1) / 2
     scarf:  (k^2 / 4) (2n + a + b - 1)^2
     """
-    _check_level(n)
+    _check_member_index(n)
     k2 = m.k * m.k
     if m.family == "radial_extended":
         return k2 * (2.0 * n + m.a - 1.0) / 2.0
@@ -322,7 +317,7 @@ def wavefunction(m: PotentialModel, n, x):
     if not levels:
         raise ArgumentError("wavefunction needs at least one level")
     for level in levels:
-        _check_level(level)
+        _check_member_index(level)
     _require_valid(m)
     xs = np.asarray(x)
     complex_input = np.iscomplexobj(xs)

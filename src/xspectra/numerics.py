@@ -294,10 +294,11 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     max(4 eps |lambda|, eps max(|gl|, |gu|)), with [gl, gu] the
     Gershgorin bracket: the second term is LAPACK dstebz's default
     ABSTOL, the width below which the counts follow rounding.  The
-    operator is first scaled to norm ~1 by an exact power of two.
-    Raises :class:`ArgumentError` for non-finite entries, off-diagonals
-    whose squares overflow or an overflowing start bracket, and
-    :class:`ConvergenceError` if the sweep cap is ever reached.
+    operator is first scaled to norm ~1 by an exact power of two, so
+    every entry's square is representable.  Raises
+    :class:`ArgumentError` for non-finite entries or a start bracket
+    that overflows once scaled back, and :class:`ConvergenceError` if
+    the sweep cap is ever reached.
     """
     if np.iscomplexobj(t.diagonal) or np.iscomplexobj(t.off_diagonal):
         raise TypeError(
@@ -309,12 +310,10 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     e = np.asarray(t.off_diagonal, dtype=float)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ArgumentError("operator has non-finite entries")
-    # e**2 must stay representable: the recurrence and start bracket use it
     d_max, e_max = float(np.abs(d).max()), float(np.abs(e).max(initial=0.0))
-    if not math.isfinite(e_max * e_max):
-        raise ArgumentError("operator off-diagonal entries overflow when squared")
-    # scale T to norm ~1 by a power of two, which is exact: otherwise e*e
-    # underflows for tiny-norm operators and the _PIVMIN floor swamps them
+    # scale T to norm ~1 by a power of two, which is exact: then e*e <= 1
+    # cannot overflow, and a tiny-norm operator's e*e neither underflows
+    # nor sinks under the _PIVMIN floor
     shift = math.frexp(max(d_max, e_max))[1]
     d = np.ldexp(d, -shift)
     e = np.ldexp(e, -shift)

@@ -7,10 +7,12 @@ gives
     E - V(x) = g'''/(2 g') - (3/4)(g''/g')^2
                + g'^2 (R - (1/2) dQ/dg - (1/4) Q^2)
 
-For the maps used by the solvable models, (E - V) / k^2 is a rational
-function of g, split here exactly by partial fractions: the constant is
-the energy and the rest is the potential.  The prefactor f is not
-evaluated here; the closed-form states are in :mod:`xspectra.models`.
+with Q = B / A and R = C / A read from the cleared polynomials A, B, C
+of :mod:`xspectra.xop`, the one form of each ODE.  For the maps used by
+the solvable models, (E - V) / k^2 is a rational function of g, split
+here exactly by partial fractions: the constant is the energy and the
+rest is the potential.  The prefactor f is not evaluated here; the
+closed-form states are in :mod:`xspectra.models`.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .errors import ArgumentError, ConsistencyError, SingularityError, refuse_where
-from .xop import OdeCoefficients, X1Family, x1_ode_coefficients
-from .xop import _cleared_ode_polys, _exact_singular_points
+from .xop import X1Family, _check_member_index, _cleared_ode_polys, _exact_singular_points
 
 __all__ = [
     "GMap",
@@ -97,23 +98,31 @@ _MAP_TERMS = {
 }
 
 
-def pct_e_minus_v(gm: GMap, ode: OdeCoefficients, x):
-    """E - V(x) for the member whose ODE data is ``ode``, in float.
+def pct_e_minus_v(gm: GMap, family: X1Family, n: int, x):
+    """E_n - V(x) for the degree-``n`` member of ``family``, in float.
 
-    For fixed member index n the result equals E_n - V(x).  It is the
-    float evaluation of the transformation, independent of the exact
-    split in :func:`extract_potential_report`, which measures the two
-    against each other.
+    Reads the member's cleared A, B, C as ``q = B / A``, ``r = C / A``
+    and ``dq = (B' A - B A') / A^2``.  It is the float evaluation of the
+    transformation, independent of the exact split in
+    :func:`extract_potential_report`, which measures the two against
+    each other.  A point where g' vanishes or g lands on the float value
+    of a root of A is refused.
     """
+    _check_member_index(n)
+    A, B, C = _cleared_ode_polys(family.kind, family.a, family.b, n)
     xs = np.asarray(x)
     gv, dgv, d2gv, d3gv = gm.derivatives(xs)
     refuse_where(dgv == 0.0, xs, SingularityError, "g' vanishes")
-    for s in ode.singular_points:
+    for s in map(float, _exact_singular_points(family)):
         refuse_where(gv == s, xs, SingularityError, f"g(x) hits the ODE singular point {s:g}")
+    dA, dB = npp.polyder(A), npp.polyder(B)
+    a_g, b_g = npp.polyval(gv, A), npp.polyval(gv, B)
+    q, r = b_g / a_g, npp.polyval(gv, C) / a_g
+    dq = (npp.polyval(gv, dB) * a_g - b_g * npp.polyval(gv, dA)) / (a_g * a_g)
     out = (
         d3gv / (2.0 * dgv)
         - 0.75 * (d2gv / dgv) ** 2
-        + dgv * dgv * (ode.r(gv) - 0.5 * ode.dq(gv) - 0.25 * ode.q(gv) ** 2)
+        + dgv * dgv * (r - 0.5 * dq - 0.25 * q ** 2)
     )
     refuse_where(~np.isfinite(out), xs, SingularityError, "transformation not finite")
     return out if np.ndim(x) else complex(out) if gm.is_complex else float(out)
@@ -207,7 +216,8 @@ def extract_potential_report(
     n1, n2 = n_pair
     if n1 == n2:
         raise ArgumentError("need two distinct member indices")
-    ode1, ode2 = (x1_ode_coefficients(family, n) for n in n_pair)
+    for n in n_pair:
+        _check_member_index(n)
     (c1, terms, floats), (c2, terms2, _) = (_exact_split(family, gm.kind, int(n)) for n in n_pair)
     if terms != terms2:
         raise ConsistencyError(
@@ -216,7 +226,8 @@ def extract_potential_report(
         )
     k2 = Fraction(gm.k) ** 2
     xs = np.asarray(grid, dtype=float)
-    dw = pct_e_minus_v(gm, ode1, xs) - pct_e_minus_v(gm, ode2, xs) - float((c1 - c2) * k2)
+    w1, w2 = (pct_e_minus_v(gm, family, n, xs) for n in n_pair)
+    dw = w1 - w2 - float((c1 - c2) * k2)
     g = gm.derivatives(xs)[0]
     return PotentialExtraction(
         v_values=gm.k * gm.k * sum(c * (g - p) ** -j for p, j, c in floats),

@@ -5,9 +5,8 @@ L2 spaces.  Each family's second-order ODE is written once, as the
 polynomials A, B, C of ``A y'' + B y' + C y = 0`` with its denominators
 cleared.  Members solve the banded system those polynomials define, by
 exact back-substitution in ``fractions.Fraction``, not by
-classical-polynomial identities, and the rational coefficients
-``q, dq, r`` that the point canonical transformation reads are derived
-from the same A, B, C.
+classical-polynomial identities, and the point canonical transformation
+in :mod:`xspectra.pct` reads the same A, B, C.
 """
 
 from __future__ import annotations
@@ -19,15 +18,12 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-import numpy.polynomial.polynomial as npp
 
 from .errors import ArgumentError, ConstructionError, SingularityError
 from .polycore import Polynomial, gamma
 
 __all__ = [
     "X1Family",
-    "OdeCoefficients",
-    "x1_ode_coefficients",
     "x1_polynomial",
     "x1_weight",
     "x1_laguerre_norm",
@@ -67,22 +63,6 @@ class X1Family:
                 )
             if self.a == self.b:
                 raise ArgumentError("jacobi family needs a != b")
-
-
-@dataclass(frozen=True)
-class OdeCoefficients:
-    """First- and zeroth-order coefficients of ``y'' + q y' + r y = 0``.
-
-    ``q`` and ``r`` are vectorized evaluators in the polynomial variable,
-    ``dq`` is the analytic derivative of ``q``, and ``singular_points``
-    lists the finite poles of the rational coefficients.  ``r`` carries
-    the member index ``n`` of the eigenvalue term.
-    """
-
-    q: Callable
-    dq: Callable
-    r: Callable
-    singular_points: tuple[float, ...]
 
 
 def _check_member_index(n) -> None:
@@ -129,33 +109,6 @@ def _cleared_ode_polys(kind: str, a, b, n: int):
     )
     C = np.array([-ev * (a + b) - (a - b) ** 2, (b - a) * (a + b + ev)])
     return A, B, C
-
-
-def x1_ode_coefficients(family: X1Family, n: int) -> OdeCoefficients:
-    """ODE data for the degree-``n`` member of ``family``.
-
-    Derived from the cleared polynomials of :func:`_cleared_ode_polys`:
-    ``q = B / A``, ``r = C / A`` and ``dq = (B' A - B A') / A^2``.  The
-    singular points are the distinct roots of ``A``, rounded from
-    :func:`_exact_singular_points`.
-    """
-    _check_member_index(n)
-    A, B, C = _cleared_ode_polys(family.kind, family.a, family.b, n)
-    dA, dB = npp.polyder(A), npp.polyder(B)
-
-    def q(g):
-        return npp.polyval(g, B) / npp.polyval(g, A)
-
-    def dq(g):
-        a_g = npp.polyval(g, A)
-        return (npp.polyval(g, dB) * a_g - npp.polyval(g, B) * npp.polyval(g, dA)) / (
-            a_g * a_g
-        )
-
-    def r(g):
-        return npp.polyval(g, C) / npp.polyval(g, A)
-
-    return OdeCoefficients(q, dq, r, tuple(map(float, _exact_singular_points(family))))
 
 
 def _exact_singular_points(family: X1Family) -> tuple:

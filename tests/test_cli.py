@@ -1123,6 +1123,30 @@ class TestUsageErrors:
         assert run(argv + ["--out", "u.csv"]) == 0
         assert written == (tmp_path / "u.csv").read_bytes()
 
+    # the manifest overwrote the CSV, exit 0, and listed the file twice
+    @pytest.mark.parametrize("command, flags", [
+        ("table", ["--points", "11"]),
+        ("spectrum", ["--nmax", "1", "--grid-points", "200"]),
+    ])
+    @pytest.mark.parametrize("out, manifest", [
+        ("same.csv", "same.csv"),
+        ("./same.csv", "same.csv"),
+        (None, "radial_{command}.csv"),  # the CSV's default name
+    ], ids=["same", "dot-slash", "default-out"])
+    def test_out_and_manifest_naming_one_file(
+        self, tmp_path, monkeypatch, capsys, command, flags, out, manifest
+    ):
+        monkeypatch.chdir(tmp_path)
+        manifest = manifest.format(command=command)
+        argv = [command, "--family", "radial", "--a", "2", "--k", "1.75", *flags]
+        if out is not None:
+            argv += ["--out", out]
+        assert run(argv + ["--manifest", manifest]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path,
+            [f"error: the CSV and the manifest name one file, {out or manifest}"],
+        )
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "orthogonality", "--nmax", "20"],

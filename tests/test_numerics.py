@@ -718,11 +718,24 @@ class TestLowestEigenvalues:
         got = lowest_eigenvalues(t, 2) / s
         assert np.all(np.abs(got - want) <= 32.0 * np.finfo(float).eps * np.max(d))
 
+    @pytest.mark.parametrize("d, e", [
+        (np.ones(3), np.full(2, 1e200)),
+        (np.full(3, 1e200), np.full(2, 1e200)),
+        (np.full(3, 1e300), np.full(2, 1e300)),
+        (np.full(3, 1e-300), np.full(2, 1e-300)),
+    ], ids=["e1e200", "s1e200", "s1e300", "s1e-300"])
+    def test_entries_whose_squares_leave_the_float_range(self, d, e):
+        # the exact power-of-two scaling keeps every e*e representable
+        t = TridiagonalOperator(d, e)
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        got = lowest_eigenvalues(t, 3)
+        assert np.all(np.abs(got - want) <= 8.0 * 3 * np.finfo(float).eps * t.scale)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_bracket_is_rejected(self):
-        # finite entries whose squares overflow leave no finite start bracket
-        t = TridiagonalOperator(np.ones(3), np.full(2, 1e200))
-        with pytest.raises(ArgumentError):
+        # the scaled bracket is finite, its top scaled back is not
+        t = TridiagonalOperator(np.ones(3), np.array([1.5e308, 1.0]))
+        with pytest.raises(ArgumentError, match="Gershgorin bracket"):
             lowest_eigenvalues(t, 1)
 
     def test_sweep_cap_raises(self, monkeypatch):

@@ -12,13 +12,17 @@ from xspectra import (
     PotentialModel,
     SingularityError,
     X1Family,
+    cell,
+    energy,
     extract_potential_report,
     pct_e_minus_v,
     potential,
-    x1_ode_coefficients,
+    x1_family,
 )
 
 RNG = np.random.default_rng(20240531)
+QUADRATIC, LAGUERRE = GMap("quadratic", 1.0), X1Family("laguerre", 2.0)
+SINE, JACOBI = GMap("sine", 1.0), X1Family("jacobi", 1.75, 3.0)
 
 
 class TestGMap:
@@ -58,8 +62,8 @@ class TestEMinusV:
         gm = GMap("quadratic", 1.75)
         fam = X1Family("laguerre", 2.0)
         xs = np.linspace(0.4, 5.0, 40)
-        w1 = pct_e_minus_v(gm, x1_ode_coefficients(fam, 1), xs)
-        w2 = pct_e_minus_v(gm, x1_ode_coefficients(fam, 2), xs)
+        w1 = pct_e_minus_v(gm, fam, 1, xs)
+        w2 = pct_e_minus_v(gm, fam, 2, xs)
         diff = w2 - w1
         # E_2 - E_1 = k^2 for the oscillator tower
         assert np.max(np.abs(diff - 1.75**2)) <= 1e-9 * 1.75**2
@@ -69,31 +73,61 @@ class TestEMinusV:
         fam = X1Family("jacobi", 1.75, 3.0)
         half = 0.5 * math.pi / 1.25
         xs = np.linspace(-0.9 * half, 0.9 * half, 40)
-        w1 = pct_e_minus_v(gm, x1_ode_coefficients(fam, 1), xs)
-        w2 = pct_e_minus_v(gm, x1_ode_coefficients(fam, 2), xs)
+        w1 = pct_e_minus_v(gm, fam, 1, xs)
+        w2 = pct_e_minus_v(gm, fam, 2, xs)
         diff = np.mean(w2 - w1)
         assert diff == pytest.approx(23.4619140625 - 12.9150390625, rel=1e-10)
 
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0])
+    @pytest.mark.parametrize("family", ["radial_extended", "scarf_extended"])
+    def test_energy_minus_result_is_the_model_potential(self, family, eps):
+        # absolute, not a member difference, in which the map terms
+        # g'''/(2 g') - (3/4)(g''/g')^2 cancel
+        if family == "radial_extended":
+            m = PotentialModel(family, 2.0, None, 1.75, 1.2 * eps)
+            gm = GMap("quadratic", m.k, 1j * m.eps)
+            xs = np.linspace(-5.0, 5.0, 50) if eps else np.linspace(0.4, 6.0, 50)
+        else:
+            m = PotentialModel(family, 1.75, 3.0, 1.25, eps)
+            gm = GMap("sine", m.k, 1j * m.eps)
+            centre, half = cell(m)
+            xs = np.linspace(centre - 0.9 * half, centre + 0.9 * half, 50)
+        v = potential(m, xs)
+        for n in (1, 2, 3, 6):
+            got = energy(m, n) - pct_e_minus_v(gm, x1_family(m), n, xs)
+            assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v)), n
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("kind, x, message", [
-        ("quadratic", np.array([1.0, 0.0]), "g' vanishes at x = 0"),
-        ("sine", np.array([0.1, math.pi / 2, -math.pi / 2]),
+    @pytest.mark.parametrize("gm, fam, x, message", [
+        (QUADRATIC, LAGUERRE, np.array([1.0, 0.0]), "g' vanishes at x = 0"),
+        (SINE, JACOBI, np.array([0.1, math.pi / 2, -math.pi / 2]),
          "g(x) hits the ODE singular point 1 at x = 1.5708"),
-        ("sine", np.array([0.1, -math.pi / 2]),
+        (SINE, JACOBI, np.array([0.1, -math.pi / 2]),
          "g(x) hits the ODE singular point -1 at x = -1.5708"),
+        # g = (x + 2i)^2 / 4 is -1 = -a at x = 0
+        (GMap("quadratic", 1.0, 2j), X1Family("laguerre", 1.0), np.array([1.0, 0.0]),
+         "g(x) hits the ODE singular point -1 at x = 0"),
+        # g = x^2 / 4 is (a + b) / (b - a) = 1/4 at x = 1
+        (QUADRATIC, X1Family("jacobi", -0.375, 0.625), np.array([0.5, 1.0]),
+         "g(x) hits the ODE singular point 0.25 at x = 1"),
         # q(g)^2 overflows next to the pole at g = 0 that g' still misses
-        ("quadratic", np.array([2.0, 1e-150]), "transformation not finite at x = 1e-150"),
-        ("quadratic", 1e-150, "transformation not finite at x = 1e-150"),
-    ], ids=["dg-zero", "upper-edge", "lower-edge", "not-finite", "not-finite-scalar"])
-    def test_refusal_messages(self, kind, x, message):
-        fam = X1Family("laguerre", 2.0) if kind == "quadratic" else X1Family("jacobi", 1.75, 3.0)
+        (QUADRATIC, LAGUERRE, np.array([2.0, 1e-150]), "transformation not finite at x = 1e-150"),
+        (QUADRATIC, LAGUERRE, 1e-150, "transformation not finite at x = 1e-150"),
+    ], ids=["dg-zero", "upper-edge", "lower-edge", "laguerre-minus-a", "jacobi-d-root",
+            "not-finite", "not-finite-scalar"])
+    def test_refusal_messages(self, gm, fam, x, message):
         with pytest.raises(SingularityError) as got:
-            pct_e_minus_v(GMap(kind, 1.0), x1_ode_coefficients(fam, 1), x)
+            pct_e_minus_v(gm, fam, 1, x)
         assert str(got.value) == message
 
 
 class TestExtraction:
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True])
+    def test_member_index_must_be_positive_integer(self, n):
+        with pytest.raises(ArgumentError):
+            extract_potential_report(QUADRATIC, LAGUERRE, (n, 2), [1.0])
+
     def test_radial_matches_closed_form(self, radial_hermitian):
         gm = GMap("quadratic", radial_hermitian.k)
         fam = X1Family("laguerre", radial_hermitian.a)

@@ -12,12 +12,13 @@ from xspectra import xop
 from xspectra import (
     ArgumentError,
     ConstructionError,
+    GMap,
     Polynomial,
     SingularityError,
     X1Family,
+    pct_e_minus_v,
     x1_jacobi_norm,
     x1_laguerre_norm,
-    x1_ode_coefficients,
     x1_polynomial,
     x1_weight,
 )
@@ -122,6 +123,16 @@ def _exact_null_vector(kind, a, b, n):
     return v
 
 
+def _cleared_terms(family, n, p, g):
+    """The terms A y'', B y', C y of the cleared ODE for the member ``p``
+    at ``g``, and A(g): the check on y'' + (B/A) y' + (C/A) y with its
+    scale max(|terms|) + 1, multiplied through by A."""
+    A, B, C = xop._cleared_ode_polys(family.kind, family.a, family.b, n)
+    v, dv, d2v = poly_eval_derivs(p, g, 2)
+    a_g = npp.polyval(g, A)
+    return (a_g * d2v, npp.polyval(g, B) * dv, npp.polyval(g, C) * v), a_g
+
+
 def poly_eval_derivs(p, x, m):
     """``(p(x), p'(x), ..., p^(m)(x))`` from one Horner-style sweep
     carrying ``m + 1`` accumulators; ``x`` may be real or complex."""
@@ -204,11 +215,8 @@ class TestConstruction:
     def test_laguerre_member_solves_its_ode(self, a, n, g):
         fam = X1Family("laguerre", a)
         p = x1_polynomial(fam, n)
-        ode = x1_ode_coefficients(fam, n)
-        v, dv, d2v = poly_eval_derivs(p, g, 2)
-        terms = (d2v, ode.q(g) * dv, ode.r(g) * v)
-        scale = max(abs(t) for t in terms) + 1.0
-        assert abs(sum(terms)) <= 1e-10 * scale
+        terms, a_g = _cleared_terms(fam, n, p, g)
+        assert abs(sum(terms)) <= 1e-10 * (max(abs(t) for t in terms) + abs(a_g))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -224,15 +232,12 @@ class TestConstruction:
         if abs(a - b) < 0.05:
             return
         fam = X1Family("jacobi", a, b)
-        ode = x1_ode_coefficients(fam, n)
         pole = (a + b) / (b - a)
         if abs(g - pole) < 0.05:
             return
         p = x1_polynomial(fam, n)
-        v, dv, d2v = poly_eval_derivs(p, g, 2)
-        terms = (d2v, ode.q(g) * dv, ode.r(g) * v)
-        scale = max(abs(t) for t in terms) + 1.0
-        assert abs(sum(terms)) <= 1e-9 * scale
+        terms, a_g = _cleared_terms(fam, n, p, g)
+        assert abs(sum(terms)) <= 1e-9 * (max(abs(t) for t in terms) + abs(a_g))
 
 
     @pytest.mark.parametrize("key", sorted(ZERO_PIVOT_MEMBERS))
@@ -309,28 +314,37 @@ class TestValidation:
         with pytest.raises(ArgumentError):
             x1_polynomial(fam, n)
         with pytest.raises(ArgumentError):
-            x1_ode_coefficients(fam, n)
+            pct_e_minus_v(GMap("quadratic", 1.0), fam, n, 1.0)
 
 
 class TestOdeData:
     def test_jacobi_q_at_origin(self, jacobi_family):
-        ode = x1_ode_coefficients(jacobi_family, 2)
-        # -(a - b) - 2 (b - a) / (-(a + b)) at a=1.75, b=3
-        assert ode.q(0.0) == pytest.approx(1.7763157894736842, rel=1e-13)
+        A, B, _ = xop._cleared_ode_polys("jacobi", 1.75, 3.0, 2)
+        # q = B / A is -(a - b) - 2 (b - a) / (-(a + b)) at a=1.75, b=3
+        assert B[0] / A[0] == pytest.approx(1.7763157894736842, rel=1e-13)
 
     def test_dq_matches_finite_difference(self, jacobi_family):
-        ode = x1_ode_coefficients(jacobi_family, 3)
-        for g in (-0.6, -0.1, 0.3, 0.8):
-            h = 1e-6
-            fd = (ode.q(g + h) - ode.q(g - h)) / (2.0 * h)
-            assert ode.dq(g) == pytest.approx(fd, rel=1e-8)
+        # pct_e_minus_v forms dq from A, B, C; against the transformation
+        # with q = B / A, r = C / A and dq a central difference of q
+        A, B, C = xop._cleared_ode_polys("jacobi", 1.75, 3.0, 3)
+
+        def q(g):
+            return npp.polyval(g, B) / npp.polyval(g, A)
+
+        def fd(g, h=1e-6):
+            return (q(g + h) - q(g - h)) / (2.0 * h)
+
+        def r(g):
+            return npp.polyval(g, C) / npp.polyval(g, A)
+
+        gm = GMap("sine", 1.0)
+        x = np.arcsin(np.array([-0.6, -0.1, 0.3, 0.8]))
+        want, scale = _transformation(gm, x, q, fd, r)
+        assert np.all(np.abs(pct_e_minus_v(gm, jacobi_family, 3, x) - want) <= 1e-8 * scale)
 
     def test_singular_points(self, laguerre_family, jacobi_family):
-        assert x1_ode_coefficients(laguerre_family, 1).singular_points == (
-            0.0,
-            -2.0,
-        )
-        sp = x1_ode_coefficients(jacobi_family, 1).singular_points
+        assert tuple(map(float, xop._exact_singular_points(laguerre_family))) == (0.0, -2.0)
+        sp = tuple(map(float, xop._exact_singular_points(jacobi_family)))
         assert sp[:2] == (1.0, -1.0)
         assert sp[2] == pytest.approx(4.75 / 1.25)
 
@@ -345,14 +359,13 @@ class TestOdeData:
         exact = xop._exact_singular_points(fam)
         assert exact == want
         assert all(isinstance(p, Fraction) for p in exact)
-        assert x1_ode_coefficients(fam, 2).singular_points == tuple(map(float, want))
         A, _, _ = xop._cleared_ode_polys("jacobi", Fraction(a), Fraction(b), 2)
         assert all(npp.polyval(p, A) == 0 for p in exact)
 
 
 def _hand_written_ode(family, n):
     """The rational q, dq, r of each family written out by hand, the
-    reference for the ones derived from the cleared polynomials."""
+    reference for the ones read from the cleared polynomials."""
     a, b = family.a, family.b
     if family.kind == "laguerre":
 
@@ -388,18 +401,40 @@ def _hand_written_ode(family, n):
     return q, dq, r
 
 
+def _transformation(gm, x, q, dq, r):
+    """E - V at ``x`` under the map ``gm`` from evaluators q, dq, r of g,
+    and the sum of its terms' sizes."""
+    g, d1, d2, d3 = gm.derivatives(x)
+    terms = (d3 / (2.0 * d1), -0.75 * (d2 / d1) ** 2, d1 * d1 * r(g), -0.5 * d1 * d1 * dq(g),
+             -0.25 * d1 * d1 * q(g) ** 2)
+    return sum(terms), sum(np.abs(t) for t in terms)
+
+
 class TestOdeDerivation:
-    """q, dq and r come from the cleared polynomials A, B, C; they must
-    agree with the hand-written rational forms away from the poles."""
+    """q = B / A and r = C / A of the cleared polynomials, and the dq that
+    pct_e_minus_v forms from them, must agree with the hand-written
+    rational forms away from the poles."""
 
     @staticmethod
     def _check(family, n, g):
-        ode = x1_ode_coefficients(family, n)
-        if min(abs(g - s) for s in ode.singular_points) < 0.05:
+        poles = tuple(map(float, xop._exact_singular_points(family)))
+        if min(abs(g - s) for s in poles) < 0.05:
             return
-        for got, want in zip((ode.q, ode.dq, ode.r), _hand_written_ode(family, n)):
-            w = want(g)
-            assert abs(got(g) - w) <= 1e-11 * (1.0 + abs(w))
+        A, B, C = xop._cleared_ode_polys(family.kind, family.a, family.b, n)
+        q, _, r = _hand_written_ode(family, n)
+        for got, want in ((npp.polyval(g, B) / npp.polyval(g, A), q(g)),
+                          (npp.polyval(g, C) / npp.polyval(g, A), r(g))):
+            assert abs(got - want) <= 1e-11 * (1.0 + abs(want))
+        # x with g(x) = g under the family's map, complex where g is off its range
+        if family.kind == "laguerre":
+            gm, x = GMap("quadratic", 1.0), 2.0 * np.sqrt(complex(g))
+        else:
+            gm, x = GMap("sine", 1.0), np.arcsin(complex(g))
+        x = np.array([x.real if x.imag == 0.0 else x])
+        if min(abs(gm.derivatives(x)[0][0] - s) for s in poles) < 0.05:
+            return
+        want, scale = _transformation(gm, x, *_hand_written_ode(family, n))
+        assert np.abs(pct_e_minus_v(gm, family, n, x) - want) <= 1e-11 * (1.0 + scale)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -429,10 +464,16 @@ class TestOdeDerivation:
         self._check(fam, n, complex(x, y))
 
     def test_arrays_evaluate_elementwise(self, jacobi_family):
-        ode = x1_ode_coefficients(jacobi_family, 3)
+        A, B, C = xop._cleared_ode_polys("jacobi", 1.75, 3.0, 3)
         g = np.array([-0.6, -0.1, 0.3, 0.8])
-        for got, want in zip((ode.q, ode.dq, ode.r), _hand_written_ode(jacobi_family, 3)):
-            np.testing.assert_allclose(got(g), want(g), rtol=1e-12)
+        q, _, r = _hand_written_ode(jacobi_family, 3)
+        np.testing.assert_allclose(npp.polyval(g, B) / npp.polyval(g, A), q(g), rtol=1e-12)
+        np.testing.assert_allclose(npp.polyval(g, C) / npp.polyval(g, A), r(g), rtol=1e-12)
+        gm, x = GMap("sine", 1.0), np.arcsin(g)
+        got = pct_e_minus_v(gm, jacobi_family, 3, x)
+        assert got.tolist() == [pct_e_minus_v(gm, jacobi_family, 3, xi) for xi in x]
+        want, _ = _transformation(gm, x, *_hand_written_ode(jacobi_family, 3))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestWeightsAndNorms:
