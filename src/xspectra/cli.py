@@ -594,7 +594,7 @@ def cmd_spectrum(args) -> int:
 
 def _kinds(args) -> list:
     """The families a suite covers: the one --family names, or both."""
-    return [args.family] if args.family else list(_FIGURE)
+    return [args.family] if args.family else list(_MODEL_FIELDS)
 
 
 def _suite_orthogonality(args, tol) -> list:
@@ -651,44 +651,42 @@ def _suite_zeros(args, tol) -> list:
     return checks
 
 
-def _pct_checks_for(kind, tol) -> list:
-    m = _FIGURE[kind]
-    hermitian = replace(m, eps=0.0)
-    fam = models.x1_family(m)
-    g = "quadratic" if fam.kind == "laguerre" else "sine"
-    grid, shift_grid = _state_grids(m, 50)
-
-    def extract(d, model, xs):  # the report and its V against model.potential
-        rep = extract_potential_report(GMap(g, m.k, d), fam, (1, 2), xs)
-        want = models.potential(model, xs)
-        return rep, np.max(np.abs(rep.v_values - want)) / np.max(np.abs(want))
-
-    rep, rel = extract(0.0, hermitian, grid)
-    checks = [_check_le(f"{kind}-extracted-V-rel", rel, tol["extract-rel"])]
-    for idx, n in enumerate((1, 2)):
-        want = models.energy(hermitian, n)
-        rel = abs(rep.energies[idx] - want) / want
-        checks.append(_check_le(f"{kind}-energy-{n}-rel", rel, tol["extract-rel"]))
-    de = abs(rep.energies[0] - rep.energies[1])
-    checks.append(_check_le(f"{kind}-const-diff", rep.dw_spread / de, tol["const-diff"]))
-    _, rel = extract(1j * m.eps, m, shift_grid)
-    checks.append(_check_le(f"{kind}-shifted-V-rel", rel, tol["extract-rel"]))
-    if kind == "scarf":
-        # V's exact 1/D^2 coefficient over k^2, with D = a + b - (b - a) g
-        a, b = Fraction(m.a), Fraction(m.b)
-        exact = rep.terms[((a + b) / (b - a), 2)] * (a - b) ** 2
-        adjudicated, alternative = -8 * a * b, 2 * ((a - b) ** 2 - 4 * a * b)
-        rel = abs(exact - adjudicated) / abs(adjudicated)
-        checks.append(_check_le("scarf-rational-matches-minus-8ab", rel, tol["extract-rel"]))
-        rel = abs(exact - alternative) / abs(alternative)
-        checks.append(_check_ge("scarf-rational-excludes-alternative", rel, 1e-2))
-    return checks
-
-
 def _suite_pct(args, tol) -> list:
     checks = []
     for kind in _kinds(args):
-        checks += _pct_checks_for(kind, tol)
+        m = _model(kind, args)
+        hermitian = replace(m, eps=0.0)
+        fam = models.x1_family(m)
+        g = "quadratic" if fam.kind == "laguerre" else "sine"
+        grid, shift_grid = _state_grids(m, 50)
+
+        def extract(model, xs):  # the report and its V against model.potential
+            gm = GMap(g, m.k, models._offset(m) + 1j * model.eps)
+            rep = extract_potential_report(gm, fam, (1, 2), xs)
+            want = models.potential(model, xs)
+            return rep, np.max(np.abs(rep.v_values - want)) / np.max(np.abs(want))
+
+        rep, rel = extract(hermitian, grid)
+        checks.append(_check_le(f"{kind}-extracted-V-rel", rel, tol["extract-rel"]))
+        for idx, n in enumerate((1, 2)):
+            want = models.energy(hermitian, n)
+            rel = abs(rep.energies[idx] - want) / want
+            checks.append(_check_le(f"{kind}-energy-{n}-rel", rel, tol["extract-rel"]))
+        de = abs(rep.energies[0] - rep.energies[1])
+        checks.append(_check_le(f"{kind}-const-diff", rep.dw_spread / de, tol["const-diff"]))
+        if m.eps != 0.0:
+            _, rel = extract(m, shift_grid)
+            checks.append(_check_le(f"{kind}-shifted-V-rel", rel, tol["extract-rel"]))
+        if kind == "scarf":
+            # V's exact 1/D^2 coefficient over k^2, with D = a + b - (b - a) g; a
+            # candidate is excluded where it misses by more than extract-rel
+            a, b = Fraction(m.a), Fraction(m.b)
+            exact = rep.terms[((a + b) / (b - a), 2)] * (a - b) ** 2
+            adjudicated, alternative = -8 * a * b, 2 * ((a - b) ** 2 - 4 * a * b)
+            rel = abs(exact - adjudicated) / abs(adjudicated)
+            checks.append(_check_le("scarf-rational-matches-minus-8ab", rel, tol["extract-rel"]))
+            rel = abs(exact - alternative) / abs(alternative)
+            checks.append(_check_ge("scarf-rational-excludes-alternative", rel, tol["extract-rel"]))
     return checks
 
 
@@ -803,20 +801,21 @@ def _suite_residuals(args, tol) -> list:
 
 # each suite and the model flags it reads: `verify` refuses a flag, like a
 # --tol-<name>, that nothing it runs reads, rather than record an unused value
+_MODEL_FLAGS = ("family", *_MODEL_FIELDS["scarf"])  # what _model reads
 _SUITES = {
     "orthogonality": (_suite_orthogonality, ("a", "nmax")),
     "zeros": (_suite_zeros, ("a", "nmax")),
-    "pct": (_suite_pct, ("family",)),
-    "hermiticity": (_suite_hermiticity, ("family", *_MODEL_FIELDS["scarf"])),
+    "pct": (_suite_pct, _MODEL_FLAGS),
+    "hermiticity": (_suite_hermiticity, _MODEL_FLAGS),
     "spectra": (_suite_spectra, ("family",)),
-    "residuals": (_suite_residuals, ("family", *_MODEL_FIELDS["scarf"])),
+    "residuals": (_suite_residuals, _MODEL_FLAGS),
 }
 
 
 def cmd_verify(args) -> int:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     read = {flag for name in names for flag in _SUITES[name][1]}
-    flags, reader = ("family", *_MODEL_FIELDS["scarf"], "nmax"), f"the {args.suite} suite"
+    flags, reader = (*_MODEL_FLAGS, "nmax"), f"the {args.suite} suite"
     _refuse_unread(args, [flag for flag in flags if flag not in read], reader)
     tol = _Tolerances(args)
     checks = []

@@ -1,9 +1,12 @@
-"""Exception taxonomy for the package, and the one refusal of a grid
-that meets a singular point.
+"""Exception taxonomy for the package, the one refusal of a grid that
+meets a singular point, and the one refusal of a value out of the float
+range.
 
 Argument and domain problems derive from ValueError so they read naturally
 at call sites; algorithmic failures derive from RuntimeError.
 """
+
+import math
 
 import numpy as np
 
@@ -64,3 +67,16 @@ def refuse_where(mask, x, error: type, what: str) -> None:
     if mask.any():
         first = np.atleast_1d(np.real(x))[mask][0]
         raise error(f"{what} at x = {float(first):g}")
+
+
+def refuse_overflow(compute, error: type, what: str) -> float:
+    """``compute()``, or ``error("<what> is out of the float range")``
+    where it overflows: by raising OverflowError, or by returning an inf
+    or a NaN."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise error(f"{what} is out of the float range")
+    return value

@@ -28,7 +28,9 @@ from .errors import (
     ArgumentError,
     BranchCutError,
     DomainError,
+    EvaluationError,
     SingularityError,
+    refuse_overflow,
     refuse_where,
 )
 from .polycore import finite_quadrature, integrate
@@ -308,7 +310,9 @@ def wavefunction(m: PotentialModel, n, x):
     (|kx + pi/2| < pi/2 on the cos branch), and points beyond raise
     :class:`BranchCutError`.  Complex ``x`` is accepted for
     continuation work and skips the real-domain checks.  A model
-    :func:`validate_params` refuses raises :class:`DomainError`.
+    :func:`validate_params` refuses raises :class:`DomainError`, and a
+    radial norm N out of the float range (as at a = 50, k = 1e4)
+    :class:`EvaluationError`.
     """
     try:
         levels, single = tuple(n), False
@@ -328,6 +332,17 @@ def wavefunction(m: PotentialModel, n, x):
         a, k = m.a, m.k
         if not complex_input and m.eps == 0.0 and np.any(xs <= 0.0):
             raise DomainError("Hermitian radial states live on x > 0")
+        norms = [
+            refuse_overflow(
+                lambda: math.sqrt(
+                    abs(k) ** (2.0 * a + 2.0)
+                    / (2.0 ** (2.0 * a - 3.0) * x1_laguerre_norm(level, a))
+                ),
+                EvaluationError,
+                f"the norm of radial state {level} at a = {a:g}, k = {k:g}",
+            )
+            for level in levels
+        ]
         z = xs.astype(complex) + 1j * m.eps / k
         refuse_where(z == 0.0, xs, SingularityError, "state has a branch point")
         refuse_where(
@@ -340,12 +355,6 @@ def wavefunction(m: PotentialModel, n, x):
         left = np.power(z, a + 0.5)
         right = np.exp(-0.125 * k * k * z * z)
         del z
-        norms = [
-            math.sqrt(
-                abs(k) ** (2.0 * a + 2.0) / (2.0 ** (2.0 * a - 3.0) * x1_laguerre_norm(level, a))
-            )
-            for level in levels
-        ]
     else:
         a, b, k = m.a, m.b, m.k
         off = _offset(m)

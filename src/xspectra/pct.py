@@ -45,9 +45,9 @@ class GMap:
       - ``quadratic``: g(x) = (kx + d)^2 / 4, so g'^2 / g = k^2
       - ``sine``:      g(x) = sin(kx + d),    so g'^2 / (1 - g^2) = k^2
 
-    ``d`` must be purely real (a plain coordinate shift) or purely
-    imaginary (the non-Hermitian deformation); anything mixed is
-    rejected, since no model here uses it.
+    ``d`` is any complex shift: its real part is a plain coordinate
+    shift, such as the pi/2 of the Scarf cos branch, and its imaginary
+    part the non-Hermitian deformation x -> x + i Im(d)/k.
     """
 
     kind: str
@@ -61,12 +61,7 @@ class GMap:
         if k == 0.0:
             raise ArgumentError("map scale k must be nonzero")
         object.__setattr__(self, "k", k)
-        d = complex(self.d)
-        if d.real != 0.0 and d.imag != 0.0:
-            raise ArgumentError(
-                f"shift d must be purely real or purely imaginary, got {d}"
-            )
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", complex(self.d))
 
     @property
     def is_complex(self) -> bool:

@@ -19,7 +19,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, ConstructionError, SingularityError
+from .errors import (
+    ArgumentError,
+    ConstructionError,
+    EvaluationError,
+    SingularityError,
+    refuse_overflow,
+)
 from .polycore import Polynomial, gamma
 
 __all__ = [
@@ -178,7 +184,9 @@ def x1_polynomial(family: X1Family, n: int) -> Polynomial:
     coefficient ``(m + a + b + 1)_m / (2^m m!)`` of the classical
     ``P_m^(a,b)``, m = n - 1, each correctly rounded to a float.
     Both conventions reproduce the closed-form degree-1 and degree-2
-    members and the quadrature norms of the family.
+    members and the quadrature norms of the family.  A leading
+    coefficient out of the float range, as the Laguerre one is from
+    n = 172, raises :class:`ConstructionError`.
 
     Members are cached per family and degree; ``n`` is checked before
     the lookup, and every integer type of ``n`` shares one entry.
@@ -193,11 +201,14 @@ def _member(family: X1Family, n: int) -> Polynomial:
     exact_b = None if b is None else Fraction(b)
     m = _ode_matrix(*_cleared_ode_polys(kind, Fraction(a), exact_b, n), n)
     c = np.zeros(n + 1, dtype=object)
+    what = f"the leading coefficient of the degree-{n} {kind} member"
     if kind == "laguerre":
-        c[n] = Fraction((-1.0) ** n / math.factorial(n - 1))
+        lead = refuse_overflow(lambda: (-1.0) ** n / math.factorial(n - 1), ConstructionError, what)
     else:
         rising = math.prod(n + Fraction(a) + exact_b + j for j in range(n - 1))
-        c[n] = Fraction(-0.5 * float(rising / (2 ** (n - 1) * math.factorial(n - 1))))
+        ratio = rising / (2 ** (n - 1) * math.factorial(n - 1))
+        lead = refuse_overflow(lambda: -0.5 * float(ratio), ConstructionError, what)
+    c[n] = Fraction(lead)
     # (row, unknown) pairs: row r fixes c_{r-1}, except that row 0 fixes
     # c_0 where row 1's pivot vanishes; every other pivot is nonzero for
     # the indices X1Family accepts, and so is m[0, 0] where it is used
@@ -276,13 +287,19 @@ def x1_weight(family: X1Family) -> Callable:
 def x1_laguerre_norm(n: int, a: float) -> float:
     """Squared weighted norm of the degree-``n`` exceptional Laguerre member.
 
-    ``(a + n) * gamma(a + n - 1) / (n - 1)!`` for ``a > 0``, ``n >= 1``.
+    ``(a + n) * gamma(a + n - 1) / (n - 1)!`` for ``a > 0``, ``n >= 1``;
+    from n = 142 at a = 2 the gamma function overflows, and
+    :class:`EvaluationError` is raised.
     """
     _check_member_index(n)
     a = float(a)
     if not a > 0.0:
         raise ArgumentError(f"norm needs a > 0, got a = {a:g}")
-    return (a + n) * gamma(a + n - 1.0) / math.factorial(n - 1)
+    return refuse_overflow(
+        lambda: (a + n) * gamma(a + n - 1.0) / math.factorial(n - 1),
+        EvaluationError,
+        f"the squared norm of the degree-{n} X1 Laguerre member at a = {a:g}",
+    )
 
 
 def x1_jacobi_norm(n: int, a: float, b: float) -> float:
@@ -293,17 +310,23 @@ def x1_jacobi_norm(n: int, a: float, b: float) -> float:
     / ((2m+p+q+1) Gamma(m+p+q+1) m!)`` is the squared norm of the
     classical ``P_m^(p,q)`` (Gomez-Ullate, Kamran & Milson, J. Math.
     Anal. Appl. 359, 2009), for ``a, b > -1`` with ``ab > 0``, where the
-    weight's pole lies outside [-1, 1].
+    weight's pole lies outside [-1, 1].  Where a factor leaves the float
+    range (from n = 97 at (1.75, 3)) :class:`EvaluationError` is raised.
     """
     _check_member_index(n)
     a, b = float(a), float(b)
     if not (a > -1.0 and b > -1.0 and a * b > 0.0 and a != b):
         raise ArgumentError(f"norm needs a != b, a, b > -1 and ab > 0, got ({a:g}, {b:g})")
-    # (2m + p + q + 1) Gamma(m + p + q + 1) is Gamma(a + b + 2) at m = 0,
-    # which stays finite where a + b = -1
-    if n == 1:
-        den = math.gamma(a + b + 2.0)
-    else:
-        den = (2 * n + a + b - 1.0) * math.gamma(n + a + b) * math.factorial(n - 1)
-    h = 2.0 ** (a + b + 1.0) * math.gamma(n - 1.0 + a) * math.gamma(n + b + 1.0) / den
-    return h * (n + a) / (4.0 * (b - a) ** 2 * (n + b - 1.0))
+
+    def norm():
+        # (2m + p + q + 1) Gamma(m + p + q + 1) is Gamma(a + b + 2) at m = 0,
+        # which stays finite where a + b = -1
+        if n == 1:
+            den = math.gamma(a + b + 2.0)
+        else:
+            den = (2 * n + a + b - 1.0) * math.gamma(n + a + b) * math.factorial(n - 1)
+        h = 2.0 ** (a + b + 1.0) * math.gamma(n - 1.0 + a) * math.gamma(n + b + 1.0) / den
+        return h * (n + a) / (4.0 * (b - a) ** 2 * (n + b - 1.0))
+
+    what = f"the squared norm of the degree-{n} X1 Jacobi member at ({a:g}, {b:g})"
+    return refuse_overflow(norm, EvaluationError, what)

@@ -553,6 +553,46 @@ class TestVerify:
         assert "scarf-rational-matches-minus-8ab" in names
         assert "scarf-rational-excludes-alternative" in names
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "scarf", "--branch", "cos"],
+        ["--family", "scarf", "--branch", "cos", "--eps", "0"],
+        ["--family", "scarf", "--a", "-0.25", "--b", "-0.4"],
+        ["--family", "scarf", "--a", "1.75", "--b", "2"],
+        ["--family", "radial", "--a", "0.5", "--k", "4"],
+    ], ids=" ".join)
+    def test_pct_suite_reads_the_model(self, tmp_path, monkeypatch, capsys, argv):
+        # pct checked only the reference models and refused these flags
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "pct", *argv]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+        assert all(c["status"] == "pass" for c in doc["checks"])
+        flags = dict(zip(argv[::2], argv[1::2]))
+        for flag, value in flags.items():
+            given = doc["parameters"][flag[2:]]
+            assert given == (value if flag in ("--family", "--branch") else float(value))
+        shifted = [c["name"] for c in doc["checks"] if "shifted" in c["name"]]
+        assert shifted == ([] if flags.get("--eps") == "0" else [f"{flags['--family']}-shifted-V-rel"])
+
+    def test_pct_suite_at_eps_zero_has_no_shifted_row(self, tmp_path, monkeypatch):
+        # as residuals adds no shifted model there
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "pct", "--eps", "0"]) == 0
+        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+        names = [n for n in _expected(_SUITE_CHECKS, "pct", None) if "shifted" not in n]
+        assert [c["name"] for c in doc["checks"]] == names
+
+    def test_pct_excludes_row_is_bounded_by_extract_rel(self, tmp_path, monkeypatch):
+        # the candidates -8ab and 2((a - b)^2 - 4ab) differ by 2 (a - b)^2,
+        # a relative 1/223 at (1.75, 2), which the old 1e-2 margin failed
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "pct", "--family", "scarf", "--a", "1.75", "--b", "2"]) == 0
+        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+        row = doc["checks"][-1]
+        assert row["name"] == "scarf-rational-excludes-alternative"
+        assert row["measured"] == 0.125 / 27.875
+        assert row["tolerance"] == cli._TOLERANCES["extract-rel"]
+
     @pytest.mark.parametrize("family, names", [
         ("radial", ["radial-eps0-n1", "radial-eps0-n2", "radial-eps0-n3"]),
         ("scarf", ["scarf-eps0-n1", "scarf-eps0-n2", "scarf-eps0-n3"]),
@@ -790,6 +830,30 @@ class TestVerifyContract:
         assert tolerances == {**_DEFAULT_TOLERANCES, name: float(value)}
 
 
+class TestOverflow:
+    # each raised an OverflowError traceback from a norm or a member's
+    # leading coefficient
+    @pytest.mark.parametrize("argv, line", [
+        (["table", "--family", "radial", "--a", "2", "--k", "1.75", "--psi", "145"],
+         "the squared norm of the degree-145 X1 Laguerre member at a = 2"),
+        (["table", "--family", "radial", "--a", "2", "--k", "1.75", "--psi", "172"],
+         "the leading coefficient of the degree-172 laguerre member"),
+        (["table", "--family", "radial", "--a", "50", "--k", "1e4", "--psi", "1,2,3"],
+         "the norm of radial state 1 at a = 50, k = 10000"),
+        (["table", "--family", "radial", "--a", "1e6", "--k", "1.75", "--psi", "1,2,3"],
+         "the norm of radial state 1 at a = 1e+06, k = 1.75"),
+        (["verify", "--suite", "residuals", "--family", "radial", "--a", "50", "--k", "1e4"],
+         "the norm of radial state 1 at a = 50, k = 10000"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v[3:]))
+    def test_one_error_line_and_exit_1(self, tmp_path, monkeypatch, capsys, argv, line):
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--points", "11"] if argv[0] == "table" else argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {line} is out of the float range"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 def assert_usage_error(captured, tmp_path, lines=None):
     """Exit-2 contract: stderr is `error:` lines only, stdout is empty,
     and no output file was written."""
@@ -805,13 +869,12 @@ def assert_usage_error(captured, tmp_path, lines=None):
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag, suite", [
         (["--suite", "spectra", "--family", "radial", "--a", "3", "--k", "9"], "a", "spectra"),
-        (["--suite", "pct", "--k", "2"], "k", "pct"),
+        (["--suite", "pct", "--nmax", "3"], "nmax", "pct"),
         (["--suite", "hermiticity", "--nmax", "3"], "nmax", "hermiticity"),
         (["--suite", "residuals", "--nmax", "3"], "nmax", "residuals"),
         (["--suite", "zeros", "--family", "scarf"], "family", "zeros"),
         (["--suite", "orthogonality", "--eps", "1"], "eps", "orthogonality"),
         (["--suite", "spectra", "--branch", "cos"], "branch", "spectra"),
-        (["--suite", "pct", "--b", "2"], "b", "pct"),
         # a tolerance is refused where no check the suite ran compared
         # against it, which the suite finds out only by running
         (["--suite", "zeros", "--tol-spectrum-rel", "1e-30"], "tol-spectrum-rel", "zeros"),

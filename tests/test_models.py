@@ -9,6 +9,7 @@ from xspectra import (
     ArgumentError,
     BranchCutError,
     DomainError,
+    EvaluationError,
     PotentialModel,
     SingularityError,
     energy,
@@ -195,6 +196,13 @@ class TestEnergy:
 
 
 class TestWavefunction:
+    @pytest.mark.parametrize("a, k", [(50.0, 1e4), (1e6, 1.75)])
+    def test_radial_norm_out_of_float_range_raises(self, a, k):
+        # |k|^(2a + 2) and 2^(2a - 3) raised an OverflowError
+        m = PotentialModel("radial_extended", a, None, k)
+        with pytest.raises(EvaluationError, match="norm of radial state 1"):
+            wavefunction(m, [1, 2], np.linspace(0.5, 2.0, 5))
+
     def test_radial_states_are_normalized(self, radial_hermitian):
         q = semi_infinite_exp_quadrature()
         for n in (1, 2, 3):

@@ -31,10 +31,21 @@ class TestGMap:
             GMap("tangent", 1.0)
         with pytest.raises(ArgumentError):
             GMap("sine", 0.0)
-        with pytest.raises(ArgumentError):
-            GMap("sine", 1.0, 1.0 + 1.0j)  # mixed shift
         GMap("sine", 1.0, 0.5)
         GMap("sine", 1.0, 0.5j)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+    def test_mixed_shift_gives_the_cos_branch(self, eps):
+        # the cos branch is the sin branch at kx + pi/2, so its shifted
+        # model needs d = pi/2 + i eps, which GMap refused
+        m = PotentialModel("scarf_extended", 1.75, 3.0, 1.25, eps, "cos")
+        centre, half = cell(m)
+        xs = np.linspace(centre - 0.9 * half, centre + 0.9 * half, 50)
+        rep = extract_potential_report(
+            GMap("sine", m.k, 0.5 * math.pi + 1j * eps), x1_family(m), (1, 2), xs
+        )
+        want = potential(m, xs)
+        assert np.max(np.abs(rep.v_values - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d", [0.0, 0.7, 1.2j])
     def test_quadratic_identities(self, d):

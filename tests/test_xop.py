@@ -12,6 +12,7 @@ from xspectra import xop
 from xspectra import (
     ArgumentError,
     ConstructionError,
+    EvaluationError,
     GMap,
     Polynomial,
     SingularityError,
@@ -552,3 +553,23 @@ class TestWeightsAndNorms:
     def test_jacobi_norm_rejects_bad_arguments(self, n, a, b):
         with pytest.raises(ArgumentError):
             x1_jacobi_norm(n, a, b)
+
+    def test_norms_out_of_float_range_raise(self):
+        # the Laguerre norm's gamma overflowed with a traceback from n = 142;
+        # the Jacobi norm came back NaN from n = 97 and overflowed from 170
+        assert x1_laguerre_norm(141, 2.0) == pytest.approx(20163.0, rel=1e-12)
+        with pytest.raises(EvaluationError, match="degree-142 X1 Laguerre"):
+            x1_laguerre_norm(142, 2.0)
+        assert math.isfinite(x1_jacobi_norm(96, 1.75, 3.0))
+        for n in (97, 170):
+            with pytest.raises(EvaluationError, match=f"degree-{n} X1 Jacobi"):
+                x1_jacobi_norm(n, 1.75, 3.0)
+
+
+class TestLeadOutOfRange:
+    def test_laguerre_lead_leaves_the_float_range_at_172(self):
+        # 171! is beyond the largest float, which raised an OverflowError
+        fam = X1Family("laguerre", 2.0)
+        assert x1_polynomial(fam, 171).coeffs[-1] == (-1.0) ** 171 / math.factorial(170)
+        with pytest.raises(ConstructionError, match="degree-172 laguerre member"):
+            x1_polynomial(fam, 172)
