@@ -45,9 +45,14 @@ from .xop import X1Family, x1_jacobi_norm, x1_laguerre_norm, x1_polynomial
 __all__ = ["main", "entry"]
 
 _FMT = "%.16e"
-# rows formatted per write: memory stays O(block) rather than O(file),
-# and speed is flat from a few hundred rows up
-_CHUNK = 4096
+# cells (rows x columns) evaluated and encoded per block, so a table's
+# memory does not grow with its rows.  In a sweep of 4096 to 12288 cells
+# at 3, 12 and 21 columns (BENCH_table_stream.json), a fresh 1e5-point
+# table took ~240 minor page faults up to 10240 cells at 3 and 12
+# columns and up to 7168 at 21, against 5k to 44k at 12288 cells (most
+# likely glibc growing and trimming its heap for each block); warm CPU
+# time fell by ~8 % from 6144 to 9216 cells
+_BLOCK_CELLS = 9216
 
 # every tolerance a check compares against, overridable by --tol-<name>
 # on the subcommands that compare against it
@@ -136,7 +141,7 @@ def _check_in(name, measured, lo, hi) -> CheckResult:
 
 
 def _write_atomic(path: str, chunks) -> None:
-    """Write an iterable of strings to ``path`` via a temp file and a
+    """Write an iterable of bytes to ``path`` via a temp file and a
     rename, so the target holds either its old bytes or all new ones.  A
     path that cannot be written is refused as an argument."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -148,7 +153,7 @@ def _write_atomic(path: str, chunks) -> None:
             mask = os.umask(0)
             os.umask(mask)
             os.fchmod(fd, 0o666 & ~mask)
-            with os.fdopen(fd, "w", newline="") as handle:
+            with os.fdopen(fd, "wb") as handle:
                 handle.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
@@ -316,40 +321,57 @@ def _slots(x: np.ndarray, cols: int) -> np.ndarray:
     return slots
 
 
-def _encode_block(block: np.ndarray) -> str:
+def _encode_block(block: np.ndarray) -> bytes:
     """The CSV rows of a 2-D float64 ``block``, with exactly the bytes
     ``_FMT`` gives each field, for every float64 including NaN, +-inf,
     +-0 and subnormals."""
     slots = _slots(block.ravel(), block.shape[1])
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    return slots.tobytes().translate(None, b"\0")
 
 
-def _csv_chunks(header: list, columns: list):
-    yield ",".join(header) + "\n"
-    for start in range(0, len(columns[0]), _CHUNK):
-        yield _encode_block(np.column_stack([c[start:start + _CHUNK] for c in columns]))
+def _csv_chunks(header: list, rows: int, block):
+    """The CSV of ``rows`` rows as bytes: the header line, then the rows
+    of each block of about _BLOCK_CELLS cells, which ``block(start,
+    stop)`` returns as a 2-D float64 array when the writer reaches it.
+
+    A block has at least two rows, unless the CSV has one: numpy (2.4,
+    on an AVX-512 host) rounds an in-place complex product of a
+    one-element array in a scalar loop, whose last bit can differ from
+    its vector loop's, so a state evaluated on one row alone can differ
+    from the same row in a longer block.  A one-row remainder joins the
+    block before it."""
+    yield (",".join(header) + "\n").encode("ascii")
+    step = max(2, _BLOCK_CELLS // len(header))
+    stops = [*range(step, rows - 1, step), rows]
+    for start, stop in zip([0, *stops], stops):
+        yield _encode_block(block(start, stop))
 
 
-def _finish(args, command, parameters, checks, header=None, columns=None) -> int:
-    """Every subcommand's ending: write the CSV, if there is one, then the
-    manifest (next to the CSV unless --manifest names it; the two must be
-    different files), warn once per failed check, and return the exit
-    code."""
-    if header is None:
-        outputs = [args.manifest or f"{command}.manifest.json"]
-    else:
-        out = args.out or f"{args.family}_{command}.csv"
-        outputs = [out, args.manifest or os.path.splitext(out)[0] + ".manifest.json"]
-        if os.path.realpath(out) == os.path.realpath(outputs[1]):
-            raise ArgumentError(f"the CSV and the manifest name one file, {out}")
-        _write_atomic(out, _csv_chunks(header, columns))
+def _write_csv(args, command, header, rows, block) -> list:
+    """Write a subcommand's CSV, evaluated one block at a time as the
+    writer reaches it, and return the run's outputs: the CSV, then the
+    manifest (next to the CSV unless --manifest names it; the two must
+    be different files, which is checked before any block is evaluated)."""
+    out = args.out or f"{args.family}_{command}.csv"
+    outputs = [out, args.manifest or os.path.splitext(out)[0] + ".manifest.json"]
+    if os.path.realpath(out) == os.path.realpath(outputs[1]):
+        raise ArgumentError(f"the CSV and the manifest name one file, {out}")
+    _write_atomic(out, _csv_chunks(header, rows, block))
+    return outputs
+
+
+def _finish(args, command, parameters, checks, outputs=None) -> int:
+    """Every subcommand's ending: write the manifest, the last of
+    ``outputs`` (by default the only one), warn once per failed check,
+    and return the exit code."""
+    outputs = outputs or [args.manifest or f"{command}.manifest.json"]
     doc = {
         "command": command,
         "parameters": parameters,
         "outputs": outputs,
         "checks": [c.row() for c in checks],
     }
-    _write_atomic(outputs[-1], [json.dumps(doc, indent=2, sort_keys=True) + "\n"])
+    _write_atomic(outputs[-1], [json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n"])
     failed = [c for c in checks if not c.passed]
     for c in failed:
         _warn(f"check failed: {c.name} measured {c.measured:.6e}")
@@ -509,16 +531,28 @@ def cmd_table(args) -> int:
         raise ArgumentError(f"need xmin < xmax, got ({lo:g}, {hi:g})")
     if args.points < 2:
         raise ArgumentError(f"need at least 2 grid points, got {args.points}")
-    grid = np.linspace(lo, hi, args.points)
-    v = models.potential(m, grid)
+    levels = _parse_levels(args.psi) if args.psi is not None else []
     header = ["x", "re_V", "im_V"]
-    columns = [grid, np.real(v), np.imag(v)]
-    if args.psi is not None:
-        levels = _parse_levels(args.psi)
-        for n, psi in zip(levels, models.wavefunction(m, levels, grid)):
-            header += [f"re_psi_{n}", f"im_psi_{n}", f"abs2_psi_{n}"]
-            columns += [np.real(psi), np.imag(psi), np.abs(psi) ** 2]
-    bad = sum(int(np.sum(~np.isfinite(col))) for col in columns)
+    for n in levels:
+        header += [f"re_psi_{n}", f"im_psi_{n}", f"abs2_psi_{n}"]
+    grid = np.linspace(lo, hi, args.points)
+    bad = 0  # non-finite cells in the blocks written so far
+
+    def block(start, stop):
+        # the models evaluate point by point, so a block of two rows or
+        # more gives the whole grid's bits at its points (see _csv_chunks)
+        nonlocal bad
+        x = grid[start:stop]
+        v = models.potential(m, x)
+        columns = [x, np.real(v), np.imag(v)]
+        if levels:
+            for psi in models.wavefunction(m, levels, x):
+                columns += [np.real(psi), np.imag(psi), np.abs(psi) ** 2]
+        rows = np.column_stack(columns)
+        bad += int(np.count_nonzero(~np.isfinite(rows)))
+        return rows
+
+    outputs = _write_csv(args, "table", header, args.points, block)
     checks = [_check_le("finite-values", float(bad), 0.0)]
     parameters = {
         **_model_parameters(args.family, m),
@@ -527,7 +561,7 @@ def cmd_table(args) -> int:
         "points": int(args.points),
         "psi": args.psi,
     }
-    return _finish(args, "table", parameters, checks, header, columns)
+    return _finish(args, "table", parameters, checks, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +617,9 @@ def cmd_spectrum(args) -> int:
     if results is not None:
         # the shift and the step cap decide which level is found
         parameters.update(iters=int(iters), sigma_imag=float(sigma_imag))
-    columns = [np.arange(1, nmax + 1), formulas, numeric, abs_err, rel_err] + extra
-    return _finish(args, "spectrum", parameters, checks, header, columns)
+    rows = np.column_stack([np.arange(1, nmax + 1), formulas, numeric, abs_err, rel_err] + extra)
+    outputs = _write_csv(args, "spectrum", header, nmax, lambda start, stop: rows[start:stop])
+    return _finish(args, "spectrum", parameters, checks, outputs)
 
 
 # ---------------------------------------------------------------------------

@@ -526,7 +526,13 @@ def eigen_near_shift(
 
 
 def schrodinger_residual(m: PotentialModel, n: int, grid) -> float:
-    """max over the grid of |-psi'' + V psi - E psi| / (|E| max|psi|).
+    """The residual of the Schrodinger equation over the grid,
+
+      max|-psi'' + V psi - E psi| / max(|E| max|psi|, max|V psi|),
+
+    relative to the larger of the terms it compares, so a level whose
+    |E| is far below |V| (as at negative Scarf indices) is not judged by
+    its small energy alone.
 
     The second derivative is a 5-point central difference at steps h and
     h/2, Richardson-combined to sixth order, with h = 1e-4 (1 + |x|)
@@ -551,4 +557,5 @@ def schrodinger_residual(m: PotentialModel, n: int, grid) -> float:
     e_n = models.energy(m, n)
     v = models.potential(m, xs)
     resid = np.abs(-second + (v - e_n) * psi[3])
-    return float(resid.max() / (abs(e_n) * np.abs(psi[3]).max()))
+    scale = max(abs(e_n) * np.abs(psi[3]).max(), np.abs(v * psi[3]).max())
+    return float(resid.max() / scale)

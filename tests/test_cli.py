@@ -39,16 +39,28 @@ def failed_check_lines(manifest):
 
 
 def reference_csv(header, columns):
-    """The CSV text of the per-field writer the block writer replaced."""
+    """The CSV bytes of the per-field writer the block writer replaced."""
     lines = [",".join(header)]
     for i in range(len(columns[0])):
         lines.append(",".join(cli._FMT % col[i] for col in columns))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def block_rows(cols):
+    """The rows of each full block the writer asks for at ``cols`` columns."""
+    return cli._BLOCK_CELLS // cols
+
+
+def csv_chunks(header, columns):
+    """The writer's chunks of whole ``columns``, stacked one block at a time."""
+    def block(start, stop):
+        return np.column_stack([c[start:stop] for c in columns])
+    return cli._csv_chunks(header, len(columns[0]), block)
 
 
 class TestWriter:
     @pytest.mark.parametrize(
-        "rows", [1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1]
+        "rows", [1, block_rows(5) - 1, block_rows(5), block_rows(5) + 1]
     )
     def test_bytes_match_per_field_formatting(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
@@ -59,27 +71,27 @@ class TestWriter:
             for _ in range(4)
         ]
         out = tmp_path / "w.csv"
-        cli._write_atomic(str(out), cli._csv_chunks(header, columns))
-        assert out.read_text() == reference_csv(header, columns)
+        cli._write_atomic(str(out), csv_chunks(header, columns))
+        assert out.read_bytes() == reference_csv(header, columns)
 
     def test_edge_values(self, tmp_path):
         edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7e308, -1.7e308])
         columns = [edge, edge[::-1], np.arange(len(edge))]
         out = tmp_path / "e.csv"
-        cli._write_atomic(str(out), cli._csv_chunks(["a", "b", "i"], columns))
-        text = out.read_text()
+        cli._write_atomic(str(out), csv_chunks(["a", "b", "i"], columns))
+        text = out.read_bytes()
         assert text == reference_csv(["a", "b", "i"], columns)
-        assert "nan,-1.6999999999999999e+308,0.0000000000000000e+00" in text
-        assert "4.9406564584124654e-324," in text
-        assert "-0.0000000000000000e+00," in text
+        assert b"nan,-1.6999999999999999e+308,0.0000000000000000e+00" in text
+        assert b"4.9406564584124654e-324," in text
+        assert b"-0.0000000000000000e+00," in text
 
     def test_failed_write_keeps_old_file(self, tmp_path):
         out = tmp_path / "keep.csv"
         out.write_bytes(b"old bytes\n")
 
         def chunks():
-            yield "x\n"
-            yield "1.0\n"
+            yield b"x\n"
+            yield b"1.0\n"
             raise RuntimeError("formatting failed")
 
         with pytest.raises(RuntimeError):
@@ -104,7 +116,7 @@ class TestWriter:
 
 def encoded(columns):
     header = [f"c{i}" for i in range(len(columns))]
-    return "".join(cli._csv_chunks(header, columns)), reference_csv(header, columns)
+    return b"".join(csv_chunks(header, columns)), reference_csv(header, columns)
 
 
 def benchmark_workloads(monkeypatch):
@@ -158,8 +170,8 @@ class TestBlockEncoder:
         assert got == want
         # the double nearest 1e-274, scaled to 17 digits, lies 0.34 below
         # 10^16; 2^-25 is an exact tie at 17 digits and rounds to even
-        assert "9.9999999999999997e-275" in got
-        assert "2.9802322387695312e-08" in got
+        assert b"9.9999999999999997e-275" in got
+        assert b"2.9802322387695312e-08" in got
 
     def test_benchmark_tables_take_no_fallback(self, tmp_path, monkeypatch):
         # the seed-0 tables of the benchmark, at 1e5 points: a fallback
@@ -179,10 +191,10 @@ class TestBlockEncoder:
         assert got == want
         assert len(calls) == 3
 
-    def test_blocks_are_stacked_one_at_a_time(self, monkeypatch):
-        # the buffer behind each block holds that block only, so a write
-        # keeps no second full copy of the columns
-        rows, blocks = 2 * cli._CHUNK + 5, []
+    def test_table_blocks_are_stacked_one_at_a_time(self, tmp_path, monkeypatch):
+        # the buffer behind each block holds that block only, so a table
+        # keeps no full-length copy of its columns
+        step, blocks = block_rows(9), []
         encode = cli._encode_block
 
         def recorded(block):
@@ -193,10 +205,11 @@ class TestBlockEncoder:
             return encode(block)
 
         monkeypatch.setattr(cli, "_encode_block", recorded)
-        columns = [np.arange(rows), np.linspace(-1.0, 1.0, rows), np.ones(rows)]
-        got, want = encoded(columns)
-        assert got == want
-        assert [n for n, _ in blocks] == [cli._CHUNK, cli._CHUNK, 5]
+        assert run([
+            "table", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2",
+            "--psi", "1,2", "--points", str(2 * step + 5), "--out", str(tmp_path / "b.csv"),
+        ]) == 0
+        assert [n for n, _ in blocks] == [step, step, 5]
         assert all(held == n for n, held in blocks)
 
 
@@ -282,9 +295,10 @@ class TestTable:
         assert run(["table"] + args + ["--psi", "1,2,3", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    def test_one_state_evaluation_per_table(self, tmp_path, monkeypatch):
+    def test_each_state_evaluation_carries_every_level(self, tmp_path, monkeypatch):
         # the seed-0 benchmark tables ask for --psi 1,2,3 at 1e5 points;
-        # the levels share one call, which evaluates their common factors once
+        # each block's levels share one call, which evaluates their common
+        # factors once
         workloads = benchmark_workloads(monkeypatch)
         evaluate = models.wavefunction
         calls = []
@@ -297,9 +311,122 @@ class TestTable:
         for op in workloads.build("table_large", 0, str(tmp_path)):
             calls.clear()
             assert run(list(op.argv)) == 0
-            assert calls == [[1, 2, 3]]
+            assert calls and all(n == [1, 2, 3] for n in calls)
             digest = hashlib.sha256(Path(op.csv).read_bytes()).hexdigest()
             assert digest == workloads.GOLDEN_CSV_SHA256[op.label]
+
+    @pytest.mark.parametrize("blocks", [
+        [block_rows(12), block_rows(12), 7],
+        [block_rows(12), block_rows(12) + 1],  # no block of one row
+    ], ids=["tail", "one-row-tail"])
+    @pytest.mark.parametrize("args, m", [
+        (["--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2"],
+         models.PotentialModel("radial_extended", 2.0, k=1.75, eps=1.2)),
+        (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25", "--branch", "cos"],
+         models.PotentialModel("scarf_extended", 1.75, 3.0, k=1.25, branch="cos")),
+    ], ids=["radial", "scarf"])
+    def test_blocks_give_the_whole_grid_bytes(self, tmp_path, monkeypatch, args, m, blocks):
+        # each evaluator sees one block of rows at a time, and the CSV
+        # holds the bytes of the whole grid evaluated at once
+        points, out = sum(blocks), tmp_path / "t.csv"
+        seen = {"potential": [], "wavefunction": []}
+        for name, sizes in seen.items():
+            def recorded(model, *rest, _evaluate=getattr(models, name), _sizes=sizes):
+                _sizes.append(np.size(rest[-1]))
+                return _evaluate(model, *rest)
+            monkeypatch.setattr(models, name, recorded)
+        assert run(["table", *args, "--psi", "1,2,3", "--points", str(points),
+                    "--out", str(out)]) == 0
+        assert seen == {"potential": blocks, "wavefunction": blocks}
+        monkeypatch.undo()
+        grid = np.linspace(*cli._default_range(m), points)
+        v = models.potential(m, grid)
+        header, columns = ["x", "re_V", "im_V"], [grid, v.real, v.imag]
+        for n, psi in zip((1, 2, 3), models.wavefunction(m, [1, 2, 3], grid)):
+            header += [f"re_psi_{n}", f"im_psi_{n}", f"abs2_psi_{n}"]
+            columns += [psi.real, psi.imag, np.abs(psi) ** 2]
+        assert out.read_bytes() == reference_csv(header, columns)
+
+    # a refusal inside a block, after earlier blocks were written: the pole
+    # at x = 0 lies in a later block of this grid, and the norm overflows
+    # in the first
+    @pytest.mark.parametrize("argv, code, line", [
+        (["--xmin", "-3", "--xmax", "1", "--points", str(4 * 2**12 + 1)], 2,
+         "error: centrifugal pole at x = 0"),
+        (["--psi", "145", "--points", "11"], 1,
+         "error: the squared norm of the degree-145 X1 Laguerre member at a = 2 "
+         "is out of the float range"),
+    ], ids=["pole", "overflow"])
+    def test_refusal_mid_stream_keeps_the_old_files(
+        self, tmp_path, monkeypatch, capsys, argv, code, line
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t.csv").write_bytes(b"old bytes\n")
+        assert 3 * 2**12 >= block_rows(3)  # x = 0 is row 3 * 2**12, past the first block
+        assert run(["table", "--family", "radial", "--a", "2", "--k", "1.75",
+                    *argv, "--out", "t.csv"]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert (tmp_path / "t.csv").read_bytes() == b"old bytes\n"
+
+    # radial eps = 0 over [-1, 1] with odd --points puts x = 0, the potential's
+    # pole, on the grid, and the states refuse x <= 0: a grid of one block
+    # reports the pole, which the potential meets first, and a longer grid
+    # the states' refusal in its first block
+    @pytest.mark.parametrize("points, line", [
+        (11, "error: centrifugal pole at x = 0"),
+        (2 * block_rows(6) + 1, "error: Hermitian radial states live on x > 0"),
+    ], ids=["one-block", "two-blocks"])
+    def test_two_refusals_report_the_earliest_block(
+        self, tmp_path, monkeypatch, capsys, points, line
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert run(["table", "--family", "radial", "--a", "2", "--k", "1.75",
+                    "--xmin", "-1", "--xmax", "1", "--points", str(points),
+                    "--psi", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_psi_is_parsed_before_any_evaluation(self, tmp_path, monkeypatch, capsys):
+        # this grid meets the pole at x = 0, which was reported instead
+        monkeypatch.chdir(tmp_path)
+        assert run(["table", "--family", "radial", "--a", "2", "--k", "1.75",
+                    "--xmin", "-1", "--xmax", "1", "--points", "11", "--psi", "x"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --psi wants comma-separated integers, got 'x'"
+        ]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_memory_does_not_grow_with_points(self, tmp_path):
+        # each table runs in a fresh interpreter, which prints its own peak
+        # RSS: VmHWM, as ru_maxrss keeps the launching test process's peak
+        # across exec.  Holding whole columns took 50.0 MB at 1e5 points
+        # and 114.1 MB at 5e5, streamed blocks 35.1 and 38.2 MB (the
+        # 5e5-point grid itself is 3.2 MB more)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys\n"
+            "from xspectra import cli\n"
+            "code = cli.main(['table', '--family', 'radial', '--a', '2', '--k', '1.75',\n"
+            "                 '--eps', '1.2', '--psi', '1,2,3', '--points', sys.argv[1]])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    kb = next(line.split()[1] for line in status if line.startswith('VmHWM:'))\n"
+            "print(code, int(kb) / 1024.0)\n"
+        )
+        peaks = []
+        for points in ("100000", "500000"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, points],
+                cwd=tmp_path, env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            code, peak = done.stdout.split()
+            assert code == "0"
+            peaks.append(float(peak))
+            (tmp_path / "radial_table.csv").unlink()
+        assert peaks[1] <= peaks[0] + 8.0, peaks
 
     def test_rejects_bad_grid(self, tmp_path, capsys):
         code = run([

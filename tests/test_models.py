@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xspectra import (
     ArgumentError,
@@ -21,7 +23,7 @@ from xspectra import (
     wavefunction,
 )
 from xspectra import finite_quadrature, integrate, semi_infinite_exp_quadrature
-from xspectra import models
+from xspectra import cli, models
 from xspectra.models import (
     _offset,
     _require_valid,
@@ -489,6 +491,32 @@ class TestStackedLevels:
         single, row = peak(1)
         stacked, total = peak((1, 2, 3))
         assert stacked <= single + (total - row) + 64 * 1024
+
+
+class TestBlockSplits:
+    # `table` evaluates its grid one block of at least two rows at a time,
+    # so its CSV is the whole grid's only if each point's bits do not
+    # depend on the block it lies in
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(list(_STATE_MODELS)),
+        points=st.integers(2, 600),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    def test_blocks_match_the_whole_grid_bitwise(self, name, points, cuts):
+        m = _STATE_MODELS[name]
+        grid = np.linspace(*cli._default_range(m), points)
+        edges = [0]
+        for cut in sorted({int(c * points) for c in cuts}):
+            if cut - edges[-1] >= 2 and points - cut >= 2:
+                edges.append(cut)
+        edges.append(points)
+        blocks = [grid[start:stop] for start, stop in zip(edges, edges[1:])]
+        v = np.concatenate([potential(m, x) for x in blocks])
+        psi = np.concatenate([wavefunction(m, [1, 2, 3], x) for x in blocks], axis=1)
+        assert np.array_equal(v.view(np.uint8), potential(m, grid).view(np.uint8))
+        whole = wavefunction(m, [1, 2, 3], grid)
+        assert np.array_equal(psi.view(np.uint8), whole.view(np.uint8))
 
 
 class TestSimilarity:

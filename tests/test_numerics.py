@@ -939,6 +939,16 @@ class TestSchrodingerResidual:
         xs = np.linspace(-0.9 * half, 0.9 * half, 20)
         assert schrodinger_residual(scarf_hermitian, 2, xs) <= 1e-6
 
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    def test_small_where_the_energy_is_far_below_the_potential(self, eps):
+        # E_1 = 0.048 against max|V psi|/max|psi| = 9.7 (eps = 0) and 2.0
+        # (eps = 0.3): divided by |E_1| max|psi| alone, this read 6.3e-6
+        # and 8.7e-6
+        m = models.PotentialModel("scarf_extended", a=-0.25, b=-0.4, k=1.25, eps=eps)
+        half = 0.5 * math.pi / m.k
+        xs = np.linspace(-0.9 * half, 0.9 * half, 40)
+        assert schrodinger_residual(m, 1, xs) <= 1e-6
+
     def test_grid_touching_the_domain_edge_raises(self, radial_hermitian):
         # the offset stencil crosses x = 0
         with pytest.raises(DomainError):
