@@ -142,34 +142,38 @@ def discretize(m: PotentialModel, lo: float, hi: float, n: int) -> TridiagonalOp
 # real spectra: Sturm-sequence multisection
 # ---------------------------------------------------------------------------
 
-# K: a sweep cuts each bracket into K parts with K - 1 probes (Lo,
-# Philippe, Sameh, SIAM J. Sci. Stat. Comput. 8, 1987).  A sweep's cost
-# is mostly the Python-level cost of the two array operations per grid
-# row in _sturm_counts' slabs, so a few hundred probes cost little more
-# than one.  Equal parts gain log2(K) = 7 bits.
-_SECTIONS = 128
-_FRACTIONS = np.arange(_SECTIONS + 1) / _SECTIONS
-# Sweep 0 spaces its probes geometrically up from lo instead: the
-# lowest eigenvalues of a grid Hamiltonian sit some 1e-5 of the way up
-# its Gershgorin bracket, where equal parts would spend about three
-# sweeps just isolating them.  Column 0 is lo and column K is hi, as in
-# _FRACTIONS.
-_GEOMETRIC = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, _SECTIONS)))
-# A finite bracket is narrower than 2**maxexp and stops once narrower
-# than the 1e-300 floor of the stopping width, so it needs at most
-# log2(2**maxexp / 1e-300) ~ 2021 bits.  Every sweep after the first
-# gains 7 bits; sweep 0's widest part, the top one, gains only
-# log2(1 / (1 - r**-1)) ~ 2.3 bits for the probe ratio
-# r = 1e12**(1 / (K - 1)).  One more sweep makes up those 4.7 bits,
+# Sweep 0 counts 127 probes spaced geometrically up from the bottom of
+# the Gershgorin bracket: the lowest eigenvalues of a grid Hamiltonian
+# sit some 1e-5 of the way up it, where equal parts would spend about
+# three sweeps just isolating them.  Column 0 is lo and column 128 is
+# hi.  255 geometric probes were no faster on the spectra suite.
+_GEOMETRIC = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 128)))
+# Probe budget of every later sweep: it cuts each open bracket into K
+# equal parts (Lo, Philippe, Sameh, SIAM J. Sci. Stat. Comput. 8, 1987),
+# K the largest power of two with (open brackets) (K - 1) <= _PROBES,
+# and at least 2.  So 4 brackets get K = 64, one gets 256, and 200 are
+# bisected.  The counts are exact wherever the probes sit (Demmel,
+# Dhillon & Ren, ETNA 3, 1995).  A count costs the Python-level work of
+# two array operations per grid row plus the probes themselves: on the
+# spectra suite's four operators budgets of 128 and 256 took 71 ms
+# (median), 64 took 79 ms, 512 98 ms and 1024 137 ms.  On a 100-level
+# Scarf spectrum (12000 points) 512 was fastest, 0.45 s against 0.62 s
+# (fastest runs).
+_PROBES = 256
+# A bracket closes once no wider than the floor eps max(|gl|, |gu|) of
+# lowest_eigenvalues, which is at least eps / 2 of the Gershgorin
+# bracket's width, so it needs at most log2(2 / eps) = 53 bits.  Sweep
+# 0 may gain little, every later sweep gains at least one bit (K >= 2),
 # and two spare sweeps absorb the rounding of the probe positions.
-_MAX_SWEEPS = (
-    math.ceil((np.finfo(float).maxexp - math.log2(1e-300)) / math.log2(_SECTIONS)) + 3
-)
+_MAX_SWEEPS = math.ceil(math.log2(2.0 / np.finfo(float).eps)) + 3
 
 
-# Rows per slab of _sturm_counts: two (_SLAB, P) float buffers, about
-# 0.5 MB at 508 probes; 64 was fastest of 16 to 512 on the spectra suite.
-# Must stay <= 255: a clean slab's negatives are summed in uint8.
+# Rows per slab of _sturm_counts: three (_SLAB, P) float buffers, about
+# 0.4 MB at the 256 probes of a full budget.  At that budget 64 rows
+# were among the fastest of 16 to 512 both on the spectra suite, where
+# 255 and 512 were slower, and on a 100-level Scarf spectrum, where 16
+# and 32 were.  Must stay <= 255: a clean slab's negatives are summed
+# in uint8.
 _SLAB = 64
 # Pivot floor of lowest_eigenvalues' counts: LAPACK dstebz's
 # safmin max(1, max e_i^2), with 1e-290 for safmin.  The operator is
@@ -250,26 +254,27 @@ def _sturm_counts(
             floor = np.maximum(floor, pivmin)
             np.copyto(floors, floor, where=d_low - e2_high / floor >= floor)
     floors = floors.tolist()
-    dsig = np.empty((_SLAB, len(sigmas)))
-    slab = np.empty_like(dsig)
+    dsig, slab, size = np.empty((3, _SLAB, len(sigmas)))
     dsig_rows, slab_rows = list(dsig), list(slab)
+    divide, subtract = np.divide, np.subtract
     for start, exit_floor in zip(range(1, len(d), _SLAB), floors):
         if q.min() >= exit_floor:
             break
         stop = min(start + _SLAB, len(d))
         rows = stop - start
-        np.subtract(d[start:stop, None], sigmas, out=dsig[:rows])
+        subtract(d[start:stop, None], sigmas, dsig[:rows])
         e2_slab = e2_rows[start - 1 : stop - 1]
         prev = q
         # a pivot under pivmin can make the rows after it divide by
-        # zero, overflow or form inf - inf; such a slab is redone
+        # zero, overflow or form inf - inf; such a slab is redone.  fmin
+        # skips NaN, so a tiny pivot beside a NaN one is still seen.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for e2_i, ds_i, q_i in zip(e2_slab, dsig_rows, slab_rows):
-                np.divide(e2_i, prev, out=q_i)
-                np.subtract(ds_i, q_i, out=q_i)
+                divide(e2_i, prev, q_i)
+                subtract(ds_i, q_i, q_i)
                 prev = q_i
-            tiny = (np.abs(slab[:rows]) < pivmin).any()
-        if tiny:
+            smallest = np.fmin.reduce(np.abs(slab[:rows], out=size[:rows]), axis=None)
+        if smallest < pivmin:
             _guarded_sturm_rows(q, dsig_rows[:rows], e2_slab, pivmin, cnt)
         else:
             cnt += (slab[:rows] < 0.0).view(np.uint8).sum(axis=0, dtype=np.uint8)
@@ -285,10 +290,13 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     Each sweep puts K - 1 probes into every open bracket, counts the
     eigenvalues below all of them at once, and keeps the two probes
     around the first one whose count reaches the bracket's index.  The
-    first sweep spaces its probes geometrically, from 1e-12 of the
+    first sweep spaces 127 probes geometrically, from 1e-12 of the
     Gershgorin bracket's width above its bottom to the top, so the low
-    end of the spectrum is isolated in one sweep; later sweeps space
-    them evenly.  Each distinct probe is counted once, in slabs of rows
+    end of the spectrum is isolated in one sweep.  Later sweeps space
+    them evenly on a budget of _PROBES = 256 probes per sweep: K is the
+    largest power of two with (open brackets) (K - 1) <= _PROBES, and at
+    least 2, so few brackets gain many bits per sweep and many brackets
+    are bisected.  Each distinct probe is counted once, in slabs of rows
     as LAPACK dlaneg, with two array operations per row
     (:func:`_sturm_counts`).  A bracket closes once it is no wider than
     max(4 eps |lambda|, eps max(|gl|, |gu|)), with [gl, gu] the
@@ -334,16 +342,23 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     # O(h^2) errors of 2.3e-7 to 1.0e-5 relative.
     eps = np.finfo(float).eps
     floor = eps * max(abs(lo[0]), abs(hi[0]))
+    fractions = _GEOMETRIC
     for sweep in range(_MAX_SWEEPS + 1):
         tol = np.maximum(4.0 * eps * np.maximum(np.abs(lo), np.abs(hi)), floor) + 1e-300
+        wide = np.flatnonzero(hi - lo > tol)
+        if sweep:
+            # K parts per open bracket: the largest power of two with
+            # len(wide) (K - 1) <= _PROBES, and at least 2
+            room = _PROBES // max(len(wide), 1) + 1
+            sections = max(2, 1 << (room.bit_length() - 1))
+            fractions = np.arange(sections + 1) / sections
         # column 0 is lo, column K is hi, the rest are the probes; a
         # bracket only a few ulps wide has no probe strictly inside
-        fractions = _GEOMETRIC if sweep == 0 else _FRACTIONS
-        grid = lo[:, None] + (hi - lo)[:, None] * fractions
-        grid[:, -1] = hi
+        grid = lo[wide, None] + (hi - lo)[wide, None] * fractions
+        grid[:, -1] = hi[wide]
         probes = grid[:, 1:-1]
-        inside = (probes > lo[:, None]) & (probes < hi[:, None])
-        live = np.flatnonzero((hi - lo > tol) & inside.any(axis=1))
+        inside = ((probes > grid[:, :1]) & (probes < grid[:, -1:])).any(axis=1)
+        live, grid = wide[inside], grid[inside]
         if len(live) == 0:
             return np.ldexp(0.5 * (lo + hi), shift)
         if sweep == _MAX_SWEEPS:
@@ -352,13 +367,14 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
                 f"{_MAX_SWEEPS} sweeps"
             )
         # count each distinct probe once: sweep 0's brackets all coincide
-        sigmas, where = np.unique(probes[live], return_inverse=True)
+        sigmas, where = np.unique(grid[:, 1:-1], return_inverse=True)
         counts = _sturm_counts(d, e2, _PIVMIN, sigmas)[where].reshape(len(live), -1)
         above = counts >= targets[live, None]
         # first probe at or above the target; K - 1 stands for hi itself
-        first = np.where(above.any(axis=1), above.argmax(axis=1), _SECTIONS - 1)
-        lo[live] = grid[live, first]
-        hi[live] = grid[live, first + 1]
+        first = np.where(above.any(axis=1), above.argmax(axis=1), len(fractions) - 2)
+        rows = np.arange(len(live))
+        lo[live] = grid[rows, first]
+        hi[live] = grid[rows, first + 1]
 
 
 # ---------------------------------------------------------------------------

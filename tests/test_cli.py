@@ -457,11 +457,11 @@ class TestSpectrum:
     # pinned, as their last bits come from LAPACK's eig and qr
     @pytest.mark.parametrize("args, digest", [
         (["--family", "radial", "--a", "2", "--k", "1.75"],
-         "fc75b6b0a416eb2da05cc1e4aa7ce0923304faf8a4ac2ca8f7dd9b33c7fa293c"),
+         "f0785fd43a0f6da2d8410c051b38d2d5bdbd4be3ff91e05400301637febf0b18"),
         (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25"],
-         "a6ff585e746905940a7fc59fb2b4a0d5a146be902af5b242b1134a8b79086a97"),
+         "83d71a0925660d04aae76825445dc484792a5354eae90c4834d298d8516bba57"),
         (["--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25", "--branch", "cos"],
-         "a6ff585e746905940a7fc59fb2b4a0d5a146be902af5b242b1134a8b79086a97"),
+         "83d71a0925660d04aae76825445dc484792a5354eae90c4834d298d8516bba57"),
     ], ids=["radial", "scarf-sin", "scarf-cos"])
     def test_real_spectrum_bytes_are_pinned(self, tmp_path, args, digest):
         out = tmp_path / "pin.csv"

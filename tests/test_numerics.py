@@ -414,6 +414,23 @@ def _logged_sturm_counts(monkeypatch) -> list:
     return rows
 
 
+def _probe_rows(monkeypatch) -> list:
+    """Patch numerics._sturm_counts as _logged_sturm_counts does; returns
+    the list of (probes, slab rows) of every count."""
+    rows = _logged_sturm_counts(monkeypatch)
+    sweeps = []
+    counts = numerics._sturm_counts
+
+    def logged(d, e2, pivmin, sigmas):
+        before = len(rows)
+        got = counts(d, e2, pivmin, sigmas)
+        sweeps.append((len(sigmas), sum(rows[before:])))
+        return got
+
+    monkeypatch.setattr(numerics, "_sturm_counts", logged)
+    return sweeps
+
+
 class TestSturmCounts:
     @settings(max_examples=300, deadline=None)
     @given(_sturm_count_cases())
@@ -594,59 +611,54 @@ class TestLowestEigenvalues:
         self, monkeypatch, radial_hermitian, scarf_hermitian
     ):
         # brackets close at eps max(|gl|, |gu|) instead of 4 eps |lambda|,
-        # and sweep 0 counts its 127 probes once, not once per bracket
-        calls = []
-        counts = numerics._sturm_counts
-
-        def counted(d, e2, pivmin, sigmas):
-            calls.append(len(sigmas))
-            return counts(d, e2, pivmin, sigmas)
-
-        monkeypatch.setattr(numerics, "_sturm_counts", counted)
-        sweeps = []
+        # sweep 0 counts its 127 probes once, not once per bracket, and
+        # later sweeps count 63 per bracket, a 252-probe share of the
+        # budget.  The sweeps' probe-rows (slab rows times probes) are
+        # the work: 25712547 with 127 probes per bracket in every sweep.
+        sweeps = _probe_rows(monkeypatch)
+        per_operator, work = [], 0
         for t in _spectra_suite_operators(radial_hermitian, scarf_hermitian):
-            calls.clear()
+            sweeps.clear()
             lowest_eigenvalues(t, 4)
-            sweeps.append(len(calls))
-            assert calls[0] == numerics._SECTIONS - 1
-        assert sweeps == [7, 6, 6, 6]
-        assert sum(sweeps) <= 25
+            per_operator.append(len(sweeps))
+            assert sweeps[0][0] == len(numerics._GEOMETRIC) - 2 == 127
+            assert all(p <= numerics._PROBES for p, _ in sweeps)
+            work += sum(p * rows for p, rows in sweeps)
+        assert per_operator == [7, 7, 7, 7]
+        assert work == 16014968
 
     def test_spectra_suite_operators_stop_counting_in_the_forbidden_tail(
         self, monkeypatch, radial_hermitian, scarf_hermitian
     ):
         # slab rows counted per operator; without the tail exit every
-        # count runs all n - 1 rows, 73975 in all over the 25 sweeps
+        # count runs all n - 1 rows, 83972 in all over the 28 sweeps
         rows = _logged_sturm_counts(monkeypatch)
         per_operator = []
         for t in _spectra_suite_operators(radial_hermitian, scarf_hermitian):
             rows.clear()
             lowest_eigenvalues(t, 4)
             per_operator.append(sum(rows))
-        assert per_operator == [9679, 16159, 11979, 23899]
-        assert sum(per_operator) <= 62200
+        assert per_operator == [9423, 18655, 13978, 27898]
+        assert sum(per_operator) <= 70000
 
     def test_spectra_suite_work_is_pinned(self, monkeypatch, tmp_path):
-        # each family's four Hermitian levels on 1000 and 2000 points:
-        # on 2000 and 4000 the suite took 25 sweeps and 61716 slab rows
-        rows = _logged_sturm_counts(monkeypatch)
-        sizes, sweeps = [], []
-        lowest, counts = numerics.lowest_eigenvalues, numerics._sturm_counts
+        # each family's four Hermitian levels on 1000 and 2000 points;
+        # with 127 probes per bracket in every sweep they took 26 sweeps,
+        # 32619 slab rows and 13627608 probe-rows
+        sweeps = _probe_rows(monkeypatch)
+        sizes = []
+        lowest = numerics.lowest_eigenvalues
 
         def sized(t, m):
             sizes.append(t.size)
             return lowest(t, m)
 
-        def counted(*args):
-            sweeps.append(1)
-            return counts(*args)
-
         monkeypatch.setattr(numerics, "lowest_eigenvalues", sized)
-        monkeypatch.setattr(numerics, "_sturm_counts", counted)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "--suite", "spectra"]) == 0
         assert sizes == [1000, 2000, 1000, 2000]
-        assert (len(sweeps), sum(rows)) == (26, 32619)
+        work = sum(p * rows for p, rows in sweeps)
+        assert (len(sweeps), sum(rows for _, rows in sweeps), work) == (29, 36001, 8148431)
 
     def test_spectra_suite_operators_stay_within_one_eps_norm_of_stebz(
         self, radial_hermitian, scarf_hermitian
@@ -661,6 +673,24 @@ class TestLowestEigenvalues:
             )
             got = lowest_eigenvalues(t, 4)
             assert np.max(np.abs(got - want)) <= 1.0 * np.finfo(float).eps * t.scale
+
+    def test_many_levels_keep_to_the_probe_budget(self, monkeypatch, radial_hermitian):
+        # 200 brackets are bisected, 200 probes a sweep, where 127 per
+        # bracket made 25400; the last few brackets get more parts
+        linalg = pytest.importorskip("scipy.linalg")
+        sweeps = _probe_rows(monkeypatch)
+        t = discretize(radial_hermitian, 1e-8, 12.0, 1000)
+        got = lowest_eigenvalues(t, 200)
+        want = linalg.eigvalsh_tridiagonal(
+            t.diagonal, t.off_diagonal, select="i", select_range=(0, 199),
+            lapack_driver="stebz", tol=1e-300,
+        )
+        assert np.max(np.abs(got - want)) <= 1.0 * np.finfo(float).eps * t.scale
+        calls = [p for p, _ in sweeps]
+        assert calls[0] == 127
+        # at most 200 brackets are open in any sweep
+        assert all(p <= max(numerics._PROBES, 200) for p in calls[1:])
+        assert max(calls[1:]) > 200 and calls.count(200) > 1
 
     def test_doubled_spectrum_counts_each_probe_once(self, monkeypatch):
         # two copies of one block: every eigenvalue is double, so each
