@@ -11,14 +11,14 @@ The grid, every point of which ``validate_params`` accepts:
     eps in {0, 0.5, 1, 2}, both branches.
 
 Each model runs ``spectrum --nmax 4`` (not a shifted Scarf model, which
-has no grid spectrum and exits 2 by design) and ``verify`` with the
-suites that read the model: ``pct``, ``hermiticity`` (which exits 2 at
-eps = 0 by design) and ``residuals``.  A row holds the command, the
-model, the exit code, the names of the failing checks and the other
-stderr lines (``error:`` lines and convergence warnings); an exception
-that escapes ``main`` is recorded with the exit code ``"traceback"``
-and the function it was raised in.  No timing and no measured value is
-recorded, so a rerun writes the same bytes.
+has no grid spectrum and exits 2 by design) and ``verify`` with each
+suite that reads the model: ``pct``, ``hermiticity`` (which exits 2 at
+eps = 0 by design), ``spectra`` and ``residuals``.  A row holds the
+command, the model, the exit code, the names of the failing checks and
+the other stderr lines (``error:`` lines and convergence warnings); an
+exception that escapes ``main`` is recorded with the exit code
+``"traceback"`` and the function it was raised in.  No timing and no
+measured value is recorded, so a rerun writes the same bytes.
 
     PYTHONPATH=src python scripts/range_map.py --out RANGE_map.json
 """
@@ -47,6 +47,7 @@ COMMANDS = (
     ("spectrum", "--nmax", "4"),
     ("verify", "--suite", "pct"),
     ("verify", "--suite", "hermiticity"),
+    ("verify", "--suite", "spectra"),
     ("verify", "--suite", "residuals"),
 )
 

@@ -627,11 +627,6 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _kinds(args) -> list:
-    """The families a suite covers: the one --family names, or both."""
-    return [args.family] if args.family else list(_MODEL_FIELDS)
-
-
 def _suite_orthogonality(args, tol) -> list:
     checks = []
     a_values = [args.a] if args.a is not None else [0.5, 2.0]
@@ -686,42 +681,40 @@ def _suite_zeros(args, tol) -> list:
     return checks
 
 
-def _suite_pct(args, tol) -> list:
+def _suite_pct(kind, m, tol) -> list:
     checks = []
-    for kind in _kinds(args):
-        m = _model(kind, args)
-        hermitian = replace(m, eps=0.0)
-        fam = models.x1_family(m)
-        g = "quadratic" if fam.kind == "laguerre" else "sine"
-        grid, shift_grid = _state_grids(m, 50)
+    hermitian = replace(m, eps=0.0)
+    fam = models.x1_family(m)
+    g = "quadratic" if fam.kind == "laguerre" else "sine"
+    grid, shift_grid = _state_grids(m, 50)
 
-        def extract(model, xs):  # the report and its V against model.potential
-            gm = GMap(g, m.k, models._offset(m) + 1j * model.eps)
-            rep = extract_potential_report(gm, fam, (1, 2), xs)
-            want = models.potential(model, xs)
-            return rep, np.max(np.abs(rep.v_values - want)) / np.max(np.abs(want))
+    def extract(model, xs):  # the report and its V against model.potential
+        gm = GMap(g, m.k, models._offset(m) + 1j * model.eps)
+        rep = extract_potential_report(gm, fam, (1, 2), xs)
+        want = models.potential(model, xs)
+        return rep, np.max(np.abs(rep.v_values - want)) / np.max(np.abs(want))
 
-        rep, rel = extract(hermitian, grid)
-        checks.append(_check_le(f"{kind}-extracted-V-rel", rel, tol["extract-rel"]))
-        for idx, n in enumerate((1, 2)):
-            want = models.energy(hermitian, n)
-            rel = abs(rep.energies[idx] - want) / want
-            checks.append(_check_le(f"{kind}-energy-{n}-rel", rel, tol["extract-rel"]))
-        de = abs(rep.energies[0] - rep.energies[1])
-        checks.append(_check_le(f"{kind}-const-diff", rep.dw_spread / de, tol["const-diff"]))
-        if m.eps != 0.0:
-            _, rel = extract(m, shift_grid)
-            checks.append(_check_le(f"{kind}-shifted-V-rel", rel, tol["extract-rel"]))
-        if kind == "scarf":
-            # V's exact 1/D^2 coefficient over k^2, with D = a + b - (b - a) g; a
-            # candidate is excluded where it misses by more than extract-rel
-            a, b = Fraction(m.a), Fraction(m.b)
-            exact = rep.terms[((a + b) / (b - a), 2)] * (a - b) ** 2
-            adjudicated, alternative = -8 * a * b, 2 * ((a - b) ** 2 - 4 * a * b)
-            rel = abs(exact - adjudicated) / abs(adjudicated)
-            checks.append(_check_le("scarf-rational-matches-minus-8ab", rel, tol["extract-rel"]))
-            rel = abs(exact - alternative) / abs(alternative)
-            checks.append(_check_ge("scarf-rational-excludes-alternative", rel, tol["extract-rel"]))
+    rep, rel = extract(hermitian, grid)
+    checks.append(_check_le(f"{kind}-extracted-V-rel", rel, tol["extract-rel"]))
+    for idx, n in enumerate((1, 2)):
+        want = models.energy(hermitian, n)
+        rel = abs(rep.energies[idx] - want) / want
+        checks.append(_check_le(f"{kind}-energy-{n}-rel", rel, tol["extract-rel"]))
+    de = abs(rep.energies[0] - rep.energies[1])
+    checks.append(_check_le(f"{kind}-const-diff", rep.dw_spread / de, tol["const-diff"]))
+    if m.eps != 0.0:
+        _, rel = extract(m, shift_grid)
+        checks.append(_check_le(f"{kind}-shifted-V-rel", rel, tol["extract-rel"]))
+    if kind == "scarf":
+        # V's exact 1/D^2 coefficient over k^2, with D = a + b - (b - a) g; a
+        # candidate is excluded where it misses by more than extract-rel
+        a, b = Fraction(m.a), Fraction(m.b)
+        exact = rep.terms[((a + b) / (b - a), 2)] * (a - b) ** 2
+        adjudicated, alternative = -8 * a * b, 2 * ((a - b) ** 2 - 4 * a * b)
+        rel = abs(exact - adjudicated) / abs(adjudicated)
+        checks.append(_check_le("scarf-rational-matches-minus-8ab", rel, tol["extract-rel"]))
+        rel = abs(exact - alternative) / abs(alternative)
+        checks.append(_check_ge("scarf-rational-excludes-alternative", rel, tol["extract-rel"]))
     return checks
 
 
@@ -732,117 +725,92 @@ def _similarity_grid(m: PotentialModel) -> np.ndarray:
     return np.linspace(centre - 0.98 * half, centre + 0.98 * half, 200)
 
 
-def _suite_hermiticity(args, tol) -> list:
+def _suite_hermiticity(kind, m, tol) -> list:
+    if m.eps == 0.0:
+        raise ArgumentError("hermiticity suite needs eps != 0 (identities are trivial)")
+    grid = _similarity_grid(m)
+    scale = float(np.max(np.abs(models.potential(m, grid))))
+    checks = [
+        _check_le(f"{kind}-quasi-rel", models.quasi_hermiticity_residual(m, grid) / scale,
+                  tol["quasi-rel"]),
+        _check_le(f"{kind}-pseudo-rel", models.pseudo_hermiticity_residual(m, grid) / scale,
+                  tol["pseudo-rel"]),
+    ]
+    pt = models.pt_symmetry_residual(m, grid) / scale
+    if m.branch == "sin" and m.a != m.b:
+        checks.append(_check_ge("scarf-sin-pt-broken", pt, tol["pt-broken-min"]))
+        cos_model = replace(m, branch="cos")
+        cos_grid = _similarity_grid(cos_model)
+        cos_scale = float(np.max(np.abs(models.potential(cos_model, cos_grid))))
+        cos_pt = models.pt_symmetry_residual(cos_model, cos_grid) / cos_scale
+        checks.append(_check_le("scarf-cos-pt-rel", cos_pt, tol["pt-rel"]))
+    else:
+        checks.append(_check_le(f"{kind}-pt-rel", pt, tol["pt-rel"]))
+    return checks
+
+
+def _suite_spectra(kind, m, tol) -> list:
+    """The lowest four levels of m's Hermitian partner on the _SUITE_POINTS
+    grids, the fine grid's error, its h^2 convergence from the coarse one
+    and their Richardson extrapolation; then, for a shifted radial model,
+    its three lowest levels."""
+    conv = (tol["conv-lo"], tol["conv-hi"])
+    m0 = replace(m, eps=0.0)
+    want = np.array([models.energy(m0, n) for n in range(1, 5)])
+    levels = [_grid_levels(m0, *_spectrum_interval(m0), npts, 4)[0] for npts in _SUITE_POINTS]
+    coarse, fine = (np.abs(lev - want) for lev in levels)
+    factors = coarse / fine
+    extrapolated = _extrapolated(*levels, _SUITE_POINTS)
+    checks = [
+        _check_le(f"{kind}-spectrum-rel", np.max(fine / want), tol["spectrum-rel"]),
+        _check_in(f"{kind}-conv-factor-min", float(np.min(factors)), *conv),
+        _check_in(f"{kind}-conv-factor-max", float(np.max(factors)), *conv),
+        _check_le(
+            f"{kind}-extrapolated-rel",
+            np.max(np.abs(extrapolated - want) / want),
+            tol["extrapolated-rel"],
+        ),
+    ]
+    if m.eps == 0.0 or _no_grid_spectrum(m):
+        return checks
+    _, results = _grid_levels(m, *_spectrum_interval(m), _COMPLEX_POINTS, 3)
+    for n, res in enumerate(results, 1):
+        e_n, lam = models.energy(m, n), res.eigenvalue
+        for name, measured, bound in (
+            ("eigen-residual", res.residual, tol["eigen-residual"]),
+            ("im-ratio", abs(lam.imag) / abs(lam), tol["im-ratio"]),
+            ("re-rel", abs(lam.real - e_n) / e_n, tol["spectrum-rel"]),
+        ):
+            checks.append(_check_le(f"radial-complex-{n}-{name}", measured, bound))
+    return checks
+
+
+def _suite_residuals(kind, m, tol) -> list:
     checks = []
-    for kind in _kinds(args):
-        m = _model(kind, args)
-        if m.eps == 0.0:
-            raise ArgumentError(
-                "hermiticity suite needs eps != 0 (identities are trivial)"
-            )
-        grid = _similarity_grid(m)
-        scale = float(np.max(np.abs(models.potential(m, grid))))
-        checks.append(
-            _check_le(
-                f"{kind}-quasi-rel",
-                models.quasi_hermiticity_residual(m, grid) / scale,
-                tol["quasi-rel"],
-            )
-        )
-        checks.append(
-            _check_le(
-                f"{kind}-pseudo-rel",
-                models.pseudo_hermiticity_residual(m, grid) / scale,
-                tol["pseudo-rel"],
-            )
-        )
-        pt = models.pt_symmetry_residual(m, grid) / scale
-        if m.branch == "sin" and m.a != m.b:
-            checks.append(
-                _check_ge("scarf-sin-pt-broken", pt, tol["pt-broken-min"])
-            )
-            cos_model = replace(m, branch="cos")
-            cos_grid = _similarity_grid(cos_model)
-            cos_scale = float(np.max(np.abs(models.potential(cos_model, cos_grid))))
+    # the Hermitian partner on its own grid, then m on its own if shifted
+    partners = [replace(m, eps=0.0)] + ([m] if m.eps != 0.0 else [])
+    for model, grid in zip(partners, _state_grids(m, 40)):
+        for n in (1, 2, 3):
             checks.append(
                 _check_le(
-                    "scarf-cos-pt-rel",
-                    models.pt_symmetry_residual(cos_model, cos_grid) / cos_scale,
-                    tol["pt-rel"],
+                    f"{kind}-eps{model.eps:g}-n{n}",
+                    numerics.schrodinger_residual(model, n, grid),
+                    tol["residual"],
                 )
             )
-        else:
-            checks.append(_check_le(f"{kind}-pt-rel", pt, tol["pt-rel"]))
-    return checks
-
-
-def _suite_spectra(args, tol) -> list:
-    """Per family: the lowest four Hermitian levels on the _SUITE_POINTS
-    grids, the fine grid's error, its h^2 convergence from the coarse one
-    and their Richardson extrapolation; then three shifted levels."""
-    checks = []
-    conv = (tol["conv-lo"], tol["conv-hi"])
-    for kind in _kinds(args):
-        m = _FIGURE[kind]
-        m0 = replace(m, eps=0.0)
-        want = np.array([models.energy(m0, n) for n in range(1, 5)])
-        levels = [
-            _grid_levels(m0, *_spectrum_interval(m0), npts, 4)[0] for npts in _SUITE_POINTS
-        ]
-        coarse, fine = (np.abs(lev - want) for lev in levels)
-        factors = coarse / fine
-        extrapolated = _extrapolated(*levels, _SUITE_POINTS)
-        checks += [
-            _check_le(f"{kind}-spectrum-rel", np.max(fine / want), tol["spectrum-rel"]),
-            _check_in(f"{kind}-conv-factor-min", float(np.min(factors)), *conv),
-            _check_in(f"{kind}-conv-factor-max", float(np.max(factors)), *conv),
-            _check_le(
-                f"{kind}-extrapolated-rel",
-                np.max(np.abs(extrapolated - want) / want),
-                tol["extrapolated-rel"],
-            ),
-        ]
-        if _no_grid_spectrum(m):
-            continue
-        _, results = _grid_levels(m, *_spectrum_interval(m), _COMPLEX_POINTS, 3)
-        for n, res in enumerate(results, 1):
-            e_n, lam = models.energy(m, n), res.eigenvalue
-            for name, measured, bound in (
-                ("eigen-residual", res.residual, tol["eigen-residual"]),
-                ("im-ratio", abs(lam.imag) / abs(lam), tol["im-ratio"]),
-                ("re-rel", abs(lam.real - e_n) / e_n, tol["spectrum-rel"]),
-            ):
-                checks.append(_check_le(f"radial-complex-{n}-{name}", measured, bound))
-    return checks
-
-
-def _suite_residuals(args, tol) -> list:
-    checks = []
-    for kind in _kinds(args):
-        m = _model(kind, args)
-        # the Hermitian partner on its own grid, then m on its own if shifted
-        partners = [replace(m, eps=0.0)] + ([m] if m.eps != 0.0 else [])
-        for model, grid in zip(partners, _state_grids(m, 40)):
-            for n in (1, 2, 3):
-                checks.append(
-                    _check_le(
-                        f"{kind}-eps{model.eps:g}-n{n}",
-                        numerics.schrodinger_residual(model, n, grid),
-                        tol["residual"],
-                    )
-                )
     return checks
 
 
 # each suite and the model flags it reads: `verify` refuses a flag, like a
-# --tol-<name>, that nothing it runs reads, rather than record an unused value
+# --tol-<name>, that nothing it runs reads, rather than record an unused value.
+# A suite that reads --family checks each family's model, or --family's alone
 _MODEL_FLAGS = ("family", *_MODEL_FIELDS["scarf"])  # what _model reads
 _SUITES = {
     "orthogonality": (_suite_orthogonality, ("a", "nmax")),
     "zeros": (_suite_zeros, ("a", "nmax")),
     "pct": (_suite_pct, _MODEL_FLAGS),
     "hermiticity": (_suite_hermiticity, _MODEL_FLAGS),
-    "spectra": (_suite_spectra, ("family",)),
+    "spectra": (_suite_spectra, _MODEL_FLAGS),
     "residuals": (_suite_residuals, _MODEL_FLAGS),
 }
 
@@ -853,9 +821,17 @@ def cmd_verify(args) -> int:
     flags, reader = (*_MODEL_FLAGS, "nmax"), f"the {args.suite} suite"
     _refuse_unread(args, [flag for flag in flags if flag not in read], reader)
     tol = _Tolerances(args)
+    # every model is built, and so validated, before any suite runs; none is
+    # built for `orthogonality` or `zeros`, where --a is a Laguerre index
+    kinds = [args.family] if args.family else list(_MODEL_FIELDS)
+    built = [(kind, _model(kind, args)) for kind in kinds] if "family" in read else []
     checks = []
     for name in names:
-        checks += _SUITES[name][0](args, tol)
+        suite, reads = _SUITES[name]
+        if "family" in reads:
+            checks += [c for kind, m in built for c in suite(kind, m, tol)]
+        else:
+            checks += suite(args, tol)
     parameters = {
         "suite": args.suite,
         **{flag: getattr(args, flag) for flag in flags},

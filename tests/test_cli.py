@@ -941,6 +941,31 @@ class TestVerifyContract:
             },
         }
 
+    def test_verify_spectra_reads_the_model(self, tmp_path, monkeypatch, capsys):
+        # `all` recorded the user's a, k and eps but ran its spectra rows on
+        # the default model, and `--suite spectra` refused the same flags
+        model = ["--family", "radial", "--a", "2.5", "--k", "1.5", "--eps", "1"]
+
+        def spectra_rows(argv):
+            assert run(["verify", *argv, "--manifest", "v.json"]) == 0
+            assert capsys.readouterr().err == ""
+            checks = json.loads((tmp_path / "v.json").read_text())["checks"]
+            return [c for c in checks if c["name"] in names]
+
+        monkeypatch.chdir(tmp_path)
+        names = _SUITE_CHECKS["spectra"]["radial"]
+        rows = spectra_rows(["--suite", "spectra", *model])
+        assert [c["name"] for c in rows] == names
+        assert spectra_rows(["--suite", "all", *model]) == rows
+        assert spectra_rows(["--suite", "spectra", "--family", "radial"]) != rows
+
+    @pytest.mark.parametrize("suite", ["zeros", "orthogonality"])
+    def test_laguerre_suites_build_no_model(self, tmp_path, monkeypatch, capsys, suite):
+        # --a is a Laguerre index there, while the Scarf model (3, 3) is invalid
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", suite, "--a", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
     # a value for each tolerance that fails a check comparing against it
     @pytest.mark.parametrize("name, value", [
         (name, {"conv-lo": "5", "conv-hi": "3", "pt-broken-min": "1e300"}.get(name, "-1"))
@@ -995,19 +1020,21 @@ def assert_usage_error(captured, tmp_path, lines=None):
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag, suite", [
-        (["--suite", "spectra", "--family", "radial", "--a", "3", "--k", "9"], "a", "spectra"),
+        (["--suite", "spectra", "--nmax", "3"], "nmax", "spectra"),
         (["--suite", "pct", "--nmax", "3"], "nmax", "pct"),
         (["--suite", "hermiticity", "--nmax", "3"], "nmax", "hermiticity"),
         (["--suite", "residuals", "--nmax", "3"], "nmax", "residuals"),
         (["--suite", "zeros", "--family", "scarf"], "family", "zeros"),
         (["--suite", "orthogonality", "--eps", "1"], "eps", "orthogonality"),
-        (["--suite", "spectra", "--branch", "cos"], "branch", "spectra"),
         # a tolerance is refused where no check the suite ran compared
         # against it, which the suite finds out only by running
         (["--suite", "zeros", "--tol-spectrum-rel", "1e-30"], "tol-spectrum-rel", "zeros"),
         (["--suite", "hermiticity", "--family", "radial", "--tol-pt-broken-min", "5"],
          "tol-pt-broken-min", "hermiticity"),
         (["--suite", "spectra", "--family", "scarf", "--tol-im-ratio", "1"],
+         "tol-im-ratio", "spectra"),
+        # a Hermitian radial model has no complex rows
+        (["--suite", "spectra", "--family", "radial", "--eps", "0", "--tol-im-ratio", "1"],
          "tol-im-ratio", "spectra"),
         (["--suite", "residuals", "--tol-gram-offdiag", "1"], "tol-gram-offdiag", "residuals"),
     ], ids=lambda v: v if isinstance(v, str) else None)
@@ -1045,6 +1072,19 @@ class TestUsageErrors:
         ]) == 0
         assert capsys.readouterr().err == ""
         assert json.loads((tmp_path / "verify.manifest.json").read_text())["parameters"]["a"] == 2.5
+
+    def test_verify_validates_models_before_any_suite(self, tmp_path, monkeypatch, capsys):
+        # `orthogonality` ran its Gram matrices before the Scarf model was refused
+        def refused(*args):
+            raise AssertionError("a suite ran before the models were validated")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(numerics, "gram_matrix", refused)
+        assert run(["verify", "--suite", "all", "--family", "scarf", "--a", "3"]) == 2
+        assert_usage_error(capsys.readouterr(), tmp_path, [
+            "error: indices must differ (a = b collapses the rational term)",
+            "error: invalid model parameters",
+        ])
 
     @pytest.mark.parametrize("suite", ["hermiticity", "residuals"])
     @pytest.mark.parametrize("argv, diagnostic", [

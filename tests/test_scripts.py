@@ -77,7 +77,7 @@ def test_range_map_slice(range_map, tmp_path, monkeypatch):
     ]
     monkeypatch.chdir(tmp_path)
     rows = range_map.range_map(models)
-    assert len(rows) == 15
+    assert len(rows) == 19
     for row in rows:
         assert_exit_contract(row)
     assert {row["exit"] for row in rows} == {0, 1, 2}
@@ -87,6 +87,10 @@ def test_range_map_slice(range_map, tmp_path, monkeypatch):
 
 
 def test_committed_range_map(range_map):
+    # the map runs exactly the verify suites that check the model
+    assert [c[2] for c in range_map.COMMANDS if c[0] == "verify"] == [
+        name for name, (_, reads) in range_map.cli._SUITES.items() if "family" in reads
+    ]
     doc = json.loads((ROOT / "RANGE_map.json").read_text())
     runs = doc["runs"]
     assert [(r["command"], r["model"]) for r in runs] == [
