@@ -13,6 +13,7 @@ prefixed ``error:`` or ``warn:``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -329,34 +330,18 @@ def _encode_block(block: np.ndarray) -> bytes:
     return slots.tobytes().translate(None, b"\0")
 
 
-def _csv_chunks(header: list, rows: int, block):
-    """The CSV of ``rows`` rows as bytes: the header line, then the rows
-    of each block of about _BLOCK_CELLS cells, which ``block(start,
-    stop)`` returns as a 2-D float64 array when the writer reaches it.
-
-    A block has at least two rows, unless the CSV has one: numpy (2.4,
-    on an AVX-512 host) rounds an in-place complex product of a
-    one-element array in a scalar loop, whose last bit can differ from
-    its vector loop's, so a state evaluated on one row alone can differ
-    from the same row in a longer block.  A one-row remainder joins the
-    block before it."""
-    yield (",".join(header) + "\n").encode("ascii")
-    step = max(2, _BLOCK_CELLS // len(header))
-    stops = [*range(step, rows - 1, step), rows]
-    for start, stop in zip([0, *stops], stops):
-        yield _encode_block(block(start, stop))
-
-
-def _write_csv(args, command, header, rows, block) -> list:
-    """Write a subcommand's CSV, evaluated one block at a time as the
+def _write_csv(args, command, header, blocks) -> list:
+    """Write a subcommand's CSV, the header line and then the rows of
+    each 2-D float64 array of the iterable ``blocks``, taken as the
     writer reaches it, and return the run's outputs: the CSV, then the
     manifest (next to the CSV unless --manifest names it; the two must
-    be different files, which is checked before any block is evaluated)."""
+    be different files, which is checked before any block is taken)."""
     out = args.out or f"{args.family}_{command}.csv"
     outputs = [out, args.manifest or os.path.splitext(out)[0] + ".manifest.json"]
     if os.path.realpath(out) == os.path.realpath(outputs[1]):
         raise ArgumentError(f"the CSV and the manifest name one file, {out}")
-    _write_atomic(out, _csv_chunks(header, rows, block))
+    head = (",".join(header) + "\n").encode("ascii")
+    _write_atomic(out, itertools.chain([head], map(_encode_block, blocks)))
     return outputs
 
 
@@ -538,21 +523,23 @@ def cmd_table(args) -> int:
     grid = np.linspace(lo, hi, args.points)
     bad = 0  # non-finite cells in the blocks written so far
 
-    def block(start, stop):
-        # the models evaluate point by point, so a block of two rows or
-        # more gives the whole grid's bits at its points (see _csv_chunks)
+    def blocks():
+        # the models evaluate point by point, so every block gives the
+        # whole grid's bits at its points, a block of one row included
         nonlocal bad
-        x = grid[start:stop]
-        v = models.potential(m, x)
-        columns = [x, np.real(v), np.imag(v)]
-        if levels:
-            for psi in models.wavefunction(m, levels, x):
-                columns += [np.real(psi), np.imag(psi), np.abs(psi) ** 2]
-        rows = np.column_stack(columns)
-        bad += int(np.count_nonzero(~np.isfinite(rows)))
-        return rows
+        step = max(1, _BLOCK_CELLS // len(header))
+        for start in range(0, args.points, step):
+            x = grid[start:start + step]
+            v = models.potential(m, x)
+            columns = [x, np.real(v), np.imag(v)]
+            if levels:
+                for psi in models.wavefunction(m, levels, x):
+                    columns += [np.real(psi), np.imag(psi), np.abs(psi) ** 2]
+            rows = np.column_stack(columns)
+            bad += int(np.count_nonzero(~np.isfinite(rows)))
+            yield rows
 
-    outputs = _write_csv(args, "table", header, args.points, block)
+    outputs = _write_csv(args, "table", header, blocks())
     checks = [_check_le("finite-values", float(bad), 0.0)]
     parameters = {
         **_model_parameters(args.family, m),
@@ -618,7 +605,7 @@ def cmd_spectrum(args) -> int:
         # the shift and the step cap decide which level is found
         parameters.update(iters=int(iters), sigma_imag=float(sigma_imag))
     rows = np.column_stack([np.arange(1, nmax + 1), formulas, numeric, abs_err, rel_err] + extra)
-    outputs = _write_csv(args, "spectrum", header, nmax, lambda start, stop: rows[start:stop])
+    outputs = _write_csv(args, "spectrum", header, [rows])
     return _finish(args, "spectrum", parameters, checks, outputs)
 
 
@@ -726,8 +713,6 @@ def _similarity_grid(m: PotentialModel) -> np.ndarray:
 
 
 def _suite_hermiticity(kind, m, tol) -> list:
-    if m.eps == 0.0:
-        raise ArgumentError("hermiticity suite needs eps != 0 (identities are trivial)")
     grid = _similarity_grid(m)
     scale = float(np.max(np.abs(models.potential(m, grid))))
     checks = [
@@ -737,7 +722,7 @@ def _suite_hermiticity(kind, m, tol) -> list:
                   tol["pseudo-rel"]),
     ]
     pt = models.pt_symmetry_residual(m, grid) / scale
-    if m.branch == "sin" and m.a != m.b:
+    if m.branch == "sin":
         checks.append(_check_ge("scarf-sin-pt-broken", pt, tol["pt-broken-min"]))
         cos_model = replace(m, branch="cos")
         cos_grid = _similarity_grid(cos_model)
@@ -825,6 +810,8 @@ def cmd_verify(args) -> int:
     # built for `orthogonality` or `zeros`, where --a is a Laguerre index
     kinds = [args.family] if args.family else list(_MODEL_FIELDS)
     built = [(kind, _model(kind, args)) for kind in kinds] if "family" in read else []
+    if "hermiticity" in names and any(m.eps == 0.0 for _, m in built):
+        raise ArgumentError("hermiticity suite needs eps != 0 (identities are trivial)")
     checks = []
     for name in names:
         suite, reads = _SUITES[name]

@@ -300,7 +300,9 @@ def wavefunction(m: PotentialModel, n, x):
     An int ``n`` gives psi_n shaped like ``x``; a sequence of levels
     gives a ``(len(n),) + x.shape`` array, row i holding level n[i].  The
     factors every level shares are evaluated once per call, and each row
-    is bit-identical to the single-level call.
+    is bit-identical to the single-level call.  A point's bits do not
+    depend on the rest of a 1-d ``x``, even at one element; a 0-d ``x``
+    can round apart from it in the last bit.
 
     All fractional powers use the principal branch.  The shifted
     coordinate keeps a fixed-sign imaginary part for either sign of
@@ -385,15 +387,9 @@ def wavefunction(m: PotentialModel, n, x):
         del one, two, factor
         hermitian = replace(m, eps=0.0, branch="sin")
         norms = [_scarf_norm_constant(hermitian, level) for level in levels]
-    # each row is built in place in that order, which rounds as the
-    # product itself does, with no row-sized temporary beyond P_n(t)'s
     out = np.empty((len(levels),) + xs.shape, complex)
     for i, (norm, p) in enumerate(zip(norms, members)):
-        row = out[i, ...]
-        np.multiply(norm, left, out=row)
-        row *= right
-        row /= den
-        row *= p(t)
+        out[i] = norm * left * right / den * p(t)
     return out[0] if single else out
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -51,18 +53,23 @@ def block_rows(cols):
     return cli._BLOCK_CELLS // cols
 
 
-def csv_chunks(header, columns):
-    """The writer's chunks of whole ``columns``, stacked one block at a time."""
-    def block(start, stop):
-        return np.column_stack([c[start:stop] for c in columns])
-    return cli._csv_chunks(header, len(columns[0]), block)
+def csv_bytes(header, columns):
+    """The CSV the writer makes of whole ``columns``, handed to it one
+    block of ``block_rows`` rows at a time."""
+    step = block_rows(len(header))
+    blocks = (np.column_stack([c[start:start + step] for c in columns])
+              for start in range(0, len(columns[0]), step))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "w.csv")
+        cli._write_csv(argparse.Namespace(out=out, manifest=None), "w", header, blocks)
+        return Path(out).read_bytes()
 
 
 class TestWriter:
     @pytest.mark.parametrize(
         "rows", [1, block_rows(5) - 1, block_rows(5), block_rows(5) + 1]
     )
-    def test_bytes_match_per_field_formatting(self, tmp_path, rows):
+    def test_bytes_match_per_field_formatting(self, rows):
         rng = np.random.default_rng(rows)
         # spectrum's column set: an integer level index, then floats
         header = ["n", "E_formula", "E_numeric", "abs_err", "rel_err"]
@@ -70,16 +77,12 @@ class TestWriter:
             rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
             for _ in range(4)
         ]
-        out = tmp_path / "w.csv"
-        cli._write_atomic(str(out), csv_chunks(header, columns))
-        assert out.read_bytes() == reference_csv(header, columns)
+        assert csv_bytes(header, columns) == reference_csv(header, columns)
 
-    def test_edge_values(self, tmp_path):
+    def test_edge_values(self):
         edge = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7e308, -1.7e308])
         columns = [edge, edge[::-1], np.arange(len(edge))]
-        out = tmp_path / "e.csv"
-        cli._write_atomic(str(out), csv_chunks(["a", "b", "i"], columns))
-        text = out.read_bytes()
+        text = csv_bytes(["a", "b", "i"], columns)
         assert text == reference_csv(["a", "b", "i"], columns)
         assert b"nan,-1.6999999999999999e+308,0.0000000000000000e+00" in text
         assert b"4.9406564584124654e-324," in text
@@ -116,7 +119,7 @@ class TestWriter:
 
 def encoded(columns):
     header = [f"c{i}" for i in range(len(columns))]
-    return b"".join(csv_chunks(header, columns)), reference_csv(header, columns)
+    return csv_bytes(header, columns), reference_csv(header, columns)
 
 
 def benchmark_workloads(monkeypatch):
@@ -317,7 +320,7 @@ class TestTable:
 
     @pytest.mark.parametrize("blocks", [
         [block_rows(12), block_rows(12), 7],
-        [block_rows(12), block_rows(12) + 1],  # no block of one row
+        [block_rows(12), block_rows(12), 1],
     ], ids=["tail", "one-row-tail"])
     @pytest.mark.parametrize("args, m", [
         (["--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2"],
@@ -685,6 +688,7 @@ class TestVerify:
         ["--family", "scarf", "--branch", "cos", "--eps", "0"],
         ["--family", "scarf", "--a", "-0.25", "--b", "-0.4"],
         ["--family", "scarf", "--a", "1.75", "--b", "2"],
+        ["--family", "scarf", "--a", "0.5", "--b", "1.5"],
         ["--family", "radial", "--a", "0.5", "--k", "4"],
     ], ids=" ".join)
     def test_pct_suite_reads_the_model(self, tmp_path, monkeypatch, capsys, argv):
@@ -1084,6 +1088,20 @@ class TestUsageErrors:
         assert_usage_error(capsys.readouterr(), tmp_path, [
             "error: indices must differ (a = b collapses the rational term)",
             "error: invalid model parameters",
+        ])
+
+    def test_verify_refuses_hermitian_hermiticity_before_any_suite(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # `all` ran orthogonality, zeros and pct before refusing eps = 0
+        def refused(*args):
+            raise AssertionError("a suite ran before eps = 0 was refused")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(numerics, "gram_matrix", refused)
+        assert run(["verify", "--suite", "all", "--eps", "0"]) == 2
+        assert_usage_error(capsys.readouterr(), tmp_path, [
+            "error: hermiticity suite needs eps != 0 (identities are trivial)",
         ])
 
     @pytest.mark.parametrize("suite", ["hermiticity", "residuals"])

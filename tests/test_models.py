@@ -494,13 +494,13 @@ class TestStackedLevels:
 
 
 class TestBlockSplits:
-    # `table` evaluates its grid one block of at least two rows at a time,
-    # so its CSV is the whole grid's only if each point's bits do not
-    # depend on the block it lies in
+    # `table` evaluates its grid one block of rows at a time, so its CSV
+    # is the whole grid's only if each point's bits do not depend on the
+    # block it lies in, a block of one row included
     @settings(max_examples=60, deadline=None)
     @given(
         name=st.sampled_from(list(_STATE_MODELS)),
-        points=st.integers(2, 600),
+        points=st.integers(1, 600),
         cuts=st.lists(st.floats(0.0, 1.0), max_size=6),
     )
     def test_blocks_match_the_whole_grid_bitwise(self, name, points, cuts):
@@ -508,7 +508,7 @@ class TestBlockSplits:
         grid = np.linspace(*cli._default_range(m), points)
         edges = [0]
         for cut in sorted({int(c * points) for c in cuts}):
-            if cut - edges[-1] >= 2 and points - cut >= 2:
+            if cut - edges[-1] >= 1 and points - cut >= 1:
                 edges.append(cut)
         edges.append(points)
         blocks = [grid[start:stop] for start, stop in zip(edges, edges[1:])]
