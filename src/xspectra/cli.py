@@ -738,11 +738,16 @@ def _suite_spectra(kind, m, tol) -> list:
     """The lowest four levels of m's Hermitian partner on the _SUITE_POINTS
     grids, the fine grid's error, its h^2 convergence from the coarse one
     and their Richardson extrapolation; then, for a shifted radial model,
-    its three lowest levels."""
+    its three lowest levels.  The coarse grid's levels, O(h^2) from the
+    fine grid's, seed the fine grid's first Sturm sweep: that moves its
+    probes, and its levels by no more than its stopping floor."""
     conv = (tol["conv-lo"], tol["conv-hi"])
     m0 = replace(m, eps=0.0)
     want = np.array([models.energy(m0, n) for n in range(1, 5)])
-    levels = [_grid_levels(m0, *_spectrum_interval(m0), npts, 4)[0] for npts in _SUITE_POINTS]
+    levels = []
+    for npts in _SUITE_POINTS:
+        op = numerics.discretize(m0, *_spectrum_interval(m0), npts)
+        levels.append(numerics.lowest_eigenvalues(op, 4, near=levels[-1] if levels else None))
     coarse, fine = (np.abs(lev - want) for lev in levels)
     factors = coarse / fine
     extrapolated = _extrapolated(*levels, _SUITE_POINTS)
@@ -837,9 +842,10 @@ def cmd_verify(args) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """Parse type of the model, range and tolerance flags: a NaN or
-    infinite value there gives only NaN tables, a check that passes or
-    fails whatever it measures, or a manifest that is not valid JSON."""
+    """Parse type of every float flag: a NaN or infinite value there gives
+    only NaN tables, a check that passes or fails whatever it measures, a
+    shift inverse iteration refuses only once the operator is built, or a
+    manifest that is not valid JSON."""
     try:
         value = float(text)
     except ValueError:
@@ -919,7 +925,7 @@ def build_parser() -> _Parser:
     p_spec.add_argument("--iters", type=int, default=None)
     p_spec.add_argument(
         "--sigma-imag",
-        type=float,
+        type=_finite_float,
         default=None,
         help="imaginary offset of the inverse-iteration shift",
     )

@@ -155,10 +155,10 @@ _GEOMETRIC = np.concatenate(([0.0], np.geomspace(1e-12, 1.0, 128)))
 # bisected.  The counts are exact wherever the probes sit (Demmel,
 # Dhillon & Ren, ETNA 3, 1995).  A count costs the Python-level work of
 # two array operations per grid row plus the probes themselves: on the
-# spectra suite's four operators budgets of 128 and 256 took 71 ms
-# (median), 64 took 79 ms, 512 98 ms and 1024 137 ms.  On a 100-level
-# Scarf spectrum (12000 points) 512 was fastest, 0.45 s against 0.62 s
-# (fastest runs).
+# spectra suite's four operators (the 2000-point ones seeded) budgets of
+# 64 to 256 took 54-60 ms, 512 75 ms and 1024 108-111 ms (fastest of 20
+# runs, two sets).  On a 100-level Scarf spectrum (12000 points) 512 was
+# fastest, 0.42-0.43 s against 0.59-0.79 s at 256 (fastest of 4 runs).
 _PROBES = 256
 # A bracket closes once no wider than the floor eps max(|gl|, |gu|) of
 # lowest_eigenvalues, which is at least eps / 2 of the Gershgorin
@@ -169,11 +169,12 @@ _MAX_SWEEPS = math.ceil(math.log2(2.0 / np.finfo(float).eps)) + 3
 
 
 # Rows per slab of _sturm_counts: three (_SLAB, P) float buffers, about
-# 0.4 MB at the 256 probes of a full budget.  At that budget 64 rows
-# were among the fastest of 16 to 512 both on the spectra suite, where
-# 255 and 512 were slower, and on a 100-level Scarf spectrum, where 16
-# and 32 were.  Must stay <= 255: a clean slab's negatives are summed
-# in uint8.
+# 0.4 MB at the 256 probes of a full budget.  At that budget 64 to 255
+# rows were about equally fast and 16 and 32 slower, both on the spectra
+# suite (fastest runs 55-61 ms against 63-76 ms) and on a 100-level
+# Scarf spectrum (0.50-0.79 s against 0.65-0.85 s); the spread between
+# repeated sets is as wide as the differences from 64 to 255.  Must
+# stay <= 255: a clean slab's negatives are summed in uint8.
 _SLAB = 64
 # Pivot floor of lowest_eigenvalues' counts: LAPACK dstebz's
 # safmin max(1, max e_i^2), with 1e-290 for safmin.  The operator is
@@ -200,13 +201,23 @@ def _guarded_sturm_rows(
         cnt += neg
 
 
+def _zero_d_rows(e2: np.ndarray) -> list:
+    """e2's entries as 0-d views: a 0-d array operand takes numpy's array
+    path, where a Python float first goes through NEP 50's weak scalar
+    promotion, about a quarter of a 252-probe divide.  Same IEEE divide,
+    so no count changes."""
+    return [e2[i, ...] for i in range(len(e2))]
+
+
 def _sturm_counts(
-    d: np.ndarray, e2: np.ndarray, pivmin: float, sigmas: np.ndarray
+    d: np.ndarray, e2: np.ndarray, pivmin: float, sigmas: np.ndarray, e2_rows: list
 ) -> np.ndarray:
     """Number of eigenvalues of the symmetric tridiagonal with diagonal d
     and squared off-diagonal e2 below each of ``sigmas``: the negative
     pivots of the LDL^T recurrence q_i = (d_i - sigma) - e2_{i-1} / q_{i-1},
     with pivots smaller than pivmin in magnitude replaced by -pivmin.
+    ``e2_rows`` holds e2 as :func:`_zero_d_rows` gives it, which a caller
+    that counts one operator many times builds once.
 
     Rows after the first go in slabs of _SLAB rows, as in LAPACK dlaneg
     (Marques, Riedy & Voemel, SIAM J. Sci. Comput. 28, 2006): each row
@@ -237,7 +248,6 @@ def _sturm_counts(
     widest margin.  A NaN probe makes D NaN, and a NaN pivot fails the
     pivot test, so such a count never stops early.
     """
-    e2_rows = e2.tolist()
     q = np.subtract(d[0], sigmas)
     neg = np.less(q, pivmin)
     np.minimum(q, -pivmin, out=q, where=neg)
@@ -282,7 +292,7 @@ def _sturm_counts(
     return cnt
 
 
-def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
+def lowest_eigenvalues(t: TridiagonalOperator, m: int, *, near=None) -> np.ndarray:
     """The m smallest eigenvalues of a real symmetric operator, by
     Sturm-sequence multisection (exact eigenvalue counts, no
     factorization).
@@ -298,7 +308,24 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     least 2, so few brackets gain many bits per sweep and many brackets
     are bisected.  Each distinct probe is counted once, in slabs of rows
     as LAPACK dlaneg, with two array operations per row
-    (:func:`_sturm_counts`).  A bracket closes once it is no wider than
+    (:func:`_sturm_counts`), which read the squared off-diagonals as 0-d
+    arrays built once per call.
+
+    ``near``, if given, holds m finite levels where the caller expects
+    the eigenvalues, such as the same levels on a coarser grid.  It
+    changes the first sweep alone: each bracket gets its hint and a
+    ladder mirrored about it, in geometric steps from 1e-12 of the
+    Gershgorin bracket's width up to all of it, clipped to the bracket;
+    the K of the later sweeps sets the ladder's length, so 4 levels get
+    63 probes each and 36 levels 7.  With more than 36 levels the ladder
+    would have one step, and ``near`` is ignored: on 2000- and
+    4000-point grids seeded from half the points, 37 to 120 levels took
+    3 to 18 more sweeps seeded than unseeded.  The counts stay exact,
+    so a hint moves the probes and never the result beyond the stopping
+    width below; a far-off hint, even one clipped onto an end of the
+    bracket, only costs sweeps.
+
+    A bracket closes once it is no wider than
     max(4 eps |lambda|, eps max(|gl|, |gu|)), with [gl, gu] the
     Gershgorin bracket: the second term is LAPACK dstebz's default
     ABSTOL, the width below which the counts follow rounding.  The
@@ -306,7 +333,8 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     every entry's square is representable.  Raises
     :class:`ArgumentError` for non-finite entries or a start bracket
     that overflows once scaled back, and :class:`ConvergenceError` if
-    the sweep cap is ever reached.
+    the sweep cap is ever reached.  A ``near`` of another shape than (m,),
+    or with a NaN or infinite entry, raises :class:`ArgumentError`.
     """
     if np.iscomplexobj(t.diagonal) or np.iscomplexobj(t.off_diagonal):
         raise TypeError(
@@ -314,6 +342,12 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
         )
     if not 1 <= m <= t.size:
         raise ArgumentError(f"need 1 <= m <= {t.size}, got {m}")
+    if near is not None:
+        near = np.asarray(near, dtype=float)
+        if near.shape != (m,):
+            raise ArgumentError(f"need {m} levels near, got shape {near.shape}")
+        if not np.isfinite(near).all():
+            raise ArgumentError("levels near must be finite")
     d = np.asarray(t.diagonal, dtype=float)
     e = np.asarray(t.off_diagonal, dtype=float)
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
@@ -326,6 +360,7 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     d = np.ldexp(d, -shift)
     e = np.ldexp(e, -shift)
     e2 = e * e
+    e2_rows = _zero_d_rows(e2)
     spread = 2.0 * np.sqrt(e2.max(initial=0.0))
     lo = np.full(m, d.min() - spread)
     hi = np.full(m, d.max() + spread)
@@ -333,6 +368,9 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
         bracket = np.ldexp([lo[0], hi[0], hi[0] - lo[0]], shift)
     if not np.isfinite(bracket).all():
         raise ArgumentError("operator entries overflow the Gershgorin bracket")
+    if near is not None:
+        # clipped to the bracket before scaling, so that it cannot overflow
+        near = np.ldexp(np.clip(near, bracket[0], bracket[1]), -shift)
     targets = np.arange(1, m + 1)
     # stop at 4 eps |lambda| or at dstebz's default ABSTOL, eps times the
     # larger end of the Gershgorin bracket, whichever is wider: the
@@ -342,23 +380,38 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
     # O(h^2) errors of 2.3e-7 to 1.0e-5 relative.
     eps = np.finfo(float).eps
     floor = eps * max(abs(lo[0]), abs(hi[0]))
-    fractions = _GEOMETRIC
     for sweep in range(_MAX_SWEEPS + 1):
         tol = np.maximum(4.0 * eps * np.maximum(np.abs(lo), np.abs(hi)), floor) + 1e-300
         wide = np.flatnonzero(hi - lo > tol)
-        if sweep:
-            # K parts per open bracket: the largest power of two with
-            # len(wide) (K - 1) <= _PROBES, and at least 2
-            room = _PROBES // max(len(wide), 1) + 1
-            sections = max(2, 1 << (room.bit_length() - 1))
-            fractions = np.arange(sections + 1) / sections
-        # column 0 is lo, column K is hi, the rest are the probes; a
-        # bracket only a few ulps wide has no probe strictly inside
-        grid = lo[wide, None] + (hi - lo)[wide, None] * fractions
-        grid[:, -1] = hi[wide]
-        probes = grid[:, 1:-1]
-        inside = ((probes > grid[:, :1]) & (probes < grid[:, -1:])).any(axis=1)
-        live, grid = wide[inside], grid[inside]
+        # K parts per open bracket: the largest power of two with
+        # len(wide) (K - 1) <= _PROBES, and at least 2
+        room = _PROBES // max(len(wide), 1) + 1
+        sections = max(2, 1 << (room.bit_length() - 1))
+        # a ladder of one step (K = 4, 37 to 85 brackets) stops at 1e-12
+        # of the width, and K = 2 leaves the hint alone
+        seeded = sweep == 0 and near is not None and sections >= 8
+        # column 0 is lo, column K is hi, the rest are the probes
+        if seeded:
+            # each level's hint and (K - 2) / 2 steps either side of it,
+            # over _GEOMETRIC's range of the bracket's width, clipped to it
+            steps = np.geomspace(1e-12, 1.0, (sections - 2) // 2) * (hi[0] - lo[0])
+            centre = near[wide, None]
+            grid = np.concatenate(
+                (lo[wide, None], centre - steps[::-1], centre, centre + steps, hi[wide, None]),
+                axis=1,
+            )
+            np.clip(grid, lo[wide, None], hi[wide, None], out=grid)
+            # every bracket is still the Gershgorin one, wider than its
+            # tol, even where each probe was clipped onto one of its ends
+            live = wide
+        else:
+            fractions = np.arange(sections + 1) / sections if sweep else _GEOMETRIC
+            grid = lo[wide, None] + (hi - lo)[wide, None] * fractions
+            grid[:, -1] = hi[wide]
+            # a bracket only a few ulps wide has no probe strictly inside
+            probes = grid[:, 1:-1]
+            inside = ((probes > grid[:, :1]) & (probes < grid[:, -1:])).any(axis=1)
+            live, grid = wide[inside], grid[inside]
         if len(live) == 0:
             return np.ldexp(0.5 * (lo + hi), shift)
         if sweep == _MAX_SWEEPS:
@@ -366,12 +419,13 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int) -> np.ndarray:
                 f"Sturm multisection left {len(live)} brackets open after "
                 f"{_MAX_SWEEPS} sweeps"
             )
-        # count each distinct probe once: sweep 0's brackets all coincide
+        # count each distinct probe once: an unseeded sweep 0's brackets
+        # all coincide
         sigmas, where = np.unique(grid[:, 1:-1], return_inverse=True)
-        counts = _sturm_counts(d, e2, _PIVMIN, sigmas)[where].reshape(len(live), -1)
+        counts = _sturm_counts(d, e2, _PIVMIN, sigmas, e2_rows)[where].reshape(len(live), -1)
         above = counts >= targets[live, None]
         # first probe at or above the target; K - 1 stands for hi itself
-        first = np.where(above.any(axis=1), above.argmax(axis=1), len(fractions) - 2)
+        first = np.where(above.any(axis=1), above.argmax(axis=1), grid.shape[1] - 2)
         rows = np.arange(len(live))
         lo[live] = grid[rows, first]
         hi[live] = grid[rows, first + 1]

@@ -516,10 +516,9 @@ class TestSpectrum:
             "--out", str(tmp_path / "nan.csv"),
         ])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "warn:" not in err
-        assert not (tmp_path / "nan.csv").exists()
+        assert_parse_error(
+            capsys.readouterr(), tmp_path, "argument --sigma-imag: must be finite, got 'nan'"
+        )
 
     @pytest.mark.parametrize("offset", ["1e200", "1e300"])
     def test_far_shift_is_a_failed_check(self, tmp_path, capsys, offset):
@@ -1022,6 +1021,18 @@ def assert_usage_error(captured, tmp_path, lines=None):
     assert list(tmp_path.iterdir()) == []
 
 
+def assert_parse_error(captured, tmp_path, message):
+    """Exit-2 contract of a flag argparse refuses: stderr is its usage
+    block, then the one line `error: <message>`; stdout is empty, and no
+    output file was written."""
+    err = captured.err.splitlines()
+    assert err[0].startswith("usage:")
+    assert err[-1] == f"error: {message}"
+    assert not any(line.startswith(("error:", "warn:")) for line in err[:-1])
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, flag, suite", [
         (["--suite", "spectra", "--nmax", "3"], "nmax", "spectra"),
@@ -1161,12 +1172,18 @@ class TestUsageErrors:
         ["--sigma-imag", "nan", "--iters", "0"],
     ], ids=lambda v: "-".join(v).replace("--", ""))
     def test_spectrum_checks_shift_and_iters(self, tmp_path, capsys, eps, flags):
-        # the real spectrum never reads them, and exited 0
+        # the real spectrum never reads them, and exited 0.  argparse
+        # refuses a non-finite shift, as every other non-finite float; an
+        # infinite one was refused by inverse iteration, as (nan+infj)
         assert run([
             "spectrum", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", eps,
             "--nmax", "2", *flags, "--out", str(tmp_path / "s.csv"),
         ]) == 2
-        assert_usage_error(capsys.readouterr(), tmp_path)
+        if flags[0] == "--sigma-imag":
+            message = f"argument --sigma-imag: must be finite, got {flags[1]!r}"
+            assert_parse_error(capsys.readouterr(), tmp_path, message)
+        else:
+            assert_usage_error(capsys.readouterr(), tmp_path)
 
     @pytest.mark.parametrize("command", ["table", "spectrum"])
     @pytest.mark.parametrize("given, missing", [

@@ -407,8 +407,8 @@ def _logged_sturm_counts(monkeypatch) -> list:
                 rows.append(len(range(*key[0].indices(len(self)))))
             return np.asarray(self)[key]
 
-    def logged(d, e2, pivmin, sigmas):
-        return counts(d.view(SlabRows), e2, pivmin, sigmas)
+    def logged(d, e2, pivmin, sigmas, e2_rows):
+        return counts(d.view(SlabRows), e2, pivmin, sigmas, e2_rows)
 
     monkeypatch.setattr(numerics, "_sturm_counts", logged)
     return rows
@@ -421,9 +421,9 @@ def _probe_rows(monkeypatch) -> list:
     sweeps = []
     counts = numerics._sturm_counts
 
-    def logged(d, e2, pivmin, sigmas):
+    def logged(d, e2, pivmin, sigmas, e2_rows):
         before = len(rows)
-        got = counts(d, e2, pivmin, sigmas)
+        got = counts(d, e2, pivmin, sigmas, e2_rows)
         sweeps.append((len(sigmas), sum(rows[before:])))
         return got
 
@@ -436,14 +436,14 @@ class TestSturmCounts:
     @given(_sturm_count_cases())
     def test_matches_reference_recurrence(self, case):
         d, e2, pivmin, sigmas = case
-        got = numerics._sturm_counts(d, e2, pivmin, sigmas)
+        got = numerics._sturm_counts(d, e2, pivmin, sigmas, numerics._zero_d_rows(e2))
         assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
 
     @settings(max_examples=300, deadline=None)
     @given(_multi_slab_cases())
     def test_matches_reference_across_slabs(self, case):
         d, e2, pivmin, sigmas = case
-        got = numerics._sturm_counts(d, e2, pivmin, sigmas)
+        got = numerics._sturm_counts(d, e2, pivmin, sigmas, numerics._zero_d_rows(e2))
         assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
 
     def test_redone_slab_raises_no_floating_point_error(self, monkeypatch):
@@ -469,7 +469,7 @@ class TestSturmCounts:
         e2, pivmin = e * e, 2.0**-10
         sigmas = np.array([d[i], d[j], 0.3, -2.0, 11.0])
         with np.errstate(all="raise"):
-            got = numerics._sturm_counts(d, e2, pivmin, sigmas)
+            got = numerics._sturm_counts(d, e2, pivmin, sigmas, numerics._zero_d_rows(e2))
         assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
         assert len(calls) >= 2
 
@@ -477,7 +477,7 @@ class TestSturmCounts:
     @given(_rising_tail_cases())
     def test_tail_exit_matches_reference(self, case):
         d, e2, pivmin, sigmas = case
-        got = numerics._sturm_counts(d, e2, pivmin, sigmas)
+        got = numerics._sturm_counts(d, e2, pivmin, sigmas, numerics._zero_d_rows(e2))
         assert np.array_equal(got, _reference_sturm_counts(d, e2, pivmin, sigmas))
 
     def test_tail_exit_never_fires_below_the_discriminant(self, monkeypatch):
@@ -490,7 +490,7 @@ class TestSturmCounts:
         d, e2 = np.full(n, 2.0), np.ones(n - 1)
         lam1 = 2.0 - 2.0 * math.cos(math.pi / (n + 1))
         sigmas = np.array([0.5 * lam1, 1.5 * lam1])
-        got = numerics._sturm_counts(d, e2, 2.0**-10, sigmas)
+        got = numerics._sturm_counts(d, e2, 2.0**-10, sigmas, numerics._zero_d_rows(e2))
         assert got.tolist() == [0, 1]
         assert np.array_equal(got, _reference_sturm_counts(d, e2, 2.0**-10, sigmas))
         assert sum(rows) == n - 1
@@ -513,7 +513,7 @@ class TestSturmCounts:
         e2 = np.ones(n - 1)
         e2[slab - 1] = 0.0
         sigmas = np.array([0.0])
-        got = numerics._sturm_counts(d, e2, 2.0**-10, sigmas)
+        got = numerics._sturm_counts(d, e2, 2.0**-10, sigmas, numerics._zero_d_rows(e2))
         assert got.tolist() == [count]
         assert np.array_equal(got, _reference_sturm_counts(d, e2, 2.0**-10, sigmas))
         assert rows == [slab] * slabs
@@ -528,7 +528,7 @@ class TestSturmCounts:
         d = np.where(np.arange(n) <= slab, 1.0, 100.0 + np.arange(n))
         e2 = np.full(n - 1, 0.25)
         sigmas = np.array([-math.inf, -3.0, 0.5, 0.9])
-        got = numerics._sturm_counts(d, e2, 1e-290, sigmas)
+        got = numerics._sturm_counts(d, e2, 1e-290, sigmas, numerics._zero_d_rows(e2))
         assert np.array_equal(got, _reference_sturm_counts(d, e2, 1e-290, sigmas))
         assert rows == [slab, slab]
 
@@ -642,23 +642,24 @@ class TestLowestEigenvalues:
         assert sum(per_operator) <= 70000
 
     def test_spectra_suite_work_is_pinned(self, monkeypatch, tmp_path):
-        # each family's four Hermitian levels on 1000 and 2000 points;
-        # with 127 probes per bracket in every sweep they took 26 sweeps,
-        # 32619 slab rows and 13627608 probe-rows
+        # each family's four Hermitian levels on 1000 and 2000 points, the
+        # 2000-point solve seeded by the 1000-point levels; with 127 probes
+        # per bracket in every sweep they took 26 sweeps, 32619 slab rows
+        # and 13627608 probe-rows, and unseeded 29, 36001 and 8148431
         sweeps = _probe_rows(monkeypatch)
         sizes = []
         lowest = numerics.lowest_eigenvalues
 
-        def sized(t, m):
+        def sized(t, m, **kw):
             sizes.append(t.size)
-            return lowest(t, m)
+            return lowest(t, m, **kw)
 
         monkeypatch.setattr(numerics, "lowest_eigenvalues", sized)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["verify", "--suite", "spectra"]) == 0
         assert sizes == [1000, 2000, 1000, 2000]
         work = sum(p * rows for p, rows in sweeps)
-        assert (len(sweeps), sum(rows for _, rows in sweeps), work) == (29, 36001, 8148431)
+        assert (len(sweeps), sum(rows for _, rows in sweeps), work) == (25, 29906, 7022286)
 
     def test_spectra_suite_operators_stay_within_one_eps_norm_of_stebz(
         self, radial_hermitian, scarf_hermitian
@@ -698,9 +699,9 @@ class TestLowestEigenvalues:
         calls = []
         counts = numerics._sturm_counts
 
-        def counted(d, e2, pivmin, sigmas):
+        def counted(d, e2, pivmin, sigmas, e2_rows):
             calls.append(sigmas.copy())
-            return counts(d, e2, pivmin, sigmas)
+            return counts(d, e2, pivmin, sigmas, e2_rows)
 
         monkeypatch.setattr(numerics, "_sturm_counts", counted)
         block = tridiagonal_from_potential(lambda x: x * x, -5.0, 5.0, 100)
@@ -767,6 +768,99 @@ class TestLowestEigenvalues:
         t = TridiagonalOperator(np.ones(3), np.array([1.5e308, 1.0]))
         with pytest.raises(ArgumentError, match="Gershgorin bracket"):
             lowest_eigenvalues(t, 1)
+
+    def test_seeded_suite_operators_keep_their_levels(
+        self, monkeypatch, radial_hermitian, scarf_hermitian
+    ):
+        # each operator seeded, as the spectra suite seeds its fine grid,
+        # by the levels of the grid with half its points: the hint moves
+        # the probes, and the levels by no more than the stopping floor
+        linalg = pytest.importorskip("scipy.linalg")
+        sweeps = _probe_rows(monkeypatch)
+        half = 0.5 * math.pi / scarf_hermitian.k
+        eps = np.finfo(float).eps
+        for model, lo, hi in ((radial_hermitian, 1e-8, 12.0), (scarf_hermitian, -half, half)):
+            for npts in (2000, 4000):
+                hint = lowest_eigenvalues(discretize(model, lo, hi, npts // 2), 4)
+                t = discretize(model, lo, hi, npts)
+                spread = 2.0 * np.max(np.abs(t.off_diagonal))
+                floor = eps * max(abs(t.diagonal.min() - spread), abs(t.diagonal.max() + spread))
+                unhinted = lowest_eigenvalues(t, 4)
+                sweeps.clear()
+                got = lowest_eigenvalues(t, 4, near=hint)
+                assert len(sweeps) <= 5
+                assert np.max(np.abs(got - unhinted)) <= floor
+                want = linalg.eigvalsh_tridiagonal(
+                    t.diagonal, t.off_diagonal, select="i", select_range=(0, 3),
+                    lapack_driver="stebz", tol=1e-300,
+                )
+                assert np.max(np.abs(got - want)) <= 8.0 * eps * t.scale
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_tridiagonals(), st.data())
+    def test_any_finite_hint_keeps_the_levels(self, case, data):
+        # hints near the levels, in reverse order, or anywhere in the
+        # float range only cost sweeps: each level stays within the stop
+        # width max(4 eps |lambda|, eps max(|gl|, |gu|)) of the unhinted
+        t, m = case
+        unhinted = lowest_eigenvalues(t, m)
+        near = data.draw(st.one_of(
+            st.just(unhinted[::-1]),
+            st.lists(
+                st.floats(-1.0, 1.0).map(lambda r: 1e-3 * r), min_size=m, max_size=m
+            ).map(lambda noise: unhinted + np.array(noise)),
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False), min_size=m, max_size=m
+            ),
+        ))
+        got = lowest_eigenvalues(t, m, near=near)
+        eps = np.finfo(float).eps
+        spread = 2.0 * np.max(np.abs(t.off_diagonal), initial=0.0)
+        floor = eps * max(abs(t.diagonal.min() - spread), abs(t.diagonal.max() + spread))
+        assert np.all(np.abs(got - unhinted) <= np.maximum(4.0 * eps * np.abs(unhinted), floor))
+
+    @pytest.mark.parametrize("m", [4, 20, 36])
+    @pytest.mark.parametrize("hint", [-1e300, -1e6, 2e6, 1e300])
+    def test_hints_beyond_a_narrow_bracket_keep_the_levels(self, m, hint):
+        # a spectrum 1e-6 wide at 1e6: a hint below gl or above gu is
+        # clipped onto an end of the bracket, and ladder steps under 5e-5
+        # of its width vanish in rounding there, so with 20 or 36 levels
+        # (steps of 1e-12, 1e-6 and 1 width) every seeded probe sits on
+        # an end; the brackets stay open and the later sweeps find the
+        # levels
+        rng = np.random.default_rng(0)
+        t = TridiagonalOperator(1e6 + rng.uniform(0.0, 1e-6, 80), rng.uniform(1e-9, 2e-9, 79))
+        unhinted = lowest_eigenvalues(t, m)
+        got = lowest_eigenvalues(t, m, near=np.full(m, hint))
+        eps = np.finfo(float).eps
+        spread = 2.0 * np.max(np.abs(t.off_diagonal))
+        floor = eps * (t.diagonal.max() + spread)
+        assert np.all(np.abs(got - unhinted) <= np.maximum(4.0 * eps * np.abs(unhinted), floor))
+
+    @pytest.mark.parametrize("m", [37, 100])
+    def test_many_levels_ignore_the_hint(self, monkeypatch, m):
+        # past 36 levels sweep 0 would give each bracket a ladder of at
+        # most one step, which never reaches the far levels, so near is
+        # ignored: the same probes, sweep for sweep, and the same levels
+        sweeps = _probe_rows(monkeypatch)
+        t = tridiagonal_from_potential(lambda x: x * x, -10.0, 10.0, 1000)
+        unhinted = lowest_eigenvalues(t, m)
+        plain = list(sweeps)
+        for hint in (-1e300, 1e300):
+            sweeps.clear()
+            assert np.array_equal(lowest_eigenvalues(t, m, near=np.full(m, hint)), unhinted)
+            assert sweeps == plain
+
+    @pytest.mark.parametrize("near", [
+        [1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[1.0, 2.0, 3.0]],
+        [1.0, math.nan, 3.0], [1.0, 2.0, math.inf], [-math.inf, 2.0, 3.0],
+    ], ids=["short", "long", "2d", "nan", "inf", "minus-inf"])
+    def test_bad_hints_are_rejected_before_any_sweep(self, monkeypatch, near):
+        sweeps = _probe_rows(monkeypatch)
+        t = tridiagonal_from_potential(np.zeros_like, 0.0, math.pi, 200)
+        with pytest.raises(ArgumentError):
+            lowest_eigenvalues(t, 3, near=near)
+        assert sweeps == []
 
     def test_sweep_cap_raises(self, monkeypatch):
         t = tridiagonal_from_potential(np.zeros_like, 0.0, math.pi, 200)
