@@ -523,6 +523,61 @@ class EigenResult:
 
 _FIXED_SHIFT_STEPS = 4
 _RESIDUAL_TARGET = 1e-8
+# the start vector's SplitMix64 seed: fixed, and not tuned against any
+# operator or check
+_START_SEED = 12345
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """Inverse iteration's start: outputs 1 to 2n of the SplitMix64
+    stream of :data:`_START_SEED` (Steele, Lea & Flood, OOPSLA 2014),
+    mapped to (-1, 1) as the real and imaginary parts of n entries, then
+    normalised.  Each output is a hash of its index, computed here in
+    uint64 arithmetic, so the vector does not depend on the numpy
+    version, as a ``numpy.random`` stream may."""
+    z = np.uint64(_START_SEED) + np.arange(1, 2 * n + 1, dtype=np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15
+    )
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    # the top 52 bits k as (2k + 1) / 2^52 - 1, exact and inside (-1, 1)
+    v = ((2 * (z >> np.uint64(12)) + 1) * 2.0**-52 - 1.0).view(complex)
+    return v / np.linalg.norm(v)
+
+
+def _ritz_2x2(g11, g12, g22, h11, h12, h21, h22, sigma):
+    """The eigenvector (c1, c2) of the unconjugated 2x2 problem
+    H c = theta G c, with G = [[g11, g12], [g12, g22]] and
+    H = [[h11, h12], [h21, h22]], whose eigenvalue theta is nearest
+    sigma, scaled so that max(|c1|, |c2|) is 1 to rounding.  None where
+    the problem has no single answer: G is singular, or H = theta G and
+    every c is one."""
+    det = g11 * g22 - g12 * g12
+    if det == 0.0:
+        return None
+    # M = G^-1 H by Cramer's rule
+    m11 = (g22 * h11 - g12 * h21) / det
+    m12 = (g22 * h12 - g12 * h22) / det
+    m21 = (g11 * h21 - g12 * h11) / det
+    m22 = (g11 * h22 - g12 * h12) / det
+    # theta = half + root in the split form: the discriminant
+    # p^2 + m12 m21 keeps the split of a nearly degenerate pair, the
+    # case the Ritz step exists for, where half^2 - det M cancels
+    half = 0.5 * (m11 + m22)
+    p = 0.5 * (m11 - m22)
+    root = cmath.sqrt(p * p + m12 * m21)
+    if abs(half - root - sigma) < abs(half + root - sigma):
+        root = -root
+    # c is the null vector of M - theta, read off its larger row, with
+    # theta - m11 = root - p and theta - m22 = root + p
+    c1, c2 = m12, root - p
+    if abs(c1) + abs(c2) < abs(root + p) + abs(m21):
+        c1, c2 = root + p, m21
+    scale = max(abs(c1), abs(c2))
+    if scale == 0.0:
+        return None
+    return c1 / scale, c2 / scale
 
 
 def eigen_near_shift(
@@ -532,16 +587,23 @@ def eigen_near_shift(
 
     Inverse iteration with a complex tridiagonal LU (partial pivoting)
     and a 2x2 Rayleigh-Ritz step (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 11).  Each step solves once, w = (T - shift)^-1 v, takes
-    an orthonormal basis Q of span{v, w} and the eigenpairs of
-    (Q^T Q)^-1 Q^T T Q, unconjugated as suits a complex-symmetric T, and
-    keeps the Ritz vector y whose Ritz value is nearest sigma.  So of a
+    Problem, ch. 11).  Each step solves once, w = (T - shift)^-1 v, and
+    takes the Ritz pairs of span{v, w} unconjugated, as suits a
+    complex-symmetric T.  The basis is {v, u}, u the part of w
+    orthogonal to v by classical Gram-Schmidt applied twice (Giraud,
+    Langou & Rozloznik, 2005), and the 2x2 problem H c = theta G c, with
+    G = Q^T Q and H = Q^T T Q from fresh matvecs, is solved in closed
+    form (:func:`_ritz_2x2`), so no step calls LAPACK.  The step keeps
+    the Ritz vector y whose Ritz value is nearest sigma.  So of a
     near-degenerate pair, which one vector alone cannot separate, the
-    member nearest sigma is reported.  The eigenvalue is the unconjugated
-    quotient y.Ty / y.y, the stationary one for complex-symmetric
-    operators, and the residual is ||Ty - lambda y|| from a fresh matvec.
-    The next step starts from w, not y: y has shed the partner's
-    direction, which the next Ritz step needs.  The shift stays at sigma for a few steps
+    member nearest sigma is reported.  Where w is parallel to v, or the
+    2x2 problem has no single answer, y is w.  The eigenvalue is the
+    unconjugated quotient y.Ty / y.y, the stationary one for
+    complex-symmetric operators, and the residual is ||Ty - lambda y||
+    from a fresh matvec.  The next step starts from w, not y: y has shed
+    the partner's direction, which the next Ritz step needs.  The first
+    step starts from a counter-based vector (:func:`_start_vector`), not
+    a ``numpy.random`` stream.  The shift stays at sigma for a few steps
     to lock onto the nearest eigenvectors, then follows the running
     estimate.  A shift that makes T - shift exactly singular needs no
     retry: the LU replaces the zero pivot by eps ||T - shift||, as in
@@ -559,9 +621,7 @@ def eigen_near_shift(
         raise ArgumentError(f"shift must be finite, got {sigma}")
     if not (np.isfinite(d).all() and np.isfinite(e).all()):
         raise ArgumentError("operator has non-finite entries")
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(t.size) + 1j * rng.standard_normal(t.size)
-    v /= np.linalg.norm(v)
+    v = _start_vector(t.size)
     lam = sigma
     resid = math.inf
     factors = _tri_lu_factor(e, d, e, sigma)
@@ -571,12 +631,24 @@ def eigen_near_shift(
         # a far shift it is so small that norm(w) underflows to 0
         w = np.ldexp(w.view(float), -math.frexp(np.abs(w).max())[1]).view(complex)
         w /= np.linalg.norm(w)
-        q = np.linalg.qr(np.column_stack((v, w)))[0]
-        tq = np.column_stack([t.matvec(col) for col in q.T])
-        theta, c = np.linalg.eig(np.linalg.solve(q.T @ q, q.T @ tq))
-        # unit norm already: q has orthonormal columns and eig returns
-        # unit-norm eigenvectors
-        y = q @ c[:, np.argmin(np.abs(theta - sigma))]
+        # classical Gram-Schmidt, twice
+        u = w - np.vdot(v, w) * v
+        u -= np.vdot(v, u) * v
+        norm_u = np.linalg.norm(u)
+        c = None
+        if norm_u != 0.0:
+            u /= norm_u
+            tv, tu = t.matvec(v), t.matvec(u)
+            c = _ritz_2x2(
+                complex(v @ v), complex(v @ u), complex(u @ u),
+                complex(v @ tv), complex(v @ tu), complex(u @ tv), complex(u @ tu),
+                sigma,
+            )
+        if c is None:
+            y = w
+        else:
+            y = c[0] * v + c[1] * u
+            y /= np.linalg.norm(y)
         ty = t.matvec(y)
         yty = (y * y).sum()
         if yty != 0.0:

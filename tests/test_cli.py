@@ -441,6 +441,26 @@ class TestTable:
 
 
 class TestSpectrum:
+    def test_shifted_spectrum_leaves_numpy_random_unimported(self, tmp_path):
+        # the complex solver starts from a counter-based vector: importing
+        # numpy.random and building a generator took 12-17 ms and 6.4 MB
+        # of a fresh interpreter (2-core Xeon, numpy 2.4.6)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys\n"
+            "from xspectra import cli\n"
+            "code = cli.main(['spectrum', '--family', 'radial', '--a', '2', '--k', '1.75',\n"
+            "                 '--eps', '1.2', '--nmax', '2'])\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
+
     def test_real_radial(self, tmp_path):
         out = tmp_path / "sp.csv"
         manifest = tmp_path / "sp.manifest.json"
@@ -523,7 +543,9 @@ class TestSpectrum:
     @pytest.mark.parametrize("offset", ["1e200", "1e300"])
     def test_far_shift_is_a_failed_check(self, tmp_path, capsys, offset):
         # inverse iteration from so far off the axis ended in numpy's
-        # LinAlgError: the first iterate's norm underflowed to 0
+        # LinAlgError: the first iterate's norm underflowed to 0.  Which
+        # far level it finds depends on the start vector, and so does
+        # whether that level's im-ratio check fails too
         code = run([
             "spectrum", "--family", "radial", "--a", "2", "--k", "1.75",
             "--eps", "1.2", "--nmax", "1", "--sigma-imag", offset,
@@ -532,7 +554,10 @@ class TestSpectrum:
         assert code == 1
         warned = failed_check_lines(tmp_path / "far.manifest.json")
         assert capsys.readouterr().err.splitlines() == warned
-        assert warned[0].startswith("warn: check failed: level-1-rel measured ")
+        # the residual check passes: only the level's position, and
+        # possibly its im-ratio, fail
+        names = [line.split()[3] for line in warned]
+        assert names in (["level-1-rel"], ["im-ratio-1", "level-1-rel"])
         assert np.all(np.isfinite(read_csv(tmp_path / "far.csv")["E_numeric"]))
 
     def test_complex_check_rows(self, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from xspectra import cli, models, numerics, polycore
@@ -939,6 +939,125 @@ class TestTridiagonalLU:
         assert abs(res.eigenvalue - 1.0) <= 1e-14
 
 
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=complex).tobytes()
+
+
+def _splitmix64(seed: int, count: int) -> list:
+    """Outputs 1 to count of SplitMix64 (Steele, Lea & Flood, 2014), in
+    Python integers."""
+    out, state, mask = [], seed, 2**64 - 1
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestStartVector:
+    def test_reference_stream(self):
+        # the published first output of seed 0
+        assert _splitmix64(0, 1) == [0xE220A8397B1DCDAF]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 3000])
+    def test_is_splitmix64_of_the_index(self, n):
+        parts = np.array(
+            [(2 * (z >> 12) + 1) / 2.0**52 - 1.0 for z in _splitmix64(numerics._START_SEED, 2 * n)]
+        )
+        assert (np.abs(parts) < 1.0).all()
+        want = parts.view(complex) / np.linalg.norm(parts.view(complex))
+        assert _bits(numerics._start_vector(n)) == _bits(want)
+
+
+@st.composite
+def _ritz_problems(draw):
+    """(G, H, sigma) of a 2x2 Ritz problem: G = Q^T Q and H = Q^T T Q for
+    a random complex n x 2 basis Q and complex-symmetric T.  With a drawn
+    delta, Q is delta away from columns (1, i, 0, 0) and (0, 0, 1, i),
+    which are self-orthogonal and c-orthogonal to each other, so G is
+    O(delta) and nearly singular.  sigma lies within a few ||M|| of the
+    eigenvalues of M = G^-1 H."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    delta = draw(st.sampled_from([None, 1e-2, 1e-5, 1e-8]))
+    n = draw(st.integers(min_value=2 if delta is None else 4, max_value=6))
+
+    def normal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    q = normal(n, 2)
+    if delta is not None:
+        iso = np.zeros((n, 2), dtype=complex)
+        iso[:4, 0], iso[:4, 1] = [1, 1j, 0, 0], [0, 0, 1, 1j]
+        q = iso + delta * q
+    t = normal(n, n)
+    t = t + t.T
+    return q.T @ q, q.T @ t @ q, complex(normal())
+
+
+class TestRitz2x2:
+    @settings(max_examples=500, deadline=None)
+    @given(_ritz_problems())
+    def test_matches_dense_eig(self, problem):
+        g, h, offset = problem
+        m = np.linalg.solve(g, h)
+        theta, vecs = np.linalg.eig(m)
+        scale = np.linalg.norm(m)
+        sigma = theta.mean() + scale * offset
+        dist = np.abs(theta - sigma)
+        # skip draws where the nearest member or the eigenvector is
+        # ill-posed: a near tie in distance, or a near-defective M
+        assume(abs(dist[0] - dist[1]) > 1e-6 * scale)
+        assume(abs(theta[0] - theta[1]) > 1e-6 * scale)
+        i = int(np.argmin(dist))
+        c = numerics._ritz_2x2(g[0, 0], g[0, 1], g[1, 1], h[0, 0], h[0, 1], h[1, 0], h[1, 1], sigma)
+        assert c is not None
+        c = np.array(c)
+        assert abs(max(abs(c)) - 1.0) <= 4.0 * np.finfo(float).eps
+        # the same direction as the dense eigenvector of the same member
+        assert abs(np.vdot(vecs[:, i], c)) / np.linalg.norm(c) >= 1.0 - 1e-6
+        assert np.linalg.norm(m @ c - theta[i] * c) <= 1e-8 * scale * np.linalg.norm(c)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1e-6, 1e-7, 1e-8, 1e-9, 1e-10]),
+        st.integers(min_value=0, max_value=1),
+    )
+    def test_nearly_degenerate_pair(self, seed, split, member):
+        # M = theta0 + split R: a pair split by about split |theta0|.
+        # With G = I, M = H exactly, so the reference is M's eigenpair in
+        # 50 digits, and the residual of c against the exact eigenvalue
+        # must be at rounding level whatever the split
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        theta0, r = (rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((), (2, 2)))
+        m = theta0 * np.eye(2) + split * r
+        with mp.workdps(50):
+            mm = mp.matrix(m.tolist())
+            half, p = (mm[0, 0] + mm[1, 1]) / 2, (mm[0, 0] - mm[1, 1]) / 2
+            root = mp.sqrt(p * p + mm[0, 1] * mm[1, 0])
+            assume(abs(root) > 0.05 * split)
+            theta = half + root if member == 0 else half - root
+            c = numerics._ritz_2x2(1.0, 0.0, 1.0, *m.ravel().tolist(), complex(theta))
+            assert c is not None
+            residual = mp.norm((mm - theta * mp.eye(2)) * mp.matrix(list(c)))
+        assert residual <= 4.0 * np.finfo(float).eps * np.linalg.norm(m) * np.linalg.norm(c)
+
+    @pytest.mark.parametrize(
+        "g, h",
+        [
+            # G singular: G = 0 for the columns (1, i, 0, 0), (0, 0, 1, i)
+            ((0j, 0j, 0j), (1.0, 2.0, 2.0, 3.0)),
+            ((1.0, 1.0, 1.0), (1.0, 2.0, 2.0, 3.0)),
+            # H = 2 G: every c is an eigenvector
+            ((1.0, 0.5j, 2.0), (2.0, 1.0j, 1.0j, 4.0)),
+        ],
+    )
+    def test_no_single_answer(self, g, h):
+        assert numerics._ritz_2x2(*g, *h, 1.0) is None
+
+
 class TestEigenNearShift:
     def test_diagonal_complex_operator(self):
         d = np.array([2.0 + 3.0j, 5.0 - 1.0j, 7.0, 11.0 + 0.5j])
@@ -993,6 +1112,39 @@ class TestEigenNearShift:
         t = TridiagonalOperator(d, e)
         with pytest.raises(ArgumentError):
             eigen_near_shift(t, 1.0 + 0.1j)
+
+    def test_needs_no_lapack_and_no_random_stream(self, radial_figure, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigen_near_shift must not call this")
+
+        for name in ("qr", "eig", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        op = discretize(radial_figure, -12.0, 12.0, 1200)
+        for n in range(1, 4):
+            res = eigen_near_shift(op, models.energy(radial_figure, n) + 0.3j, 60)
+            assert res.converged
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5 + 0.5j, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 50])
+    def test_multiple_of_the_identity(self, monkeypatch, n, sigma):
+        # T = 2I, so w is parallel to v.  At n = 1 the part u of w
+        # orthogonal to v is exactly 0; past it rounding leaves a u, and
+        # the 2x2 problem is H = 2G, where every c is a Ritz vector.  The
+        # step takes w in both cases
+        ritz, answers = numerics._ritz_2x2, []
+
+        def logged_ritz(*args):
+            answers.append(ritz(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(numerics, "_ritz_2x2", logged_ritz)
+        res = eigen_near_shift(TridiagonalOperator(np.full(n, 2.0), np.zeros(n - 1)), sigma)
+        assert res.converged and res.iterations == 1
+        assert abs(res.eigenvalue - 2.0) <= 4.0 * np.finfo(float).eps
+        if n == 1:
+            assert answers == []
+        assert all(c is None for c in answers)
 
     def test_reports_the_pair_member_nearest_the_shift(self, radial_figure):
         # at a = 2 each level is a grid pair split by O(h^2); the member
