@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .xop import X1Family, x1_polynomial, x1_weight
 __all__ = [
     "gram_matrix",
     "TridiagonalOperator",
-    "tridiagonal_from_potential",
     "discretize",
     "lowest_eigenvalues",
     "EigenResult",
@@ -81,11 +79,21 @@ class TridiagonalOperator:
     """Dirichlet finite-difference Hamiltonian -d^2/dx^2 + V.
 
     Complex-symmetric (shared off-diagonal, no conjugation) in the
-    shifted case; plain symmetric when the diagonal is real.
+    shifted case; plain symmetric when the diagonal is real.  A diagonal
+    that is not 1-D of size >= 1, or an off-diagonal whose shape is not
+    one entry shorter, raises :class:`ArgumentError`.
     """
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
+
+    def __post_init__(self):
+        d, e = np.shape(self.diagonal), np.shape(self.off_diagonal)
+        if len(d) != 1 or d[0] < 1 or e != (d[0] - 1,):
+            raise ArgumentError(
+                f"need a 1-D diagonal of size >= 1 and an off-diagonal one "
+                f"shorter, got shapes {d} and {e}"
+            )
 
     @property
     def size(self) -> int:
@@ -93,49 +101,42 @@ class TridiagonalOperator:
 
     @property
     def scale(self) -> float:
-        off = np.max(np.abs(self.off_diagonal)) if len(self.off_diagonal) else 0.0
+        off = np.max(np.abs(self.off_diagonal), initial=0.0)
         return float(np.max(np.abs(self.diagonal)) + 2.0 * off)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diagonal * v
-        if self.size > 1:
-            out[:-1] = out[:-1] + self.off_diagonal * v[1:]
-            out[1:] = out[1:] + self.off_diagonal * v[:-1]
+        out[:-1] = out[:-1] + self.off_diagonal * v[1:]
+        out[1:] = out[1:] + self.off_diagonal * v[:-1]
         return out
 
 
-def tridiagonal_from_potential(
-    v: Callable, lo: float, hi: float, n: int
-) -> TridiagonalOperator:
-    """Standard second-order stencil for -psi'' + V psi on (lo, hi) with
-    psi(lo) = psi(hi) = 0, V evaluated by ``v`` at the interior points."""
+def discretize(m: PotentialModel, lo: float, hi: float, n: int) -> TridiagonalOperator:
+    """Grid Hamiltonian for the model on (lo, hi) with psi(lo) = psi(hi)
+    = 0: the second-order stencil at x_i = lo + i h, i = 1..n, h = (hi -
+    lo) / (n + 1), with diagonal 2/h^2 + V(x_i), complex exactly when
+    ``m.eps != 0``, and off-diagonal -1/h^2 in its dtype.
+
+    Fewer than 100 points, or ends not finite with lo < hi, raise
+    :class:`ArgumentError`; a pole strictly inside the interval raises
+    :class:`SingularityError` (poles on the Dirichlet ends are allowed,
+    as the grid never touches them); a model
+    :func:`models.validate_params` refuses raises :class:`DomainError`.
+    """
     if n < 100:
         raise ArgumentError(f"need at least 100 interior points, got {n}")
     lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise ArgumentError(f"need lo < hi, got ({lo:g}, {hi:g})")
-    h = (hi - lo) / (n + 1)
-    xg = lo + h * np.arange(1, n + 1)
-    diag = 2.0 / (h * h) + np.asarray(v(xg))
-    off = np.full(n - 1, -1.0 / (h * h), dtype=diag.dtype)
-    return TridiagonalOperator(diag, off)
-
-
-def discretize(m: PotentialModel, lo: float, hi: float, n: int) -> TridiagonalOperator:
-    """Grid Hamiltonian for the model on (lo, hi) with n interior points.
-
-    The diagonal is complex exactly when ``m.eps != 0``.  A potential
-    pole strictly inside the interval raises
-    :class:`SingularityError`; poles sitting exactly on the Dirichlet
-    endpoints are allowed since the grid never touches them.  A model
-    :func:`models.validate_params` refuses raises :class:`DomainError`.
-    """
-    poles = models.real_poles(m, float(lo), float(hi))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ArgumentError(f"need finite lo < hi, got ({lo:g}, {hi:g})")
+    poles = models.real_poles(m, lo, hi)
     if poles:
         raise SingularityError(
             f"potential pole at x = {poles[0]:g} inside ({lo:g}, {hi:g})"
         )
-    return tridiagonal_from_potential(lambda x: models.potential(m, x), lo, hi, n)
+    h = (hi - lo) / (n + 1)
+    diag = 2.0 / (h * h) + models.potential(m, lo + h * np.arange(1, n + 1))
+    off = np.full(n - 1, -1.0 / (h * h), dtype=diag.dtype)
+    return TridiagonalOperator(diag, off)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +437,18 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int, *, near=None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _zero_pivot(dl, d, du, sigma) -> float:
+def _zero_pivot(d, e, sigma) -> float:
     """eps times the largest |entry| of T - sigma, or 1 where T - sigma
     is zero and any nonzero pivot serves."""
-    norm = max(np.abs(x).max(initial=0.0) for x in (np.subtract(d, sigma), dl, du))
+    norm = max(np.abs(x).max(initial=0.0) for x in (np.subtract(d, sigma), e))
     return float(np.finfo(float).eps * norm) or 1.0
 
 
-def _tri_lu_factor(dl, d, du, sigma):
-    """LU with partial pivoting of (T - sigma), as LAPACK zgttrf.  Row
-    swaps put fill-in on a second superdiagonal.  Returns lists (multipliers,
-    swapped flags, u main, u first super, u second super).
+def _tri_lu_factor(d, e, sigma):
+    """LU with partial pivoting of (T - sigma), T the complex-symmetric
+    tridiagonal (d, e), as LAPACK zgttrf.  Row swaps put fill-in on a
+    second superdiagonal.  Returns lists (multipliers, swapped flags,
+    u main, u first super, u second super).
 
     It cannot fail: an exactly zero pivot is replaced by eps times the
     largest |entry| of T - sigma (Peters & Wilkinson, Handbook for
@@ -459,8 +461,9 @@ def _tri_lu_factor(dl, d, du, sigma):
     """
     n = len(d)
     b = (np.asarray(d, dtype=complex) - sigma).tolist()
-    a = np.asarray(dl, dtype=complex).tolist()
-    c = np.asarray(du, dtype=complex).tolist()
+    a = np.asarray(e, dtype=complex).tolist()
+    # the superdiagonal, which the swaps overwrite
+    c = a.copy()
     du2 = [0j] * max(n - 2, 0)
     mult = [0j] * max(n - 1, 0)
     swap = [False] * max(n - 1, 0)
@@ -468,7 +471,7 @@ def _tri_lu_factor(dl, d, du, sigma):
         bi, ai = b[i], a[i]
         if abs(bi) >= abs(ai):
             if bi == 0.0:
-                bi = b[i] = _zero_pivot(dl, d, du, sigma)
+                bi = b[i] = _zero_pivot(d, e, sigma)
             fact = ai / bi
             mult[i] = fact
             b[i + 1] = b[i + 1] - fact * c[i]
@@ -484,7 +487,7 @@ def _tri_lu_factor(dl, d, du, sigma):
                 du2[i] = c[i + 1]
                 c[i + 1] = -fact * c[i + 1]
     if b[n - 1] == 0.0:
-        b[n - 1] = _zero_pivot(dl, d, du, sigma)
+        b[n - 1] = _zero_pivot(d, e, sigma)
     return mult, swap, b, c, du2
 
 
@@ -624,7 +627,7 @@ def eigen_near_shift(
     v = _start_vector(t.size)
     lam = sigma
     resid = math.inf
-    factors = _tri_lu_factor(e, d, e, sigma)
+    factors = _tri_lu_factor(d, e, sigma)
     for it in range(1, iters + 1):
         w = _tri_lu_solve(factors, v)
         # first scale max|w| into [1/2, 1) by an exact power of two: from
@@ -657,7 +660,7 @@ def eigen_near_shift(
         if resid <= _RESIDUAL_TARGET:
             return EigenResult(complex(lam), resid, it, True)
         if it >= _FIXED_SHIFT_STEPS:
-            factors = _tri_lu_factor(e, d, e, lam)
+            factors = _tri_lu_factor(d, e, lam)
         v = w
     return EigenResult(complex(lam), resid, iters, False)
 

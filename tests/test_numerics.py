@@ -24,7 +24,6 @@ from xspectra import (
     schrodinger_residual,
     semi_infinite_algebraic_quadrature,
     semi_infinite_exp_quadrature,
-    tridiagonal_from_potential,
     x1_laguerre_norm,
     x1_polynomial,
     x1_weight,
@@ -201,6 +200,14 @@ class TestGram:
         assert ratio <= 1e-10
 
 
+def _stencil(v, lo, hi, n):
+    """The Dirichlet stencil of -psi'' + v psi written out: h = (hi - lo) /
+    (n + 1), x_i = lo + i h, diagonal 2/h^2 + v(x_i), off-diagonal -1/h^2."""
+    h = (hi - lo) / (n + 1)
+    d = 2.0 / (h * h) + v(np.array([lo + i * h for i in range(1, n + 1)]))
+    return TridiagonalOperator(d, np.full(n - 1, -1.0 / (h * h), dtype=d.dtype))
+
+
 class TestDiscretization:
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(7)
@@ -211,19 +218,61 @@ class TestDiscretization:
         dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         np.testing.assert_allclose(t.matvec(v), dense @ v, rtol=1e-13)
 
+    @pytest.mark.parametrize("d, e", [
+        (np.array([]), np.array([])),
+        (np.ones(2), np.ones(2)),
+        (np.ones(3), np.ones(1)),
+        (np.ones((2, 2)), np.ones(1)),
+        (np.float64(1.0), np.array([])),
+    ], ids=["empty", "long-off-diagonal", "short-off-diagonal", "2d-diagonal", "0d-diagonal"])
+    def test_shape_is_checked_at_construction(self, d, e):
+        # an empty operator reached the complex LU and raised a bare
+        # IndexError; a 2-entry off-diagonal beside a 2-entry diagonal
+        # broke matvec's broadcast, while the Sturm counts ignored the
+        # extra entry and returned a level
+        with pytest.raises(ArgumentError, match="off-diagonal one shorter"):
+            TridiagonalOperator(d, e)
+
     def test_particle_in_a_box(self):
-        t = tridiagonal_from_potential(np.zeros_like, 0.0, math.pi, 1500)
+        t = _stencil(np.zeros_like, 0.0, math.pi, 1500)
         ev = lowest_eigenvalues(t, 3)
         np.testing.assert_allclose(ev, [1.0, 4.0, 9.0], rtol=1e-4)
 
     def test_harmonic_oscillator(self):
-        t = tridiagonal_from_potential(lambda x: x * x, -10.0, 10.0, 2000)
+        t = _stencil(lambda x: x * x, -10.0, 10.0, 2000)
         ev = lowest_eigenvalues(t, 3)
         np.testing.assert_allclose(ev, [1.0, 3.0, 5.0], rtol=1e-4)
 
-    def test_needs_enough_points(self):
-        with pytest.raises(ArgumentError):
-            tridiagonal_from_potential(np.zeros_like, 0.0, 1.0, 10)
+    @pytest.mark.parametrize("m, lo, hi", [
+        (models.PotentialModel("radial_extended", 2.0, k=1.75), 1e-8, 12.0),
+        (models.PotentialModel("radial_extended", 2.0, k=1.75, eps=1.2), -12.0, 12.0),
+        (models.PotentialModel("scarf_extended", 1.75, 3.0, k=1.25), -1.0, 1.2),
+    ], ids=["radial-hermitian", "radial-shifted", "scarf-hermitian"])
+    def test_is_the_stencil_bit_for_bit(self, m, lo, hi):
+        t = discretize(m, lo, hi, 357)
+        want = _stencil(lambda x: models.potential(m, x), lo, hi, 357)
+        assert t.diagonal.dtype == t.off_diagonal.dtype == (complex if m.eps else float)
+        assert t.diagonal.tobytes() == want.diagonal.tobytes()
+        assert t.off_diagonal.tobytes() == want.off_diagonal.tobytes()
+
+    def test_needs_enough_points(self, radial_hermitian):
+        with pytest.raises(ArgumentError, match="at least 100 interior points"):
+            discretize(radial_hermitian, 0.0, 10.0, 99)
+        assert discretize(radial_hermitian, 0.0, 10.0, 100).size == 100
+
+    @pytest.mark.parametrize(
+        "model", ["radial_hermitian", "radial_figure", "scarf_hermitian", "scarf_figure"]
+    )
+    @pytest.mark.parametrize("lo, hi", [
+        (math.nan, 1.0), (0.5, math.nan), (-math.inf, 1.0), (0.5, math.inf),
+        (-math.inf, math.inf), (1.0, 0.5), (0.5, 0.5),
+    ], ids=["nan-lo", "nan-hi", "minus-inf-lo", "inf-hi", "both-inf", "reversed", "empty"])
+    def test_refuses_ends_that_are_not_finite_and_ordered(self, request, model, lo, hi):
+        # refused before the pole search, whose ceil raised ValueError on
+        # nan and OverflowError on an infinite end, and before a radial
+        # grid of NaNs
+        with pytest.raises(ArgumentError, match=r"need finite lo < hi"):
+            discretize(request.getfixturevalue(model), lo, hi, 100)
 
     def test_complex_diagonal_rejected_by_sturm(self):
         d = np.array([2.0 + 3.0j, 5.0, 7.0, 9.0])
@@ -704,7 +753,7 @@ class TestLowestEigenvalues:
             return counts(d, e2, pivmin, sigmas, e2_rows)
 
         monkeypatch.setattr(numerics, "_sturm_counts", counted)
-        block = tridiagonal_from_potential(lambda x: x * x, -5.0, 5.0, 100)
+        block = _stencil(lambda x: x * x, -5.0, 5.0, 100)
         d = np.concatenate([block.diagonal, block.diagonal])
         e = np.concatenate([block.off_diagonal, [0.0], block.off_diagonal])
         t = TridiagonalOperator(d, e)
@@ -843,7 +892,7 @@ class TestLowestEigenvalues:
         # most one step, which never reaches the far levels, so near is
         # ignored: the same probes, sweep for sweep, and the same levels
         sweeps = _probe_rows(monkeypatch)
-        t = tridiagonal_from_potential(lambda x: x * x, -10.0, 10.0, 1000)
+        t = _stencil(lambda x: x * x, -10.0, 10.0, 1000)
         unhinted = lowest_eigenvalues(t, m)
         plain = list(sweeps)
         for hint in (-1e300, 1e300):
@@ -857,13 +906,13 @@ class TestLowestEigenvalues:
     ], ids=["short", "long", "2d", "nan", "inf", "minus-inf"])
     def test_bad_hints_are_rejected_before_any_sweep(self, monkeypatch, near):
         sweeps = _probe_rows(monkeypatch)
-        t = tridiagonal_from_potential(np.zeros_like, 0.0, math.pi, 200)
+        t = _stencil(np.zeros_like, 0.0, math.pi, 200)
         with pytest.raises(ArgumentError):
             lowest_eigenvalues(t, 3, near=near)
         assert sweeps == []
 
     def test_sweep_cap_raises(self, monkeypatch):
-        t = tridiagonal_from_potential(np.zeros_like, 0.0, math.pi, 200)
+        t = _stencil(np.zeros_like, 0.0, math.pi, 200)
         monkeypatch.setattr(numerics, "_MAX_SWEEPS", 2)
         with pytest.raises(ConvergenceError):
             lowest_eigenvalues(t, 3)
@@ -871,9 +920,10 @@ class TestLowestEigenvalues:
 
 @st.composite
 def _tridiagonal_systems(draw):
-    """Complex tridiagonal systems of size 1-60.  Each row's flag puts its
-    subdiagonal entry 2^6 above or below the diagonal scale, so rows take
-    both pivot branches; the values come from a drawn numpy seed."""
+    """Complex-symmetric tridiagonal systems of size 1-60.  Each row's
+    flag puts its off-diagonal entry 2^6 above or below the diagonal
+    scale, so rows take both pivot branches; the values come from a
+    drawn numpy seed."""
     n = draw(st.integers(min_value=1, max_value=60))
     swap_favoured = np.array(draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -882,20 +932,20 @@ def _tridiagonal_systems(draw):
         z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         return z * np.exp2(rng.integers(-3, 4, size))
 
-    d, du, rhs = entries(n), entries(n - 1), entries(n)
-    dl = entries(n - 1) * np.where(swap_favoured, 2.0**6, 2.0**-6)
+    d, rhs = entries(n), entries(n)
+    e = entries(n - 1) * np.where(swap_favoured, 2.0**6, 2.0**-6)
     sigma = draw(st.sampled_from([0.0, 0.5 + 0.25j]))
-    return dl, d, du, sigma, rhs
+    return d, e, sigma, rhs
 
 
 class TestTridiagonalLU:
     @settings(max_examples=300, deadline=None)
     @given(_tridiagonal_systems())
     def test_matches_dense_solve(self, system):
-        dl, d, du, sigma, rhs = system
+        d, e, sigma, rhs = system
         n = len(d)
-        a = np.diag(d - sigma) + np.diag(dl, -1) + np.diag(du, 1)
-        y = numerics._tri_lu_solve(numerics._tri_lu_factor(dl, d, du, sigma), rhs)
+        a = np.diag(d - sigma) + np.diag(e, -1) + np.diag(e, 1)
+        y = numerics._tri_lu_solve(numerics._tri_lu_factor(d, e, sigma), rhs)
         assert isinstance(y, np.ndarray) and y.dtype == complex
         eps = np.finfo(float).eps
         norm_a = np.linalg.norm(a, 2)
@@ -910,12 +960,11 @@ class TestTridiagonalLU:
     def test_both_pivot_branches_agree_with_dense_solve(self):
         # rows 0 and 2 keep their pivot, rows 1 and 3 swap
         d = np.array([4.0, 0.01j, 3.0, 0.02, 5.0 - 1.0j])
-        dl = np.array([1.0, 2.0 + 1.0j, 0.5, 3.0])
-        du = np.array([1.0j, 0.5, 2.0, -1.0])
+        e = np.array([1.0, 2.0 + 1.0j, 0.5, 3.0])
         rhs = np.array([1.0, 2.0j, -1.0, 0.5, 3.0])
-        factors = numerics._tri_lu_factor(dl, d, du, 0.0)
+        factors = numerics._tri_lu_factor(d, e, 0.0)
         assert factors[1] == [False, True, False, True]
-        a = np.diag(d) + np.diag(dl, -1) + np.diag(du, 1)
+        a = np.diag(d) + np.diag(e, -1) + np.diag(e, 1)
         y = numerics._tri_lu_solve(factors, rhs)
         assert np.allclose(y, np.linalg.solve(a, rhs), rtol=1e-14, atol=0.0)
 
@@ -927,13 +976,17 @@ class TestTridiagonalLU:
             ([1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0]),
             # T - 1 = [[1, 1], [1, 1]] is singular: the last pivot is 0
             ([2.0, 2.0], [1.0]),
+            # as the first, with the largest |entry| of T - 1 off the diagonal
+            ([1.0, 5.0, 5.0], [0.0, 10.0]),
         ],
     )
     def test_zero_pivot_is_replaced(self, d, e):
         d, e = np.array(d), np.array(e)
-        factors = numerics._tri_lu_factor(e, d, e, 1.0)
+        factors = numerics._tri_lu_factor(d, e, 1.0)
         pivots = np.array(factors[2])
         assert np.isfinite(pivots).all() and (pivots != 0.0).all()
+        # the zero became eps times the largest |entry| of T - 1
+        assert np.finfo(float).eps * max(np.abs(d - 1.0).max(), np.abs(e).max()) in pivots
         res = eigen_near_shift(TridiagonalOperator(d, e), 1.0)
         assert res.converged
         assert abs(res.eigenvalue - 1.0) <= 1e-14
