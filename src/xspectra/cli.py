@@ -177,8 +177,9 @@ def _write_atomic(path: str, chunks) -> None:
 # such cells to an exact printer (Loitsch, PLDI 2010).
 
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
-# a fast cell's k, and the k of every 10^(16 - k) it is scaled by, lies
-# in [_K_LO, _K_HI]: log10 misses k by at most one next to a power of ten
+# a fast cell's k from log10 lies in [_K_LO, _K_HI], as it misses by at
+# most one next to a power of ten; an undecided cell indexes the tables
+# with it too
 _K_LO, _K_HI = -282, 281
 _SPLIT = 2.0**27 + 1.0  # Dekker's splitter: halves of 26 bits each
 
@@ -262,17 +263,6 @@ def _decimal(x: np.ndarray) -> tuple:
     a[~fast] = 1.0  # a harmless stand-in; these cells are encoded apart
     k = np.floor(np.log10(a)).astype(np.intp)
     h, t = _scaled(a, k)
-    # next to a power of ten log10 can miss k by one, so move k wherever
-    # h + t lies outside [1e16, 1e17).  (h - 1e16) + t has the sign of
-    # h + t - 1e16: the subtraction is exact by Sterbenz's lemma near
-    # 1e16, and far from it the sign is plain.  Test h + t, not h: the
-    # double nearest 1e-274 has y = 1e16 - 0.34 and prints 9.99...97e-275.
-    low = (h - 1e16) + t < 0.0
-    high = (h - 1e17) + t >= 0.0
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        k[fix] += np.where(high[fix], 1, -1)
-        h[fix], t[fix] = _scaled(a[fix], k[fix])
     # h >= 1e16 > 2^53 is an integer, so D = h + round(t), and
     # frac = t - floor(t) is exact.  The error of h + t against the true
     # y: P_hi + P_lo is 10^(16 - k) to 2^-106 relative, a * P_lo rounds
@@ -284,14 +274,16 @@ def _decimal(x: np.ndarray) -> tuple:
     whole = np.floor(t)
     frac = t - whole
     digits = h.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    carry = digits == 10**17  # rounds up to 1e17: prints as 1e16, k + 1
-    digits[carry] = 10**16
-    k += carry
+    # next to a power of ten log10 can miss k by one, and D can round up
+    # to 10^17: such a cell is undecided.  (h - 1e16) + t has the sign of
+    # h + t - 1e16: the subtraction is exact by Sterbenz's lemma near
+    # 1e16, and far from it the sign is plain.  Test h + t, not h: the
+    # double nearest 1e-274 has y = 1e16 - 0.34 and prints 9.99...97e-275.
     decided = zero | (
         fast
         & (np.abs(frac - 0.5) > 2.0**-40)
         & ((h - 1e16) + t >= 0.0)
-        & ((h - 1e17) + t < 0.0)
+        & (digits < 10**17)
     )
     digits[zero] = 0
     k[zero] = 0
@@ -432,11 +424,6 @@ _SUITE_POINTS = (1000, 2000)
 _SIGMA_IMAG, _ITERS = 0.3, 60
 
 
-def _no_grid_spectrum(m: PotentialModel) -> bool:
-    # shifted Scarf states do not vanish at the real cell edges
-    return m.family == "scarf_extended" and m.eps != 0.0
-
-
 def _extrapolated(coarse, fine, points) -> np.ndarray:
     """Richardson's extrapolation of O(h^2) grid levels from a coarse and
     a fine grid of one interval with ``points`` interior points each:
@@ -446,24 +433,16 @@ def _extrapolated(coarse, fine, points) -> np.ndarray:
     return (r * fine - coarse) / (r - 1.0)
 
 
-def _grid_levels(m, lo, hi, npts, nmax, sigma_imag=_SIGMA_IMAG, iters=_ITERS) -> tuple:
-    """The nmax lowest levels of m's grid Hamiltonian on (lo, hi) with
-    npts interior points, and None for a Hermitian model; for a shifted one,
-    eigen_near_shift's levels and results (it checks sigma_imag and iters)."""
-    if _no_grid_spectrum(m):
-        raise ArgumentError(
-            "shifted scarf states are not normalizable on the real line, "
-            "so no grid spectrum exists; verify that case with "
-            "`verify --suite residuals` and `--suite hermiticity`"
-        )
+def _shifted_levels(m, lo, hi, npts, nmax, sigma_imag=_SIGMA_IMAG, iters=_ITERS) -> list:
+    """eigen_near_shift's result for each of the nmax lowest levels of the
+    shifted radial model m's grid Hamiltonian on (lo, hi) with npts
+    interior points, from E_n + i sigma_imag (it checks sigma_imag and
+    iters)."""
     op = numerics.discretize(m, lo, hi, npts)
-    if m.eps == 0.0:
-        return numerics.lowest_eigenvalues(op, nmax), None
-    results = [
+    return [
         numerics.eigen_near_shift(op, models.energy(m, n) + 1j * sigma_imag, iters)
         for n in range(1, nmax + 1)
     ]
-    return np.array([res.eigenvalue for res in results]), results
 
 
 def _spectrum_interval(m: PotentialModel) -> tuple:
@@ -560,6 +539,12 @@ def cmd_spectrum(args) -> int:
     m = _model(args.family, args)
     if m.eps == 0.0:
         _refuse_unread(args, ("iters", "sigma-imag"), "a Hermitian spectrum")
+    elif m.family == "scarf_extended":
+        raise ArgumentError(
+            "shifted scarf states are not normalizable on the real line, "
+            "so no grid spectrum exists; verify that case with "
+            "`verify --suite residuals` and `--suite hermiticity`"
+        )
     iters = _ITERS if args.iters is None else args.iters
     sigma_imag = _SIGMA_IMAG if args.sigma_imag is None else args.sigma_imag
     tol = _Tolerances(args)
@@ -570,14 +555,15 @@ def cmd_spectrum(args) -> int:
         _COMPLEX_POINTS if m.eps != 0.0 else _REAL_POINTS
     )
     nmax = args.nmax
-    levels, results = _grid_levels(m, lo, hi, npts, nmax, sigma_imag, iters)
-    formulas = np.array([models.energy(m, n) for n in range(1, nmax + 1)])
-    checks = []
+    checks, extra = [], []
     header = ["n", "E_formula", "E_numeric", "abs_err", "rel_err"]
-    numeric, extra = levels.real, []
-    if results is not None:
+    if m.eps == 0.0:
+        numeric = numerics.lowest_eigenvalues(numerics.discretize(m, lo, hi, npts), nmax)
+    else:
+        results = _shifted_levels(m, lo, hi, npts, nmax, sigma_imag, iters)
+        levels = np.array([res.eigenvalue for res in results])
+        numeric, extra = levels.real, [levels.imag]
         header.append("im_lambda")
-        extra = [levels.imag]
         for n, res in enumerate(results, 1):
             if not res.converged:
                 _warn(
@@ -589,6 +575,7 @@ def cmd_spectrum(args) -> int:
                 _check_le(f"eigen-residual-{n}", res.residual, tol["eigen-residual"]),
                 _check_le(f"im-ratio-{n}", abs(lam.imag) / abs(lam), tol["im-ratio"]),
             ]
+    formulas = np.array([models.energy(m, n) for n in range(1, nmax + 1)])
     abs_err = np.abs(numeric - formulas)
     rel_err = abs_err / np.abs(formulas)
     for n in range(1, nmax + 1):
@@ -601,7 +588,7 @@ def cmd_spectrum(args) -> int:
         "nmax": int(nmax),
         "tolerances": tol.compared("a Hermitian spectrum"),
     }
-    if results is not None:
+    if m.eps != 0.0:
         # the shift and the step cap decide which level is found
         parameters.update(iters=int(iters), sigma_imag=float(sigma_imag))
     rows = np.column_stack([np.arange(1, nmax + 1), formulas, numeric, abs_err, rel_err] + extra)
@@ -687,8 +674,7 @@ def _suite_pct(kind, m, tol) -> list:
         want = models.energy(hermitian, n)
         rel = abs(rep.energies[idx] - want) / want
         checks.append(_check_le(f"{kind}-energy-{n}-rel", rel, tol["extract-rel"]))
-    de = abs(rep.energies[0] - rep.energies[1])
-    checks.append(_check_le(f"{kind}-const-diff", rep.dw_spread / de, tol["const-diff"]))
+    checks.append(_check_le(f"{kind}-const-diff", rep.dw_spread / abs(rep.gap), tol["const-diff"]))
     if m.eps != 0.0:
         _, rel = extract(m, shift_grid)
         checks.append(_check_le(f"{kind}-shifted-V-rel", rel, tol["extract-rel"]))
@@ -761,10 +747,9 @@ def _suite_spectra(kind, m, tol) -> list:
             tol["extrapolated-rel"],
         ),
     ]
-    if m.eps == 0.0 or _no_grid_spectrum(m):
+    if kind == "scarf" or m.eps == 0.0:
         return checks
-    _, results = _grid_levels(m, *_spectrum_interval(m), _COMPLEX_POINTS, 3)
-    for n, res in enumerate(results, 1):
+    for n, res in enumerate(_shifted_levels(m, *_spectrum_interval(m), _COMPLEX_POINTS, 3), 1):
         e_n, lam = models.energy(m, n), res.eigenvalue
         for name, measured, bound in (
             ("eigen-residual", res.residual, tol["eigen-residual"]),

@@ -69,14 +69,14 @@ def refuse_where(mask, x, error: type, what: str) -> None:
         raise error(f"{what} at x = {float(first):g}")
 
 
-def refuse_overflow(compute, error: type, what: str) -> float:
-    """``compute()``, or ``error("<what> is out of the float range")``
-    where it overflows: by raising OverflowError, or by returning an inf
-    or a NaN."""
+def refuse_overflow(compute, error: type, what: str):
+    """``compute()``, a float or an array of them, or
+    ``error("<what> is out of the float range")`` where it overflows: by
+    raising OverflowError, or by returning an inf or a NaN anywhere."""
     try:
         value = compute()
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if not np.isfinite(value).all():
         raise error(f"{what} is out of the float range")
     return value

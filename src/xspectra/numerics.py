@@ -402,34 +402,33 @@ def lowest_eigenvalues(t: TridiagonalOperator, m: int, *, near=None) -> np.ndarr
                 axis=1,
             )
             np.clip(grid, lo[wide, None], hi[wide, None], out=grid)
-            # every bracket is still the Gershgorin one, wider than its
-            # tol, even where each probe was clipped onto one of its ends
-            live = wide
         else:
+            # a bracket of width w > tol >= 4 eps M, M = max(|lo|, |hi|),
+            # holds a probe strictly inside: the midpoint of a K-section,
+            # or sweep 0's probe at 0.80 w, lies 0.19 w or more from both
+            # ends, and rounding moves it by at most eps M / 2 + eps w,
+            # under w / 8 + eps w.  A bracket that held none would stay
+            # open until the sweep cap raises ConvergenceError.
             fractions = np.arange(sections + 1) / sections if sweep else _GEOMETRIC
             grid = lo[wide, None] + (hi - lo)[wide, None] * fractions
             grid[:, -1] = hi[wide]
-            # a bracket only a few ulps wide has no probe strictly inside
-            probes = grid[:, 1:-1]
-            inside = ((probes > grid[:, :1]) & (probes < grid[:, -1:])).any(axis=1)
-            live, grid = wide[inside], grid[inside]
-        if len(live) == 0:
+        if len(wide) == 0:
             return np.ldexp(0.5 * (lo + hi), shift)
         if sweep == _MAX_SWEEPS:
             raise ConvergenceError(
-                f"Sturm multisection left {len(live)} brackets open after "
+                f"Sturm multisection left {len(wide)} brackets open after "
                 f"{_MAX_SWEEPS} sweeps"
             )
         # count each distinct probe once: an unseeded sweep 0's brackets
         # all coincide
         sigmas, where = np.unique(grid[:, 1:-1], return_inverse=True)
-        counts = _sturm_counts(d, e2, _PIVMIN, sigmas, e2_rows)[where].reshape(len(live), -1)
-        above = counts >= targets[live, None]
+        counts = _sturm_counts(d, e2, _PIVMIN, sigmas, e2_rows)[where].reshape(len(wide), -1)
+        above = counts >= targets[wide, None]
         # first probe at or above the target; K - 1 stands for hi itself
         first = np.where(above.any(axis=1), above.argmax(axis=1), grid.shape[1] - 2)
-        rows = np.arange(len(live))
-        lo[live] = grid[rows, first]
-        hi[live] = grid[rows, first + 1]
+        rows = np.arange(len(wide))
+        lo[wide] = grid[rows, first]
+        hi[wide] = grid[rows, first + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,14 @@ from typing import Sequence
 import numpy as np
 import numpy.polynomial.polynomial as npp
 
-from .errors import ArgumentError, ConsistencyError, SingularityError, refuse_where
+from .errors import (
+    ArgumentError,
+    ConsistencyError,
+    EvaluationError,
+    SingularityError,
+    refuse_overflow,
+    refuse_where,
+)
 from .xop import X1Family, _check_member_index, _cleared_ode_polys, _exact_singular_points
 
 __all__ = [
@@ -74,7 +81,9 @@ class GMap:
         if self.kind == "quadratic":
             return 0.25 * w * w, 0.5 * self.k * w, 0.5 * k2 * np.ones_like(w), np.zeros_like(w)
         sin, cos = np.sin(w), np.cos(w)
-        return sin, self.k * cos, -k2 * sin, -self.k ** 3 * cos
+        what = f"k^3 of the sine map at k = {self.k:g}"
+        k3 = refuse_overflow(lambda: self.k ** 3, EvaluationError, what)
+        return sin, self.k * cos, -k2 * sin, -k3 * cos
 
 
 # With the cleared ODE A F'' + B F' + C F = 0, g'^2 = k^2 M(g) and
@@ -168,7 +177,12 @@ def _exact_split(family: X1Family, kind: str, n: int) -> tuple:
     energy = parts.pop((0, 0))
     # V = E - (E - V)
     terms = {(Fraction(p), j): -c for (p, j), c in parts.items() if c}
-    return energy, terms, tuple((float(p), j, float(c)) for (p, j), c in terms.items())
+    floats = refuse_overflow(
+        lambda: tuple((float(p), j, float(c)) for (p, j), c in terms.items()),
+        EvaluationError,
+        f"a term of V / k^2 of the degree-{n} {family.kind} member",
+    )
+    return energy, terms, floats
 
 
 @dataclass(frozen=True)
@@ -181,14 +195,15 @@ class PotentialExtraction:
     at p = 0 with j < 0.  With D = a + b - (b - a) g, the Jacobi 1/D^j
     coefficient is ``terms[((a + b) / (b - a), j)] * (a - b)^j``.
     ``v_values`` is V on the grid, ``energies`` is (E_{n1}, E_{n2}) as
-    floats, and ``dw_spread`` is the largest distance on the grid of the
-    float E - V difference of the two members from the exact
-    E_{n1} - E_{n2}.
+    floats, ``gap`` is the exact E_{n1} - E_{n2} rounded once, and
+    ``dw_spread`` is the largest distance on the grid of the float E - V
+    difference of the two members from it.
     """
 
     v_values: np.ndarray
     energies: tuple
     terms: dict
+    gap: float
     dw_spread: float
 
 
@@ -206,7 +221,9 @@ def extract_potential_report(
     not match the family and :class:`ConsistencyError` is raised.  The
     split is cached per family, map kind and member.  ``v_values`` is the
     exact V evaluated at g on ``grid``, real or complex, and
-    ``dw_spread`` measures :func:`pct_e_minus_v` there.
+    ``dw_spread`` measures :func:`pct_e_minus_v` there.  A term of the
+    split, or a sine map's k^3, out of the float range raises
+    :class:`EvaluationError`.
     """
     n1, n2 = n_pair
     if n1 == n2:
@@ -222,11 +239,13 @@ def extract_potential_report(
     k2 = Fraction(gm.k) ** 2
     xs = np.asarray(grid, dtype=float)
     w1, w2 = (pct_e_minus_v(gm, family, n, xs) for n in n_pair)
-    dw = w1 - w2 - float((c1 - c2) * k2)
+    gap = float((c1 - c2) * k2)
+    dw = w1 - w2 - gap
     g = gm.derivatives(xs)[0]
     return PotentialExtraction(
         v_values=gm.k * gm.k * sum(c * (g - p) ** -j for p, j, c in floats),
         energies=(float(c1 * k2), float(c2 * k2)),
         terms=terms,
+        gap=gap,
         dw_spread=float(np.max(np.abs(dw), initial=0.0)),
     )

@@ -306,8 +306,6 @@ def _unit_edges(refinement: int, infinite_start: bool) -> np.ndarray:
         + [1.0]
     )
     parts = refinement + 1
-    if parts == 1:
-        return pts
     steps = np.arange(parts) / parts
     edges = (pts[:-1, None] + np.diff(pts)[:, None] * steps[None, :]).ravel()
     return np.append(edges, 1.0)

@@ -186,7 +186,9 @@ def x1_polynomial(family: X1Family, n: int) -> Polynomial:
     Both conventions reproduce the closed-form degree-1 and degree-2
     members and the quadrature norms of the family.  A leading
     coefficient out of the float range, as the Laguerre one is from
-    n = 172, raises :class:`ConstructionError`.
+    n = 172, raises :class:`ConstructionError`, and so does a member
+    whose coefficients or float ODE overflow as they are rounded, as the
+    Laguerre ones do at a = 1e155 from n = 2.
 
     Members are cached per family and degree; ``n`` is checked before
     the lookup, and every integer type of ``n`` shares one entry.
@@ -221,12 +223,17 @@ def _member(family: X1Family, n: int) -> Polynomial:
                 f"row {r} of the degree-{n} {kind} ODE does not vanish "
                 f"on the back-substituted member"
             )
-    v = c.astype(float)
-    w = np.linalg.svd(_ode_matrix(*_cleared_ode_polys(kind, a, b, n), n))[2][-1]
-    w = w * (v[n] / w[-1])
-    if np.max(np.abs(w - v)) <= _KEEP_SVD_TOL * np.max(np.abs(v)):
-        v = w
-    return Polynomial(tuple(v), exact=tuple(c))
+
+    def rounded():
+        # c.astype(float) and the float Jacobi ODE's (b - a) ** 2 raise
+        # OverflowError where they overflow
+        v = c.astype(float)
+        w = np.linalg.svd(_ode_matrix(*_cleared_ode_polys(kind, a, b, n), n))[2][-1]
+        w = w * (v[n] / w[-1])
+        return w if np.max(np.abs(w - v)) <= _KEEP_SVD_TOL * np.max(np.abs(v)) else v
+
+    what = f"the float form of the degree-{n} {kind} member"
+    return Polynomial(tuple(refuse_overflow(rounded, ConstructionError, what)), exact=tuple(c))
 
 
 # ---------------------------------------------------------------------------

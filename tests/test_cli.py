@@ -187,6 +187,32 @@ class TestBlockEncoder:
             assert digest == workloads.GOLDEN_CSV_SHA256[op.label]
         assert calls == []
 
+    def test_hermitian_state_table_takes_no_fallback(self, tmp_path, monkeypatch):
+        # beside the benchmark's shifted tables: a Hermitian radial table
+        # has an im_V and im_psi column of zeros, decided as D = k = 0
+        calls = count_fallbacks(monkeypatch)
+        out = tmp_path / "h.csv"
+        assert run([
+            "table", "--family", "radial", "--a", "2", "--k", "1.75", "--psi", "1,2,3",
+            "--points", "100000", "--out", str(out),
+        ]) == 0
+        assert calls == []
+        rows = out.read_bytes().split(b"\n")
+        assert rows[1].split(b",")[2] == b"0.0000000000000000e+00"
+
+    def test_cells_next_to_a_power_of_ten_take_the_fallback(self, monkeypatch):
+        # log10 gives 5 for the doubles just under 1e5, whose 17 digits
+        # start 9.99; the doubles nearest 1e-243 and 1e-79 lie under them
+        # and their 17 digits round up to 10^17, printing as 1.0e-243
+        calls = count_fallbacks(monkeypatch)
+        below = np.nextafter(1e5, 0.0)
+        values = [below, np.nextafter(below, 0.0), 1e-243, 1e-79]
+        got, want = encoded([np.array(values)])
+        assert got == want
+        assert calls == values
+        assert b"1.0000000000000000e-243\n" in got
+        assert b"9.9999999999999985e+04\n" in got
+
     def test_undecided_and_special_cells_take_the_fallback(self, monkeypatch):
         calls = count_fallbacks(monkeypatch)
         block = np.array([[2.0**-25, 1.5, np.nan], [0.0, -0.0, 5e-324]])
@@ -695,6 +721,18 @@ class TestVerify:
         assert run(["verify", "--suite", "zeros", "--a", a]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_pct_const_diff_divides_by_the_exact_gap(self, tmp_path, capsys, monkeypatch):
+        # from a ~ 1e16 E_1 and E_2 round to one float; their difference
+        # divided by zero
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "pct", "--family", "radial", "--a", "1e20"]) in (0, 1)
+        doc = json.loads((tmp_path / "verify.manifest.json").read_text())
+        row = next(c for c in doc["checks"] if c["name"] == "radial-const-diff")
+        assert math.isfinite(row["measured"])
+        assert capsys.readouterr().err.splitlines() == failed_check_lines(
+            tmp_path / "verify.manifest.json"
+        )
+
     def test_hermiticity_suite_default_parameters(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run(["verify", "--suite", "hermiticity"]) == 0
@@ -1024,6 +1062,20 @@ class TestOverflow:
          "the norm of radial state 1 at a = 1e+06, k = 1.75"),
         (["verify", "--suite", "residuals", "--family", "radial", "--a", "50", "--k", "1e4"],
          "the norm of radial state 1 at a = 50, k = 10000"),
+        # each raised an OverflowError traceback from rounding an exact
+        # member or split, or from the float ODE's or the map's powers
+        (["verify", "--suite", "zeros", "--a", "1e155", "--nmax", "3"],
+         "the float form of the degree-2 laguerre member"),
+        (["verify", "--suite", "orthogonality", "--a", "1e155", "--nmax", "2"],
+         "the float form of the degree-2 laguerre member"),
+        (["table", "--family", "scarf", "--a", "1e200", "--b", "3e200", "--k", "1", "--psi", "1"],
+         "the float form of the degree-1 jacobi member"),
+        (["verify", "--suite", "pct", "--family", "radial", "--a", "1e155"],
+         "a term of V / k^2 of the degree-1 laguerre member"),
+        (["verify", "--suite", "pct", "--family", "scarf", "--a", "1e200", "--b", "3e200"],
+         "a term of V / k^2 of the degree-1 jacobi member"),
+        (["verify", "--suite", "pct", "--family", "scarf", "--k", "1e200"],
+         "k^3 of the sine map at k = 1e+200"),
     ], ids=lambda v: v if isinstance(v, str) else " ".join(v[3:]))
     def test_one_error_line_and_exit_1(self, tmp_path, monkeypatch, capsys, argv, line):
         monkeypatch.chdir(tmp_path)

@@ -56,6 +56,19 @@ class TestQuadrature:
             val = integrate(lambda x, m=m: x**m * np.exp(-x), q)
             assert val == pytest.approx(math.factorial(m), rel=1e-10)
 
+    @pytest.mark.parametrize("infinite_start", [False, True])
+    def test_one_part_mesh_is_the_graded_points(self, infinite_start):
+        # at refinement 0 each cell is one part, x + 0 * (next - x) = x
+        depth = polycore._GRADE_LEVELS
+        pts = np.array(
+            [0.0]
+            + [2.0 ** -j for j in range(depth, 0, -1)]
+            + [1.0 - 2.0 ** -j for j in range(2, depth + 1)]
+            + [1.0]
+        )
+        edges = polycore._unit_edges(0, infinite_start)
+        assert edges.dtype == pts.dtype and edges.tobytes() == pts.tobytes()
+
     def test_divergent_integrand_does_not_converge(self):
         q = finite_quadrature(0.0, 1.0)
         with pytest.raises(ConvergenceError):
@@ -810,6 +823,21 @@ class TestLowestEigenvalues:
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         got = lowest_eigenvalues(t, 3)
         assert np.all(np.abs(got - want) <= 8.0 * 3 * np.finfo(float).eps * t.scale)
+
+    @pytest.mark.parametrize("c, j", [(1.0, 21), (1.0, 30), (0.75, 25), (3.0, 19)])
+    def test_bracket_a_few_ulps_over_its_stopping_width(self, c, j):
+        # d = c, e = c eps j / 16: the Gershgorin bracket, scaled to norm
+        # below 1, is 1 to 4 ulps wider than 4 eps max(|lo|, |hi|); every
+        # probe the sweeps place inside it still closes it
+        eps = np.finfo(float).eps
+        d, e = np.full(3, c), np.full(2, c * eps * j / 16)
+        shift = math.frexp(c)[1]
+        lo, hi = np.ldexp(c - 2.0 * e[0], -shift), np.ldexp(c + 2.0 * e[0], -shift)
+        assert 0.0 < (hi - lo) - 4.0 * eps * hi <= 4.0 * np.spacing(hi)
+        t = TridiagonalOperator(d, e)
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        got = lowest_eigenvalues(t, 3)
+        assert np.all(np.abs(got - want) <= 8.0 * 3 * eps * t.scale)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_bracket_is_rejected(self):

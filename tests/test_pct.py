@@ -215,6 +215,16 @@ class TestExtraction:
         assert one.v_values[0] == pytest.approx(potential(PotentialModel(
             "radial_extended", 2.0, None, 1.75), 1.5), rel=1e-15)
 
+    def test_gap_is_the_exact_difference_rounded_once(self):
+        # at a = 1e20 E_1 and E_2 round to one float, and their exact gap
+        # -k^2 stays; at the reference model the floats differ by it too
+        gm = GMap("quadratic", 1.75)
+        far = extract_potential_report(gm, X1Family("laguerre", 1e20), (1, 2), [])
+        assert far.energies[0] == far.energies[1]
+        assert far.gap == -(1.75**2)
+        rep = extract_potential_report(gm, X1Family("laguerre", 2.0), (1, 2), [])
+        assert rep.gap == rep.energies[0] - rep.energies[1] == -3.0625
+
     def test_split_is_cached_across_shifts(self, monkeypatch):
         fam = X1Family("jacobi", 0.5, 1.5)
         xs = np.linspace(-1.0, 1.0, 20)

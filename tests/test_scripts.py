@@ -95,3 +95,30 @@ def test_committed_range_map(range_map):
     assert doc["summary"] == range_map.summary(runs)
     for row in runs:
         assert_exit_contract(row)
+
+
+def test_output_digests_slice(tmp_path, monkeypatch):
+    # an 11-point table and the runs that once ended in a traceback
+    digests = load_script("output_digests")
+    commands = [c for c in digests.COMMANDS if c[-2:] == ("--points", "11")]
+    commands += list(digests.COMMANDS[-7:])
+    monkeypatch.chdir(tmp_path)
+    rows = [digests.run_one(argv) for argv in commands]
+    assert rows[0]["exit"] == 0
+    assert sorted(rows[0]["files"]) == ["radial_table.csv", "radial_table.manifest.json"]
+    assert [row["exit"] for row in rows[1:]] == [1] * 7
+    assert list(tmp_path.iterdir()) == []
+    # no timing and no measured value: a rerun gives the same bytes
+    assert digests.render(digests.run_one(argv) for argv in commands) == digests.render(rows)
+
+
+def test_output_digests_record_an_escaping_exception(monkeypatch):
+    digests = load_script("output_digests")
+
+    def escapes(argv):
+        raise RuntimeError("not refused")
+
+    monkeypatch.setattr(digests.cli, "main", escapes)
+    row = digests.run_one(("verify", "--suite", "zeros"))
+    assert (row["exit"], row["exception"], row["files"]) == (
+        "traceback", "RuntimeError in escapes", {})
