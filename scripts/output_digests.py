@@ -3,18 +3,19 @@
 compared byte for byte.
 
 Each command runs in-process through ``xspectra.cli.main``, in a fresh
-empty temporary directory, and gives one JSON line: its argv, its exit
-code, and the sha256 of its stdout, of its stderr and of every file it
-wrote.  An exception that escapes ``main`` is recorded with the exit
-code ``"traceback"`` and its type and the function it was raised in.
+empty temporary directory (:func:`run`, which ``range_map.py`` shares),
+and gives one JSON line: its argv, its exit code, and the sha256 of its
+stdout, of its stderr and of every file it wrote.  An exception that
+escapes ``main`` is recorded with the exit code ``"traceback"`` and its
+type and the function it was raised in.
 No timing and no measured value is recorded, so a rerun writes the
 same bytes; run it on two trees and diff the outputs.
 
 The commands: every verify suite at its defaults and at chosen models,
 tables from 11 to 1e5 points across the block boundaries, spectra
 Hermitian and shifted, the refusals of each subcommand, the seed-0 ops
-of ``perfbench/workloads.py``, and the large-index runs that once ended
-in an OverflowError or a ZeroDivisionError traceback.
+of ``perfbench/workloads.py``, and the large-index and tiny-step runs
+that once ended in an OverflowError or a ZeroDivisionError traceback.
 
     PYTHONPATH=src python scripts/output_digests.py --out digests.jsonl
 """
@@ -35,6 +36,7 @@ RADIAL = ("--family", "radial", "--a", "2", "--k", "1.75")
 SHIFTED_RADIAL = (*RADIAL, "--eps", "1.2")
 SCARF = ("--family", "scarf", "--a", "1.75", "--b", "3", "--k", "1.25")
 # the benchmark's seed-0 models, spelled as perfbench/workloads.py spells them
+# (tests/test_scripts.py checks that every seed-0 op is in COMMANDS)
 BENCH_RADIAL = ("--family", "radial", "--a", "2.0", "--k", "1.75", "--eps", "1.2")
 BENCH_SCARF = ("--family", "scarf", "--a", "1.75", "--b", "3.0", "--k", "1.25", "--eps", "1.0")
 
@@ -64,6 +66,9 @@ COMMANDS = (
     ("spectrum", *SHIFTED_RADIAL, "--lo", "-8", "--hi", "9", "--grid-points", "700"),
     ("spectrum", *RADIAL, "--lo", "-1"),
     ("spectrum", *SCARF, "--eps", "0", "--lo", "1", "--hi", "0.5"),
+    # a grid step whose square underflows, once a ZeroDivisionError traceback
+    ("spectrum", *RADIAL, "--nmax", "1", "--lo", "1e-300", "--hi", "1e-299",
+     "--grid-points", "100"),
     ("spectrum", *SCARF, "--eps", "1"),
     # the seed-0 benchmark ops
     ("verify", "--suite", "zeros", "--a", "5", "--nmax", "12"),
@@ -87,35 +92,49 @@ COMMANDS = (
 )
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def run_one(argv) -> dict:
-    """Run ``argv`` in an empty temporary directory and digest its exit
-    code, its stdout and stderr, and each file it wrote."""
+def run(argv) -> dict:
+    """Run ``argv`` through ``cli.main`` in a fresh empty temporary
+    directory and return what it left: ``exit``, the exit code or
+    ``"traceback"``; ``exception``, the type, function and message of an
+    exception that escaped ``main``, or None; ``stdout`` and ``stderr``;
+    and ``files``, the bytes of each file it wrote, by name."""
     out, err = io.StringIO(), io.StringIO()
-    row = {"argv": list(argv)}
+    exception = None
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
-                    row["exit"] = cli.main(list(argv))
+                    code = cli.main(list(argv))
                 except Exception as exc:
-                    row["exit"] = "traceback"
+                    code = "traceback"
                     where = traceback.extract_tb(exc.__traceback__)[-1].name
-                    row["exception"] = f"{type(exc).__name__} in {where}"
+                    exception = (type(exc).__name__, where, str(exc))
             files = {}
             for name in sorted(os.listdir(".")):
                 with open(name, "rb") as handle:
-                    files[name] = _sha256(handle.read())
+                    files[name] = handle.read()
         finally:
             os.chdir(here)
-    row["stdout"] = _sha256(out.getvalue().encode())
-    row["stderr"] = _sha256(err.getvalue().encode())
-    row["files"] = files
+    return {"exit": code, "exception": exception, "stdout": out.getvalue(),
+            "stderr": err.getvalue(), "files": files}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(argv) -> dict:
+    """One line of the output: ``argv``'s exit code and the sha256 of
+    its stdout, its stderr and each file it wrote."""
+    done = run(argv)
+    row = {"argv": list(argv), "exit": done["exit"]}
+    if done["exception"]:
+        row["exception"] = "{} in {}".format(*done["exception"])
+    row["stdout"] = _sha256(done["stdout"].encode())
+    row["stderr"] = _sha256(done["stderr"].encode())
+    row["files"] = {name: _sha256(data) for name, data in done["files"].items()}
     return row
 
 
@@ -127,7 +146,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", default="-", help="output path, or - for stdout")
     args = ap.parse_args()
-    text = render(run_one(argv) for argv in COMMANDS)
+    text = render(digest(argv) for argv in COMMANDS)
     if args.out == "-":
         sys.stdout.write(text)
     else:

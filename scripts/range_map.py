@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Map the accepted parameter range: run each command on a grid of models
-through ``xspectra.cli.main``, in-process, and record one row per run.
+through ``xspectra.cli.main``, in-process by ``output_digests.run``, and
+record one row per run.
 
 The grid, every point of which ``validate_params`` accepts:
 
@@ -24,17 +25,11 @@ measured value is recorded, so a rerun writes the same bytes.
 """
 
 import argparse
-import contextlib
-import glob
-import io
 import json
-import os
 import sys
-import tempfile
-import traceback
 from collections import Counter
 
-from xspectra import cli
+from output_digests import run
 
 RADIAL_A = (0.1, 0.5, 1, 2, 2.5, 5, 10)
 RADIAL_K = (0.5, 1.75, 4)
@@ -79,34 +74,21 @@ def commands_for(model: dict) -> list:
     return [c for c in COMMANDS if not (c[0] == "spectrum" and no_grid_spectrum)]
 
 
-def run_one(command, model: dict) -> dict:
-    """Run ``command`` on ``model`` in an empty temporary directory and
-    read its exit code, failing checks and other stderr lines."""
-    argv = [*command, *model_argv(model)]
-    err = io.StringIO()
-    here = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                try:
-                    code = cli.main(argv)
-                except Exception as exc:
-                    code = "traceback"
-                    where = traceback.extract_tb(exc.__traceback__)[-1].name
-                    err.write(f"{type(exc).__name__} in {where}: {exc}\n")
-            failing = []
-            for path in sorted(glob.glob("*.manifest.json")):
-                with open(path) as handle:
-                    checks = json.load(handle)["checks"]
-                failing += [c["name"] for c in checks if c["status"] == "fail"]
-        finally:
-            os.chdir(here)
-    lines = err.getvalue().splitlines()
+def map_row(command, model: dict) -> dict:
+    """Run ``command`` on ``model`` and read its exit code, failing
+    checks and other stderr lines."""
+    done = run([*command, *model_argv(model)])
+    lines = done["stderr"].splitlines()
+    if done["exception"]:
+        lines.append("{} in {}: {}".format(*done["exception"]))
+    failing = []
+    for name, data in done["files"].items():
+        if name.endswith(".manifest.json"):
+            failing += [c["name"] for c in json.loads(data)["checks"] if c["status"] == "fail"]
     return {
         "command": " ".join(command),
         "model": model,
-        "exit": code,
+        "exit": done["exit"],
         "failing": failing,
         # what `failing` does not already name
         "diagnostics": [line for line in lines if not line.startswith("warn: check failed:")],
@@ -114,7 +96,7 @@ def run_one(command, model: dict) -> dict:
 
 
 def range_map(models) -> list:
-    return [run_one(command, model) for model in models for command in commands_for(model)]
+    return [map_row(command, model) for model in models for command in commands_for(model)]
 
 
 def summary(rows) -> dict:

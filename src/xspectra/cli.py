@@ -699,21 +699,21 @@ def _similarity_grid(m: PotentialModel) -> np.ndarray:
 
 
 def _suite_hermiticity(kind, m, tol) -> list:
-    grid = _similarity_grid(m)
-    scale = float(np.max(np.abs(models.potential(m, grid))))
+    def relative(model, *residuals):
+        # each residual over max|V| on model's similarity grid
+        grid = _similarity_grid(model)
+        scale = float(np.max(np.abs(models.potential(model, grid))))
+        return [residual(model, grid) / scale for residual in residuals]
+
+    quasi, pseudo, pt = relative(m, models.quasi_hermiticity_residual,
+                                 models.pseudo_hermiticity_residual, models.pt_symmetry_residual)
     checks = [
-        _check_le(f"{kind}-quasi-rel", models.quasi_hermiticity_residual(m, grid) / scale,
-                  tol["quasi-rel"]),
-        _check_le(f"{kind}-pseudo-rel", models.pseudo_hermiticity_residual(m, grid) / scale,
-                  tol["pseudo-rel"]),
+        _check_le(f"{kind}-quasi-rel", quasi, tol["quasi-rel"]),
+        _check_le(f"{kind}-pseudo-rel", pseudo, tol["pseudo-rel"]),
     ]
-    pt = models.pt_symmetry_residual(m, grid) / scale
     if m.branch == "sin":
         checks.append(_check_ge("scarf-sin-pt-broken", pt, tol["pt-broken-min"]))
-        cos_model = replace(m, branch="cos")
-        cos_grid = _similarity_grid(cos_model)
-        cos_scale = float(np.max(np.abs(models.potential(cos_model, cos_grid))))
-        cos_pt = models.pt_symmetry_residual(cos_model, cos_grid) / cos_scale
+        (cos_pt,) = relative(replace(m, branch="cos"), models.pt_symmetry_residual)
         checks.append(_check_le("scarf-cos-pt-rel", cos_pt, tol["pt-rel"]))
     else:
         checks.append(_check_le(f"{kind}-pt-rel", pt, tol["pt-rel"]))

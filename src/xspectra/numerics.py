@@ -117,23 +117,26 @@ def discretize(m: PotentialModel, lo: float, hi: float, n: int) -> TridiagonalOp
     lo) / (n + 1), with diagonal 2/h^2 + V(x_i), complex exactly when
     ``m.eps != 0``, and off-diagonal -1/h^2 in its dtype.
 
-    Fewer than 100 points, or ends not finite with lo < hi, raise
-    :class:`ArgumentError`; a pole strictly inside the interval raises
-    :class:`SingularityError` (poles on the Dirichlet ends are allowed,
-    as the grid never touches them); a model
-    :func:`models.validate_params` refuses raises :class:`DomainError`.
+    Fewer than 100 points, ends not finite with lo < hi, or a step
+    whose square underflows to zero raise :class:`ArgumentError`; a
+    pole strictly inside the interval raises :class:`SingularityError`
+    (poles on the Dirichlet ends are allowed, as the grid never touches
+    them); a model :func:`models.validate_params` refuses raises
+    :class:`DomainError`.
     """
     if n < 100:
         raise ArgumentError(f"need at least 100 interior points, got {n}")
     lo, hi = float(lo), float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ArgumentError(f"need finite lo < hi, got ({lo:g}, {hi:g})")
+    h = (hi - lo) / (n + 1)
+    if h * h == 0.0:
+        raise ArgumentError(f"grid step {h:g} on ({lo:g}, {hi:g}) squares to zero")
     poles = models.real_poles(m, lo, hi)
     if poles:
         raise SingularityError(
             f"potential pole at x = {poles[0]:g} inside ({lo:g}, {hi:g})"
         )
-    h = (hi - lo) / (n + 1)
     diag = 2.0 / (h * h) + models.potential(m, lo + h * np.arange(1, n + 1))
     off = np.full(n - 1, -1.0 / (h * h), dtype=diag.dtype)
     return TridiagonalOperator(diag, off)
@@ -230,41 +233,32 @@ def _sturm_counts(
     it by :func:`_guarded_sturm_rows`.  Counts are identical either way.
 
     The count stops at a slab start s once the rows left are a forbidden
-    tail for every probe.  Let D = fl(min d[s:] - max sigma) and E2 =
-    max e2[s-1:], and take for T, raised to at least pivmin, the
-    smaller fixed point E2 / (D/2 + sqrt(D^2/4 - E2)) of x = D - E2 / x,
-    real when D > 0 and D^2 >= 4 E2.  The exit needs every current
-    pivot >= T and fl(D - fl(E2 / T)) >= T in float64.  Correctly
-    rounded subtraction and division are monotone, so every later
-    fl(d_i - sigma_j) is >= D and, while the pivot before it is >= T,
-    every fl(e2_{i-1} / q) is <= fl(E2 / T); the next pivot is then
-    >= fl(D - fl(E2 / T)) >= T.  By induction no later computed pivot
-    falls below T >= pivmin > 0: none is negative and none is clamped,
-    so the counts are those of the full recurrence.  The bound holds
-    for the float recurrence itself and needs no slack; any T that
-    passes the float test will do, and a NaN T or D passes none.  At
-    the fixed point the test is D - E2 / T = T up to rounding, so it
-    fails about as often as it holds; where it fails, T is sqrt(E2)
-    instead, which maximises D - E2 / x - x and so passes with the
-    widest margin.  A NaN probe makes D NaN, and a NaN pivot fails the
-    pivot test, so such a count never stops early.
+    tail for every probe.  Let D = fl(min d[s:] - max sigma), E2 =
+    max e2[s-1:] and T = max(sqrt(E2), pivmin).  The exit needs every
+    current pivot >= T and fl(D - fl(E2 / T)) >= T in float64.
+    Correctly rounded subtraction and division are monotone, so every
+    later fl(d_i - sigma_j) is >= D and, while the pivot before it is
+    >= T, every fl(e2_{i-1} / q) is <= fl(E2 / T); the next pivot is
+    then >= fl(D - fl(E2 / T)) >= T.  By induction no later computed
+    pivot falls below T >= pivmin > 0: none is negative and none is
+    clamped, so the counts are those of the full recurrence.  The bound
+    holds for the float recurrence itself and needs no slack, and a NaN
+    T or D passes no test.  sqrt(E2) maximises D - E2 / x - x, so it
+    passes the test with the widest margin.  A NaN probe makes D NaN,
+    and a NaN pivot fails the pivot test, so such a count never stops
+    early.
     """
     q = np.subtract(d[0], sigmas)
     neg = np.less(q, pivmin)
     np.minimum(q, -pivmin, out=q, where=neg)
     cnt = neg.astype(int)
     # per slab start s, the pivot floor T of the forbidden-tail exit, or
-    # NaN where no T passes the tail test, so that no pivot row passes it
+    # NaN where T fails the tail test, so that no pivot row passes it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d_low = np.minimum.accumulate(d[::-1])[::-1][1::_SLAB] - sigmas.max()
         e2_high = np.maximum.accumulate(e2[::-1])[::-1][::_SLAB]
-        floors = np.full(len(d_low), np.nan)
-        # sqrt(E2), then the smaller fixed point wherever it passes too
-        smaller = e2_high / (0.5 * d_low + np.sqrt(0.25 * d_low * d_low - e2_high))
-        for floor in (np.sqrt(e2_high), smaller):
-            floor = np.maximum(floor, pivmin)
-            np.copyto(floors, floor, where=d_low - e2_high / floor >= floor)
-    floors = floors.tolist()
+        floors = np.maximum(np.sqrt(e2_high), pivmin)
+        floors = np.where(d_low - e2_high / floors >= floors, floors, np.nan).tolist()
     dsig, slab, size = np.empty((3, _SLAB, len(sigmas)))
     dsig_rows, slab_rows = list(dsig), list(slab)
     divide, subtract = np.divide, np.subtract

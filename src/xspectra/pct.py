@@ -110,10 +110,17 @@ def pct_e_minus_v(gm: GMap, family: X1Family, n: int, x):
     transformation, independent of the exact split in
     :func:`extract_potential_report`, which measures the two against
     each other.  A point where g' vanishes or g lands on the float value
-    of a root of A is refused.
+    of a root of A is refused, and a float ODE that overflows raises
+    :class:`EvaluationError`.
     """
     _check_member_index(n)
-    A, B, C = _cleared_ode_polys(family.kind, family.a, family.b, n)
+    try:
+        # the float Jacobi ODE's (b - a) ** 2 raises, where its products give inf
+        A, B, C = _cleared_ode_polys(family.kind, family.a, family.b, n)
+    except OverflowError:
+        raise EvaluationError(
+            f"the float ODE of the degree-{n} {family.kind} member is out of the float range"
+        ) from None
     xs = np.asarray(x)
     gv, dgv, d2gv, d3gv = gm.derivatives(xs)
     refuse_where(dgv == 0.0, xs, SingularityError, "g' vanishes")

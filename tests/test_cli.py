@@ -1244,6 +1244,20 @@ class TestUsageErrors:
         )
 
     @pytest.mark.parametrize("eps", ["0", "1.2"], ids=["real", "complex"])
+    def test_spectrum_refuses_a_step_whose_square_underflows(
+        self, tmp_path, monkeypatch, capsys, eps
+    ):
+        # h = 8.9e-302 squares to 0.0: this ended in a ZeroDivisionError
+        # traceback from 2 / h^2
+        monkeypatch.chdir(tmp_path)
+        assert run([
+            "spectrum", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", eps,
+            "--nmax", "1", "--lo", "1e-300", "--hi", "1e-299", "--grid-points", "100",
+        ]) == 2
+        assert_usage_error(capsys.readouterr(), tmp_path, [
+            "error: grid step 8.91089e-302 on (1e-300, 1e-299) squares to zero"])
+
+    @pytest.mark.parametrize("eps", ["0", "1.2"], ids=["real", "complex"])
     @pytest.mark.parametrize("flags", [
         ["--sigma-imag", "nan"], ["--sigma-imag", "inf"], ["--iters", "0"],
         ["--sigma-imag", "nan", "--iters", "0"],

@@ -8,6 +8,7 @@ from xspectra import pct
 from xspectra import (
     ArgumentError,
     ConsistencyError,
+    EvaluationError,
     GMap,
     PotentialModel,
     SingularityError,
@@ -131,6 +132,17 @@ class TestEMinusV:
         with pytest.raises(SingularityError) as got:
             pct_e_minus_v(gm, fam, 1, x)
         assert str(got.value) == message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_float_ode_out_of_range_is_an_evaluation_error(self):
+        # (b - a) ** 2 raised a bare OverflowError; where only the products
+        # of the float ODE give inf, the transformation is refused as before
+        with pytest.raises(EvaluationError) as got:
+            pct_e_minus_v(SINE, X1Family("jacobi", 1e200, 3e200), 1, 0.1)
+        assert str(got.value) == (
+            "the float ODE of the degree-1 jacobi member is out of the float range")
+        with pytest.raises(SingularityError, match="transformation not finite at x = 0.1"):
+            pct_e_minus_v(SINE, X1Family("jacobi", 1e153, 1.4e154), 1, np.array([0.1, 0.2]))
 
 
 class TestExtraction:

@@ -5,7 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+import output_digests
+import range_map
+from xspectra import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DATASETS = (
@@ -36,13 +38,6 @@ def test_scripts_run(tmp_path):
         assert (tmp_path / f"{name}.manifest.json").is_file()
 
 
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def assert_exit_contract(row):
     """No traceback; exit 0 with no failing check and no `error:` line,
     exit 1 with one of them, exit 2 with an `error:` line alone."""
@@ -56,12 +51,7 @@ def assert_exit_contract(row):
         assert errors and row["failing"] == [], row
 
 
-@pytest.fixture(scope="module")
-def range_map():
-    return load_script("range_map")
-
-
-def test_range_map_slice(range_map, tmp_path, monkeypatch):
+def test_range_map_slice(tmp_path, monkeypatch):
     # a radial model at the box-cut k = 0.5 and the singular edge a = 0.1,
     # the reference radial model, a shifted cos-branch Scarf model at
     # negative indices and a Hermitian Scarf model
@@ -82,10 +72,10 @@ def test_range_map_slice(range_map, tmp_path, monkeypatch):
     assert range_map.render(range_map.range_map(models)) == range_map.render(rows)
 
 
-def test_committed_range_map(range_map):
+def test_committed_range_map():
     # the map runs exactly the verify suites that check the model
     assert [c[2] for c in range_map.COMMANDS if c[0] == "verify"] == [
-        name for name, (_, reads) in range_map.cli._SUITES.items() if "family" in reads
+        name for name, (_, reads) in cli._SUITES.items() if "family" in reads
     ]
     doc = json.loads((ROOT / "RANGE_map.json").read_text())
     runs = doc["runs"]
@@ -99,26 +89,65 @@ def test_committed_range_map(range_map):
 
 def test_output_digests_slice(tmp_path, monkeypatch):
     # an 11-point table and the runs that once ended in a traceback
-    digests = load_script("output_digests")
-    commands = [c for c in digests.COMMANDS if c[-2:] == ("--points", "11")]
-    commands += list(digests.COMMANDS[-7:])
+    commands = [c for c in output_digests.COMMANDS if c[-2:] == ("--points", "11")]
+    commands += list(output_digests.COMMANDS[-7:])
     monkeypatch.chdir(tmp_path)
-    rows = [digests.run_one(argv) for argv in commands]
+    rows = [output_digests.digest(argv) for argv in commands]
     assert rows[0]["exit"] == 0
     assert sorted(rows[0]["files"]) == ["radial_table.csv", "radial_table.manifest.json"]
     assert [row["exit"] for row in rows[1:]] == [1] * 7
     assert list(tmp_path.iterdir()) == []
     # no timing and no measured value: a rerun gives the same bytes
-    assert digests.render(digests.run_one(argv) for argv in commands) == digests.render(rows)
+    assert output_digests.render(output_digests.digest(argv) for argv in commands) == (
+        output_digests.render(rows))
 
 
 def test_output_digests_record_an_escaping_exception(monkeypatch):
-    digests = load_script("output_digests")
-
     def escapes(argv):
         raise RuntimeError("not refused")
 
-    monkeypatch.setattr(digests.cli, "main", escapes)
-    row = digests.run_one(("verify", "--suite", "zeros"))
+    monkeypatch.setattr(cli, "main", escapes)
+    row = output_digests.digest(("verify", "--suite", "zeros"))
     assert (row["exit"], row["exception"], row["files"]) == (
         "traceback", "RuntimeError in escapes", {})
+
+
+def test_an_escaping_exception_reaches_both_row_formats(monkeypatch):
+    # the shared runner keeps what ran before the exception: a stderr
+    # line and a manifest with a failing check
+    def escapes(argv):
+        print("warn: partial run", file=sys.stderr)
+        with open("spectrum.manifest.json", "w") as handle:
+            json.dump({"checks": [{"name": "level-1-rel", "status": "fail"}]}, handle)
+        raise RuntimeError("not refused")
+
+    monkeypatch.setattr(cli, "main", escapes)
+    model = {"family": "radial", "a": 2, "k": 1.75, "eps": 0}
+    row = range_map.map_row(("spectrum", "--nmax", "4"), model)
+    assert (row["exit"], row["failing"], row["diagnostics"]) == (
+        "traceback", ["level-1-rel"],
+        ["warn: partial run", "RuntimeError in escapes: not refused"])
+    argv = ("spectrum", "--nmax", "4", *range_map.model_argv(model))
+    row = output_digests.digest(argv)
+    assert (row["exit"], row["exception"], sorted(row["files"])) == (
+        "traceback", "RuntimeError in escapes", ["spectrum.manifest.json"])
+    assert row["stderr"] == output_digests._sha256(b"warn: partial run\n")
+
+
+def test_output_digests_run_every_seed_0_benchmark_op(tmp_path, monkeypatch):
+    # loaded read-only from its file, so the benchmark's argv spelling is
+    # compared, not a copy of it; its dataclass needs it in sys.modules
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        for op in workloads.build(workload, 0, str(tmp_path)):
+            argv, words = [], iter(op.argv)
+            for word in words:
+                if word in ("--out", "--manifest"):
+                    next(words)
+                else:
+                    argv.append(word)
+            assert tuple(argv) in output_digests.COMMANDS, (workload, op.label)
