@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Digest what a fixed list of CLI commands writes, so two trees can be
-compared byte for byte.
+"""Digest what a fixed list of CLI commands writes, into the committed
+record ``OUTPUT_digests.jsonl`` of every output byte.
 
 Each command runs in-process through ``xspectra.cli.main``, in a fresh
 empty temporary directory (:func:`run`, which ``range_map.py`` shares),
@@ -8,16 +8,18 @@ and gives one JSON line: its argv, its exit code, and the sha256 of its
 stdout, of its stderr and of every file it wrote.  An exception that
 escapes ``main`` is recorded with the exit code ``"traceback"`` and its
 type and the function it was raised in.
-No timing and no measured value is recorded, so a rerun writes the
-same bytes; run it on two trees and diff the outputs.
+No timing is recorded, so a rerun writes the same bytes, and
+``tests/test_scripts.py`` reruns each command against its line.  A change
+that moves an output shows as a diff of the record.
 
 The commands: every verify suite at its defaults and at chosen models,
-tables from 11 to 1e5 points across the block boundaries, spectra
-Hermitian and shifted, the refusals of each subcommand, the seed-0 ops
-of ``perfbench/workloads.py``, and the large-index and tiny-step runs
-that once ended in an OverflowError or a ZeroDivisionError traceback.
+tables from 11 to 1e5 points across the block boundaries, the default
+state tables and real spectra, spectra Hermitian and shifted, the
+refusals of each subcommand, the seed-0 ops of ``perfbench/workloads.py``,
+and the runs that once ended in a traceback or, at a tiny radial index,
+a wrong norm.
 
-    PYTHONPATH=src python scripts/output_digests.py --out digests.jsonl
+    PYTHONPATH=src python scripts/output_digests.py
 """
 
 import argparse
@@ -89,6 +91,23 @@ COMMANDS = (
     ("verify", "--suite", "pct", "--family", "scarf", "--a", "1e200", "--b", "3e200"),
     ("verify", "--suite", "pct", "--family", "scarf", "--k", "1e200"),
     ("verify", "--suite", "pct", "--family", "radial", "--a", "1e20"),
+    # the default 401-point state tables and the cos-branch real spectrum
+    ("table", *SHIFTED_RADIAL, "--psi", "1,2,3"),
+    ("table", *SCARF, "--eps", "1", "--psi", "1,2,3"),
+    ("table", *SCARF, "--eps", "1", "--branch", "cos", "--psi", "1,2,3"),
+    ("table", *SCARF, "--psi", "1,2,3"),
+    ("spectrum", *SCARF, "--branch", "cos"),
+    # at a tiny radial index the n = 1 norm once lost a: 10 % off at
+    # a = 1e-15, a gamma pole (exit 2) at a = 1e-300
+    ("table", "--family", "radial", "--a", "1e-15", "--k", "1.75", "--psi", "1"),
+    ("table", "--family", "radial", "--a", "1e-300", "--k", "1.75", "--psi", "1",
+     "--points", "5"),
+    ("verify", "--suite", "residuals", "--family", "radial", "--a", "1e-300"),
+    # cosh(eps) past the float range, once an OverflowError traceback
+    ("verify", "--suite", "all", "--eps", "800"),
+    ("spectrum", *SCARF, "--eps", "1e300"),
+    ("table", *SCARF, "--eps", "1e300", "--psi", "1", "--points", "5"),
+    ("verify", "--suite", "hermiticity", "--family", "scarf", "--eps", "1e300"),
 )
 
 
@@ -144,7 +163,8 @@ def render(rows) -> str:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--out", default="-", help="output path, or - for stdout")
+    ap.add_argument("--out", default="OUTPUT_digests.jsonl",
+                    help="output path, or - for stdout")
     args = ap.parse_args()
     text = render(digest(argv) for argv in COMMANDS)
     if args.out == "-":

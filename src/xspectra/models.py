@@ -131,7 +131,11 @@ def validate_params(m: PotentialModel) -> list:
         )
     elif m.eps != 0.0:
         ratio = abs(m.a + m.b) / abs(m.b - m.a)
-        if abs(math.cosh(m.eps) - ratio) <= 1e-12 * ratio:
+        try:
+            cosh = math.cosh(m.eps)
+        except OverflowError:  # |eps| > 710.48, past every finite ratio
+            cosh = math.inf
+        if abs(cosh - ratio) <= 1e-12 * ratio:
             out.append(
                 f"cosh(eps) = |a+b|/|b-a| = {ratio:g} places the rational "
                 "term's pole on the real line"

@@ -138,20 +138,15 @@ _KEEP_SVD_TOL = 1e-14  # relative agreement under which the float SVD member is 
 def _ode_matrix(A, B, C, n: int) -> np.ndarray:
     """Map from monomial coefficients c_0..c_n of y to the coefficients of
     A y'' + B y' + C y, one column per c_j; exact for exact A, B, C."""
-    rows = n + 2
-    m = np.zeros((rows, n + 1), dtype=A.dtype)
-
-    def add(col, poly, shift):
-        for i, c in enumerate(poly):
-            if 0 <= i + shift < rows:
-                m[i + shift, col] += c
-
+    m = np.zeros((n + 2, n + 1), dtype=A.dtype)
+    # A (at most 4 coefficients) enters column j from row j - 2, B (at
+    # most 3) from row j - 1 and C (2) from row j: none passes row j + 1
     for j in range(n + 1):
         if j >= 2:
-            add(j, A * (j * (j - 1)), j - 2)
+            m[j - 2 : j - 2 + len(A), j] += A * (j * (j - 1))
         if j >= 1:
-            add(j, B * j, j - 1)
-        add(j, C, j)
+            m[j - 1 : j - 1 + len(B), j] += B * j
+        m[j : j + len(C), j] += C
     return m
 
 
@@ -302,8 +297,10 @@ def x1_laguerre_norm(n: int, a: float) -> float:
     a = float(a)
     if not a > 0.0:
         raise ArgumentError(f"norm needs a > 0, got a = {a:g}")
+    # a + (n - 1), not a + n - 1.0: at n = 1 the latter rounds a tiny a
+    # away (to 0.0, a gamma pole, below a = 1.1e-16)
     return refuse_overflow(
-        lambda: (a + n) * gamma(a + n - 1.0) / math.factorial(n - 1),
+        lambda: (a + n) * gamma(a + (n - 1)) / math.factorial(n - 1),
         EvaluationError,
         f"the squared norm of the degree-{n} X1 Laguerre member at a = {a:g}",
     )

@@ -90,6 +90,12 @@ class TestParameterChecks:
         for eps in (0.0, 1.0):
             assert validate_params(PotentialModel("scarf_extended", -0.25, -0.4, eps=eps)) == []
 
+    @pytest.mark.parametrize("eps", [710.4758600739439, 710.476, 800.0, -1e300])
+    def test_cosh_past_the_float_range_raises_no_pole_diagnostic(self, eps):
+        # math.cosh raised an OverflowError from |eps| = 710.476
+        for a, b in ((1.75, 3.0), (-0.25, -0.4)):
+            assert validate_params(PotentialModel("scarf_extended", a, b, eps=eps)) == []
+
 
 class TestRealPoles:
     def test_radial_pole_at_the_origin(self, radial_hermitian):
@@ -212,6 +218,13 @@ class TestWavefunction:
                 lambda x, n=n: np.abs(wavefunction(radial_hermitian, n, x)) ** 2, q
             )
             assert val == pytest.approx(1.0, rel=1e-8)
+
+    def test_radial_ground_state_is_normalized_at_a_tiny_index(self):
+        # its squared norm once lost a: |psi_1|^2 integrated to 1.110
+        m = PotentialModel("radial_extended", 1e-15, k=1.75)
+        q = semi_infinite_exp_quadrature()
+        val = integrate(lambda x: np.abs(wavefunction(m, 1, x)) ** 2, q)
+        assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_scarf_states_are_normalized(self, scarf_hermitian):
         half = scarf_half_cell(scarf_hermitian)

@@ -5,11 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import output_digests
 import range_map
 from xspectra import cli
 
 ROOT = Path(__file__).resolve().parents[1]
+RECORD_TEXT = (ROOT / "OUTPUT_digests.jsonl").read_text()
+RECORD = {tuple(row["argv"]): row for row in map(json.loads, RECORD_TEXT.splitlines())}
 DATASETS = (
     "radial_potential",
     "scarf_potential",
@@ -87,19 +91,19 @@ def test_committed_range_map():
         assert_exit_contract(row)
 
 
-def test_output_digests_slice(tmp_path, monkeypatch):
-    # an 11-point table and the runs that once ended in a traceback
-    commands = [c for c in output_digests.COMMANDS if c[-2:] == ("--points", "11")]
-    commands += list(output_digests.COMMANDS[-7:])
-    monkeypatch.chdir(tmp_path)
-    rows = [output_digests.digest(argv) for argv in commands]
-    assert rows[0]["exit"] == 0
-    assert sorted(rows[0]["files"]) == ["radial_table.csv", "radial_table.manifest.json"]
-    assert [row["exit"] for row in rows[1:]] == [1] * 7
-    assert list(tmp_path.iterdir()) == []
-    # no timing and no measured value: a rerun gives the same bytes
-    assert output_digests.render(output_digests.digest(argv) for argv in commands) == (
-        output_digests.render(rows))
+def test_committed_output_digests_run_every_command():
+    # in order and in the script's own rendering, so that a rerun of the
+    # script rewrites the file byte for byte
+    rows = [json.loads(line) for line in RECORD_TEXT.splitlines()]
+    assert [tuple(row["argv"]) for row in rows] == list(output_digests.COMMANDS)
+    assert output_digests.render(rows) == RECORD_TEXT
+
+
+@pytest.mark.parametrize("argv", output_digests.COMMANDS, ids=" ".join)
+def test_output_digests_match_the_record(argv):
+    # a moved output byte fails here under its own argv; `git diff
+    # OUTPUT_digests.jsonl` after a rerun of the script lists every move
+    assert output_digests.digest(argv) == RECORD.get(argv)
 
 
 def test_output_digests_record_an_escaping_exception(monkeypatch):

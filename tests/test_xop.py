@@ -279,6 +279,34 @@ class TestConstruction:
             xop._member.__wrapped__(fam, 3)
 
 
+class TestOdeMatrix:
+    @pytest.mark.parametrize("kind, a, b", [
+        ("laguerre", 2.0, None), ("laguerre", 0.1, None), ("laguerre", 1e-15, None),
+        ("jacobi", 1.75, 3.0), ("jacobi", -0.25, -0.4), ("jacobi", 0.3, -0.7),
+        ("jacobi", 5.0, 2.0),
+    ])
+    @pytest.mark.parametrize("exact", [True, False], ids=["fraction", "float"])
+    def test_column_j_applies_the_ode_to_g_to_the_j(self, kind, a, b, exact):
+        # each column built apart by numpy's polynomial algebra: a
+        # coefficient in the wrong row, or one dropped, fails here
+        if exact:
+            a, b = Fraction(a), None if b is None else Fraction(b)
+        for n in range(1, 13):
+            A, B, C = xop._cleared_ode_polys(kind, a, b, n)
+            m = xop._ode_matrix(A, B, C, n)
+            assert m.shape == (n + 2, n + 1)
+            for j in range(n + 1):
+                y = np.zeros(j + 1, dtype=A.dtype)
+                y[j] = 1
+                column = npp.polyadd(
+                    npp.polyadd(npp.polymul(A, npp.polyder(y, 2)), npp.polymul(B, npp.polyder(y))),
+                    npp.polymul(C, y),
+                )
+                want = np.zeros(n + 2, dtype=A.dtype)
+                want[: len(column)] = column
+                assert m[:, j].tolist() == want.tolist(), (n, j)
+
+
 class TestMemberCache:
     def test_index_is_checked_before_the_lookup(self):
         fam = X1Family("laguerre", 2.0)
@@ -499,6 +527,12 @@ class TestWeightsAndNorms:
         assert [x1_laguerre_norm(n, 2.0) for n in range(1, 6)] == [
             pytest.approx(v, rel=1e-13) for v in (3.0, 8.0, 15.0, 24.0, 35.0)
         ]
+
+    @pytest.mark.parametrize("a", [1e-15, 1e-300])
+    def test_norm_keeps_a_tiny_index(self, a):
+        # gamma(a + n - 1.0) rounded a away at n = 1: 10 % off at
+        # a = 1e-15, and a gamma pole at a = 1e-300
+        assert x1_laguerre_norm(1, a) == pytest.approx((1.0 + a) * math.gamma(a), rel=1e-14)
 
     def test_norm_formula_half_integer_index(self):
         # frozen from 50-digit numeric integration of W Lhat_n^2 on (0, inf)
