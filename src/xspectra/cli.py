@@ -19,7 +19,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -108,37 +108,27 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    measured: float
-    tolerance: float
-    passed: bool
-
-    def row(self) -> dict:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-        }
-
-
-def _check_le(name, measured, tol) -> CheckResult:
-    measured, tol = float(measured), float(tol)
-    return CheckResult(name, measured, tol, measured <= tol)
-
-
-def _check_ge(name, measured, tol) -> CheckResult:
-    measured, tol = float(measured), float(tol)
-    return CheckResult(name, measured, tol, measured >= tol)
-
-
-def _check_in(name, measured, lo, hi) -> CheckResult:
+def _row(name, measured, tolerance, lo, hi) -> dict:
+    """A check as the manifest row that `_finish` writes and `verify`
+    prints: it passes where ``lo <= measured <= hi``.  A measured value
+    that is not finite is refused, as strict JSON has no NaN or infinity."""
     measured = float(measured)
-    # encode an interval constraint as distance-to-interval vs zero width
-    dist = max(lo - measured, measured - hi, 0.0)
-    return CheckResult(name, measured, float(hi), dist == 0.0)
+    if not math.isfinite(measured):
+        raise EvaluationError(f"check {name} measured {measured}, not a finite value")
+    status = "pass" if lo <= measured <= hi else "fail"
+    return {"name": name, "status": status, "measured": measured, "tolerance": float(tolerance)}
+
+
+def _check_le(name, measured, tol) -> dict:
+    return _row(name, measured, tol, -math.inf, tol)
+
+
+def _check_ge(name, measured, tol) -> dict:
+    return _row(name, measured, tol, tol, math.inf)
+
+
+def _check_in(name, measured, lo, hi) -> dict:
+    return _row(name, measured, hi, lo, hi)
 
 
 def _write_atomic(path: str, chunks) -> None:
@@ -346,12 +336,12 @@ def _finish(args, command, parameters, checks, outputs=None) -> int:
         "command": command,
         "parameters": parameters,
         "outputs": outputs,
-        "checks": [c.row() for c in checks],
+        "checks": checks,
     }
     _write_atomic(outputs[-1], [json.dumps(doc, indent=2, sort_keys=True).encode() + b"\n"])
-    failed = [c for c in checks if not c.passed]
+    failed = [c for c in checks if c["status"] == "fail"]
     for c in failed:
-        _warn(f"check failed: {c.name} measured {c.measured:.6e}")
+        _warn(f"check failed: {c['name']} measured {c['measured']:.6e}")
     return 1 if failed else 0
 
 
@@ -406,12 +396,25 @@ def _model_parameters(family: str, m: PotentialModel) -> dict:
     return {"family": family, "a": m.a, "b": m.b, "k": m.k, "eps": m.eps, "branch": m.branch}
 
 
-def _default_range(m: PotentialModel) -> tuple:
+# where each use samples a model: the radial interval while Hermitian
+# (the pole at x = 0 on the line) and once shifted, and the fraction of the
+# Scarf model's central cell.  The hermiticity suite refuses a Hermitian
+# model, so `similarity` has no Hermitian interval
+_EXTENTS = {
+    "table": ((0.05, 8.0), (-4.0, 4.0), 0.999),
+    "spectrum": ((1e-8, 12.0), (-12.0, 12.0), 1.0),
+    "states": ((0.4, 6.0), (-5.0, 5.0), 0.9),
+    "similarity": (None, (-4.0, 4.0), 0.98),
+}
+
+
+def _extent(m: PotentialModel, use: str) -> tuple:
+    """The interval (lo, hi) where ``use`` samples m, from _EXTENTS."""
+    hermitian, shifted, fraction = _EXTENTS[use]
     if m.family == "radial_extended":
-        return (0.05, 8.0) if m.eps == 0.0 else (-4.0, 4.0)
+        return hermitian if m.eps == 0.0 else shifted
     centre, half = models.cell(m)
-    margin = 1e-3 * half
-    return (centre - half + margin, centre + half - margin)
+    return centre - fraction * half, centre + fraction * half
 
 
 # grid spectra: `spectrum` counts a Hermitian model's levels by Sturm
@@ -437,33 +440,17 @@ def _shifted_levels(m, lo, hi, npts, nmax, sigma_imag=_SIGMA_IMAG, iters=_ITERS)
     """eigen_near_shift's result for each of the nmax lowest levels of the
     shifted radial model m's grid Hamiltonian on (lo, hi) with npts
     interior points, from E_n + i sigma_imag (it checks sigma_imag and
-    iters)."""
+    iters), with a warning for each level that did not converge."""
     op = numerics.discretize(m, lo, hi, npts)
-    return [
+    results = [
         numerics.eigen_near_shift(op, models.energy(m, n) + 1j * sigma_imag, iters)
         for n in range(1, nmax + 1)
     ]
-
-
-def _spectrum_interval(m: PotentialModel) -> tuple:
-    """The grid interval of m's spectrum: the Hermitian radial model's
-    half-line, the whole line once the shift takes the pole at x = 0 off
-    it, or the Scarf model's central cell."""
-    if m.family == "radial_extended":
-        return (-12.0, 12.0) if m.eps != 0.0 else (1e-8, 12.0)
-    centre, half = models.cell(m)
-    return centre - half, centre + half
-
-
-def _state_grids(m: PotentialModel, points: int) -> tuple:
-    """Where the state checks sample the Hermitian partner of m and m
-    itself: the radial model's half-line, then the line, or 90 % of the
-    Scarf model's central cell twice."""
-    if m.family == "radial_extended":
-        return np.linspace(0.4, 6.0, points), np.linspace(-5.0, 5.0, points)
-    centre, half = models.cell(m)
-    cell = np.linspace(centre - 0.9 * half, centre + 0.9 * half, points)
-    return cell, cell
+    for n, res in enumerate(results, 1):
+        if not res.converged:
+            _warn(f"level {n}: no convergence after {iters} iterations "
+                  f"(residual {res.residual:.3e})")
+    return results
 
 
 def _parse_levels(raw: str) -> list:
@@ -488,7 +475,7 @@ def _parse_levels(raw: str) -> list:
 
 def cmd_table(args) -> int:
     m = _model(args.family, args)
-    lo, hi = _default_range(m)
+    lo, hi = _extent(m, "table")
     lo = args.xmin if args.xmin is not None else lo
     hi = args.xmax if args.xmax is not None else hi
     if not lo < hi:
@@ -548,7 +535,7 @@ def cmd_spectrum(args) -> int:
     iters = _ITERS if args.iters is None else args.iters
     sigma_imag = _SIGMA_IMAG if args.sigma_imag is None else args.sigma_imag
     tol = _Tolerances(args)
-    lo, hi = _spectrum_interval(m)
+    lo, hi = _extent(m, "spectrum")
     lo = args.lo if args.lo is not None else lo
     hi = args.hi if args.hi is not None else hi
     npts = args.grid_points if args.grid_points is not None else (
@@ -565,11 +552,6 @@ def cmd_spectrum(args) -> int:
         numeric, extra = levels.real, [levels.imag]
         header.append("im_lambda")
         for n, res in enumerate(results, 1):
-            if not res.converged:
-                _warn(
-                    f"level {n}: no convergence after {iters} iterations "
-                    f"(residual {res.residual:.3e})"
-                )
             lam = res.eigenvalue
             checks += [
                 _check_le(f"eigen-residual-{n}", res.residual, tol["eigen-residual"]),
@@ -660,7 +642,6 @@ def _suite_pct(kind, m, tol) -> list:
     hermitian = replace(m, eps=0.0)
     fam = models.x1_family(m)
     g = "quadratic" if fam.kind == "laguerre" else "sine"
-    grid, shift_grid = _state_grids(m, 50)
 
     def extract(model, xs):  # the report and its V against model.potential
         gm = GMap(g, m.k, models._offset(m) + 1j * model.eps)
@@ -668,7 +649,7 @@ def _suite_pct(kind, m, tol) -> list:
         want = models.potential(model, xs)
         return rep, np.max(np.abs(rep.v_values - want)) / np.max(np.abs(want))
 
-    rep, rel = extract(hermitian, grid)
+    rep, rel = extract(hermitian, np.linspace(*_extent(hermitian, "states"), 50))
     checks.append(_check_le(f"{kind}-extracted-V-rel", rel, tol["extract-rel"]))
     for idx, n in enumerate((1, 2)):
         want = models.energy(hermitian, n)
@@ -676,7 +657,7 @@ def _suite_pct(kind, m, tol) -> list:
         checks.append(_check_le(f"{kind}-energy-{n}-rel", rel, tol["extract-rel"]))
     checks.append(_check_le(f"{kind}-const-diff", rep.dw_spread / abs(rep.gap), tol["const-diff"]))
     if m.eps != 0.0:
-        _, rel = extract(m, shift_grid)
+        _, rel = extract(m, np.linspace(*_extent(m, "states"), 50))
         checks.append(_check_le(f"{kind}-shifted-V-rel", rel, tol["extract-rel"]))
     if kind == "scarf":
         # V's exact 1/D^2 coefficient over k^2, with D = a + b - (b - a) g; a
@@ -691,17 +672,10 @@ def _suite_pct(kind, m, tol) -> list:
     return checks
 
 
-def _similarity_grid(m: PotentialModel) -> np.ndarray:
-    if m.family == "radial_extended":
-        return np.linspace(-4.0, 4.0, 200)
-    centre, half = models.cell(m)
-    return np.linspace(centre - 0.98 * half, centre + 0.98 * half, 200)
-
-
 def _suite_hermiticity(kind, m, tol) -> list:
     def relative(model, *residuals):
         # each residual over max|V| on model's similarity grid
-        grid = _similarity_grid(model)
+        grid = np.linspace(*_extent(model, "similarity"), 200)
         scale = float(np.max(np.abs(models.potential(model, grid))))
         return [residual(model, grid) / scale for residual in residuals]
 
@@ -732,7 +706,7 @@ def _suite_spectra(kind, m, tol) -> list:
     want = np.array([models.energy(m0, n) for n in range(1, 5)])
     levels = []
     for npts in _SUITE_POINTS:
-        op = numerics.discretize(m0, *_spectrum_interval(m0), npts)
+        op = numerics.discretize(m0, *_extent(m0, "spectrum"), npts)
         levels.append(numerics.lowest_eigenvalues(op, 4, near=levels[-1] if levels else None))
     coarse, fine = (np.abs(lev - want) for lev in levels)
     factors = coarse / fine
@@ -749,7 +723,7 @@ def _suite_spectra(kind, m, tol) -> list:
     ]
     if kind == "scarf" or m.eps == 0.0:
         return checks
-    for n, res in enumerate(_shifted_levels(m, *_spectrum_interval(m), _COMPLEX_POINTS, 3), 1):
+    for n, res in enumerate(_shifted_levels(m, *_extent(m, "spectrum"), _COMPLEX_POINTS, 3), 1):
         e_n, lam = models.energy(m, n), res.eigenvalue
         for name, measured, bound in (
             ("eigen-residual", res.residual, tol["eigen-residual"]),
@@ -764,15 +738,11 @@ def _suite_residuals(kind, m, tol) -> list:
     checks = []
     # the Hermitian partner on its own grid, then m on its own if shifted
     partners = [replace(m, eps=0.0)] + ([m] if m.eps != 0.0 else [])
-    for model, grid in zip(partners, _state_grids(m, 40)):
+    for model in partners:
+        grid = np.linspace(*_extent(model, "states"), 40)
         for n in (1, 2, 3):
-            checks.append(
-                _check_le(
-                    f"{kind}-eps{model.eps:g}-n{n}",
-                    numerics.schrodinger_residual(model, n, grid),
-                    tol["residual"],
-                )
-            )
+            residual = numerics.schrodinger_residual(model, n, grid)
+            checks.append(_check_le(f"{kind}-eps{model.eps:g}-n{n}", residual, tol["residual"]))
     return checks
 
 
@@ -816,8 +786,8 @@ def cmd_verify(args) -> int:
     }
     code = _finish(args, "verify", parameters, checks)
     for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"{status} {c.name}: measured={c.measured:.6e} tolerance={c.tolerance:.6e}")
+        print(f"{c['status'].upper()} {c['name']}: "
+              f"measured={c['measured']:.6e} tolerance={c['tolerance']:.6e}")
     return code
 
 

@@ -99,11 +99,6 @@ class TridiagonalOperator:
     def size(self) -> int:
         return len(self.diagonal)
 
-    @property
-    def scale(self) -> float:
-        off = np.max(np.abs(self.off_diagonal), initial=0.0)
-        return float(np.max(np.abs(self.diagonal)) + 2.0 * off)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diagonal * v
         out[:-1] = out[:-1] + self.off_diagonal * v[1:]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from xspectra import cli, models, numerics
+from xspectra import EvaluationError, cli, models, numerics
 from xspectra.polycore import integrate
 
 FIELD = re.compile(r"^-?\d\.\d{16}e[+-]\d{2,3}$")
@@ -338,7 +339,7 @@ class TestTable:
                     "--out", str(out)]) == 0
         assert seen == {"potential": blocks, "wavefunction": blocks}
         monkeypatch.undo()
-        grid = np.linspace(*cli._default_range(m), points)
+        grid = np.linspace(*cli._extent(m, "table"), points)
         v = models.potential(m, grid)
         header, columns = ["x", "re_V", "im_V"], [grid, v.real, v.imag]
         for n, psi in zip((1, 2, 3), models.wavefunction(m, [1, 2, 3], grid)):
@@ -676,6 +677,24 @@ class TestVerify:
         assert run(["verify", "--suite", "zeros", "--a", a]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("wrong_end", ["negative", "positive"])
+    def test_zeros_suite_counts_each_wrong_interval(
+        self, tmp_path, capsys, monkeypatch, wrong_end
+    ):
+        # a root count off on one interval only is one mismatch per member
+        def counted(p, lo, hi):
+            negative = lo == -math.inf
+            right = 1 if negative else p.degree - 1
+            return right + (negative == (wrong_end == "negative"))
+
+        monkeypatch.setattr(cli, "count_real_roots_in", counted)
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "zeros", "--a", "2", "--nmax", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "FAIL zero-pattern-a2: measured=3.000000e+00 tolerance=0.000000e+00\n")
+        assert captured.err == "warn: check failed: zero-pattern-a2 measured 3.000000e+00\n"
+
     def test_pct_const_diff_divides_by_the_exact_gap(self, tmp_path, capsys, monkeypatch):
         # from a ~ 1e16 E_1 and E_2 round to one float; their difference
         # divided by zero
@@ -1001,6 +1020,81 @@ class TestVerifyContract:
         assert warned and capsys.readouterr().err.splitlines() == warned
         tolerances = json.loads(manifest.read_text())["parameters"]["tolerances"]
         assert tolerances == {**_DEFAULT_TOLERANCES, name: float(value)}
+
+
+class TestCheckRows:
+    def test_rows_are_the_manifest_rows(self):
+        assert cli._check_le("a", np.float64(1.0), 1.0) == {
+            "name": "a", "status": "pass", "measured": 1.0, "tolerance": 1.0}
+        assert cli._check_ge("b", Fraction(1, 3), 0.5)["status"] == "fail"
+        # an interval check records its upper end as the tolerance
+        assert [cli._check_in("c", x, 3.5, 4.5)["status"] for x in (3.5, 4.5, 3.4, 4.6)] == [
+            "pass", "pass", "fail", "fail"]
+        assert cli._check_in("c", 4.0, 3.5, 4.5)["tolerance"] == 4.5
+
+    @pytest.mark.parametrize("measured, shown", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    @pytest.mark.parametrize("check, bounds", [
+        (cli._check_le, (1e-8,)), (cli._check_ge, (1e-2,)), (cli._check_in, (3.5, 4.5))])
+    def test_a_non_finite_value_is_refused(self, check, bounds, measured, shown):
+        # strict JSON has no NaN or infinity, so no row may hold one
+        with pytest.raises(EvaluationError) as info:
+            check("x-rel", measured, *bounds)
+        assert str(info.value) == f"check x-rel measured {shown}, not a finite value"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["--family", "scarf", "--eps", "360"], "check scarf-quasi-rel measured nan"),
+        (["--family", "scarf", "--eps", "1e300"], "check scarf-quasi-rel measured nan"),
+        (["--family", "radial", "--eps", "1e300"], "check radial-quasi-rel measured nan"),
+    ])
+    def test_a_non_finite_check_writes_no_manifest(
+        self, tmp_path, monkeypatch, capsys, argv, line
+    ):
+        # each wrote a manifest holding NaN, which is not JSON
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "hermiticity", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {line}, not a finite value"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+def unconverged_levels(monkeypatch):
+    """Make every complex level stop unconverged, at residuals 0.25, 0.5,
+    ... in call order, on the formula level itself."""
+    residuals = iter(np.arange(1, 100) / 4.0)
+
+    def unconverged(op, sigma, iters=60):
+        return numerics.EigenResult(complex(sigma.real), next(residuals), iters, False)
+
+    monkeypatch.setattr(numerics, "eigen_near_shift", unconverged)
+
+
+class TestConvergenceWarnings:
+    # one warning per unconverged level, then the failing checks' lines,
+    # from both routes to the complex levels
+    LEVELS = ((1, "2.500e-01", "2.500000e-01"), (2, "5.000e-01", "5.000000e-01"),
+              (3, "7.500e-01", "7.500000e-01"))
+
+    def expected(self, iters, check):
+        return [
+            f"warn: level {n}: no convergence after {iters} iterations (residual {r})"
+            for n, r, _ in self.LEVELS
+        ] + [f"warn: check failed: {check.format(n)} measured {r}" for n, _, r in self.LEVELS]
+
+    def test_spectrum_warns_per_level(self, tmp_path, monkeypatch, capsys):
+        unconverged_levels(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert run(["spectrum", "--family", "radial", "--a", "2", "--k", "1.75", "--eps", "1.2",
+                    "--nmax", "3", "--iters", "7"]) == 1
+        assert capsys.readouterr().err.splitlines() == self.expected(7, "eigen-residual-{}")
+
+    def test_spectra_suite_warns_per_level(self, tmp_path, monkeypatch, capsys):
+        unconverged_levels(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        assert run(["verify", "--suite", "spectra", "--family", "radial"]) == 1
+        assert capsys.readouterr().err.splitlines() == self.expected(
+            60, "radial-complex-{}-eigen-residual")
 
 
 class TestOverflow:
@@ -1354,6 +1448,36 @@ class TestUsageErrors:
         assert not any(line.startswith("warn:") for line in err)
         assert not out.exists() and not manifest.exists()
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["table", "spectrum"])
+    def test_scarf_needs_b_outside_verify(self, tmp_path, monkeypatch, capsys, command):
+        # verify takes the reference model's b; these take no reference value
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--family", "scarf", "--a", "1.75", "--k", "1.25"]) == 2
+        assert_usage_error(capsys.readouterr(), tmp_path, ["error: the scarf family needs --b"])
+
+    @pytest.mark.parametrize("psi", ["0", "2,-1"])
+    def test_psi_level_below_one(self, tmp_path, monkeypatch, capsys, psi):
+        monkeypatch.chdir(tmp_path)
+        assert run(["table", "--family", "radial", "--a", "2", "--k", "1.75", "--psi", psi]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path, [f"error: --psi levels must be >= 1, got {psi!r}"])
+
+    @pytest.mark.parametrize("points", ["1", "0", "-4"])
+    def test_table_needs_two_points(self, tmp_path, monkeypatch, capsys, points):
+        monkeypatch.chdir(tmp_path)
+        assert run(["table", "--family", "radial", "--a", "2", "--k", "1.75",
+                    "--points", points]) == 2
+        assert_usage_error(
+            capsys.readouterr(), tmp_path, [f"error: need at least 2 grid points, got {points}"])
+
+    @pytest.mark.parametrize("flag, value", [("a", "two"), ("tol-residual", "1e-6x"), ("k", "")])
+    def test_float_flag_that_is_no_number(self, tmp_path, monkeypatch, capsys, flag, value):
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--suite", "residuals", f"--{flag}={value}"]
+        assert run(argv) == 2
+        assert_parse_error(
+            capsys.readouterr(), tmp_path, f"argument --{flag}: invalid float value: {value!r}")
 
     def test_bad_psi_list(self, tmp_path, capsys):
         assert run([

@@ -518,7 +518,7 @@ class TestBlockSplits:
     )
     def test_blocks_match_the_whole_grid_bitwise(self, name, points, cuts):
         m = _STATE_MODELS[name]
-        grid = np.linspace(*cli._default_range(m), points)
+        grid = np.linspace(*cli._extent(m, "table"), points)
         edges = [0]
         for cut in sorted({int(c * points) for c in cuts}):
             if cut - edges[-1] >= 1 and points - cut >= 1:

@@ -36,6 +36,15 @@ class TestQuadrature:
         assert (q.domain_map, q.lo, q.hi) == ("finite", -2.0, 3.0)
         assert np.all(polycore._WEIGHTS > 0.0)
 
+    @pytest.mark.parametrize("lo, hi, shown", [
+        (1.0, 0.0, "(1, 0)"), (0.0, 0.0, "(0, 0)"), (0.0, math.inf, "(0, inf)"),
+        (math.nan, 1.0, "(nan, 1)"),
+    ])
+    def test_finite_rule_refuses_bad_ends(self, lo, hi, shown):
+        with pytest.raises(ArgumentError) as info:
+            finite_quadrature(lo, hi)
+        assert str(info.value) == f"need finite lo < hi, got {shown}"
+
     @settings(max_examples=30)
     @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=9))
     def test_polynomials_integrate_exactly(self, coeffs):
@@ -157,6 +166,12 @@ class TestGram:
         assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.diag(want))
         np.testing.assert_array_equal(g, g.T)
         assert ratio == _worst_offdiag_ratio(g)
+
+    @pytest.mark.parametrize("nmax", [0, -1])
+    def test_refuses_nmax_below_one(self, nmax):
+        with pytest.raises(ArgumentError) as info:
+            gram_matrix(X1Family("laguerre", 2.0), nmax, semi_infinite_exp_quadrature())
+        assert str(info.value) == f"nmax must be at least 1, got {nmax}"
 
     def test_diagonal_matches_norms(self):
         fam = X1Family("laguerre", 2.0)
@@ -605,6 +620,13 @@ class TestSturmCounts:
         assert rows == [slab, slab]
 
 
+def _scale(t) -> float:
+    """max|d| + 2 max|e|, Gershgorin's bound on the operator's norm, which
+    the level tolerances below are taken relative to."""
+    off = np.max(np.abs(t.off_diagonal), initial=0.0)
+    return float(np.max(np.abs(t.diagonal)) + 2.0 * off)
+
+
 def _spectra_suite_operators(radial_hermitian, scarf_hermitian):
     """Four grid operators on the intervals of `spectrum`: radial, then
     Scarf, each at 2000 points and at `spectrum`'s default 4000."""
@@ -623,7 +645,7 @@ class TestLowestEigenvalues:
         want = np.linalg.eigvalsh(dense)[:m]
         got = lowest_eigenvalues(t, m)
         # both solvers are backward stable to O(n eps ||T||)
-        assert np.all(np.abs(got - want) <= 8.0 * t.size * np.finfo(float).eps * t.scale)
+        assert np.all(np.abs(got - want) <= 8.0 * t.size * np.finfo(float).eps * _scale(t))
 
     def test_spectra_suite_operators_match_stebz(self, radial_hermitian, scarf_hermitian):
         linalg = pytest.importorskip("scipy.linalg")
@@ -638,7 +660,7 @@ class TestLowestEigenvalues:
                 got = lowest_eigenvalues(t, 4)
                 # absolute in ||T||: both stop at relative widths, but
                 # the Sturm counts themselves are only that accurate
-                assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps * t.scale
+                assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps * _scale(t)
 
     def test_spectra_suite_operators_take_eight_sweeps(
         self, monkeypatch, radial_hermitian, scarf_hermitian
@@ -745,7 +767,7 @@ class TestLowestEigenvalues:
                 lapack_driver="stebz", tol=1e-300,
             )
             got = lowest_eigenvalues(t, 4)
-            assert np.max(np.abs(got - want)) <= 1.0 * np.finfo(float).eps * t.scale
+            assert np.max(np.abs(got - want)) <= 1.0 * np.finfo(float).eps * _scale(t)
 
     def test_many_levels_keep_to_the_probe_budget(self, monkeypatch, radial_hermitian):
         # 200 brackets are bisected, 200 probes a sweep, where 127 per
@@ -758,7 +780,7 @@ class TestLowestEigenvalues:
             t.diagonal, t.off_diagonal, select="i", select_range=(0, 199),
             lapack_driver="stebz", tol=1e-300,
         )
-        assert np.max(np.abs(got - want)) <= 1.0 * np.finfo(float).eps * t.scale
+        assert np.max(np.abs(got - want)) <= 1.0 * np.finfo(float).eps * _scale(t)
         calls = [p for p, _ in sweeps]
         assert calls[0] == 127
         # at most 200 brackets are open in any sweep
@@ -783,7 +805,7 @@ class TestLowestEigenvalues:
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[:4]
         got = lowest_eigenvalues(t, 4)
         assert got[0] == got[1] and got[2] == got[3]
-        assert np.all(np.abs(got - want) <= 8.0 * t.size * np.finfo(float).eps * t.scale)
+        assert np.all(np.abs(got - want) <= 8.0 * t.size * np.finfo(float).eps * _scale(t))
         assert calls
         for sigmas in calls:
             assert len(np.unique(sigmas)) == len(sigmas)
@@ -798,7 +820,7 @@ class TestLowestEigenvalues:
         t = TridiagonalOperator(d, e)
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         got = lowest_eigenvalues(t, n)
-        assert np.all(np.abs(got - want) <= 8.0 * n * np.finfo(float).eps * t.scale)
+        assert np.all(np.abs(got - want) <= 8.0 * n * np.finfo(float).eps * _scale(t))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_entries_are_rejected(self, bad):
@@ -809,6 +831,13 @@ class TestLowestEigenvalues:
             t = TridiagonalOperator(d, e)
             with pytest.raises(ArgumentError):
                 lowest_eigenvalues(t, 2)
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_level_count_out_of_range_is_rejected(self, m):
+        t = TridiagonalOperator(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(ArgumentError) as info:
+            lowest_eigenvalues(t, m)
+        assert str(info.value) == f"need 1 <= m <= 4, got {m}"
 
     @pytest.mark.parametrize("s", [1e-270, 1e-295])
     def test_tiny_norm_operator(self, s):
@@ -832,7 +861,7 @@ class TestLowestEigenvalues:
         t = TridiagonalOperator(d, e)
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         got = lowest_eigenvalues(t, 3)
-        assert np.all(np.abs(got - want) <= 8.0 * 3 * np.finfo(float).eps * t.scale)
+        assert np.all(np.abs(got - want) <= 8.0 * 3 * np.finfo(float).eps * _scale(t))
 
     @pytest.mark.parametrize("c, j", [(1.0, 21), (1.0, 30), (0.75, 25), (3.0, 19)])
     def test_bracket_a_few_ulps_over_its_stopping_width(self, c, j):
@@ -847,7 +876,7 @@ class TestLowestEigenvalues:
         t = TridiagonalOperator(d, e)
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
         got = lowest_eigenvalues(t, 3)
-        assert np.all(np.abs(got - want) <= 8.0 * 3 * eps * t.scale)
+        assert np.all(np.abs(got - want) <= 8.0 * 3 * eps * _scale(t))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_bracket_is_rejected(self):
@@ -881,7 +910,7 @@ class TestLowestEigenvalues:
                     t.diagonal, t.off_diagonal, select="i", select_range=(0, 3),
                     lapack_driver="stebz", tol=1e-300,
                 )
-                assert np.max(np.abs(got - want)) <= 8.0 * eps * t.scale
+                assert np.max(np.abs(got - want)) <= 8.0 * eps * _scale(t)
 
     @settings(max_examples=200, deadline=None)
     @given(symmetric_tridiagonals(), st.data())
@@ -1315,6 +1344,11 @@ class TestSchrodingerResidual:
         half = 0.5 * math.pi / m.k
         xs = np.linspace(-0.9 * half, 0.9 * half, 40)
         assert schrodinger_residual(m, 1, xs) <= 1e-6
+
+    def test_a_point_is_a_grid_of_one(self, radial_hermitian):
+        got = schrodinger_residual(radial_hermitian, 2, 1.5)
+        assert got == schrodinger_residual(radial_hermitian, 2, np.array([1.5]))
+        assert got <= 1e-6
 
     def test_grid_touching_the_domain_edge_raises(self, radial_hermitian):
         # the offset stencil crosses x = 0

@@ -61,8 +61,31 @@ class TestPolynomial:
         assert p(1j) == pytest.approx(0.0)
         np.testing.assert_allclose(p(np.array([0.0, 1.0, 2.0])), [1.0, 2.0, 5.0])
 
+    @pytest.mark.parametrize("coeffs, message", [
+        ((), "a polynomial needs at least one coefficient"),
+        ((1.0, 0.0), "trailing zero coefficient"),
+    ])
+    def test_refuses_no_coefficient_and_a_trailing_zero(self, coeffs, message):
+        with pytest.raises(ArgumentError) as info:
+            Polynomial(coeffs)
+        assert str(info.value) == message
+
 
 class TestRootCounting:
+    @pytest.mark.parametrize("coeffs, lo, hi, message", [
+        ((0.0,), -1.0, 1.0, "root counting needs a nonzero polynomial"),
+        ((1.0, 1.0), 1.0, 1.0, "need lo < hi, got (1, 1)"),
+        ((1.0, 1.0), math.inf, -math.inf, "need lo < hi, got (inf, -inf)"),
+    ])
+    def test_refusals(self, coeffs, lo, hi, message):
+        with pytest.raises(ArgumentError) as info:
+            count_real_roots_in(Polynomial(coeffs), lo, hi)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("c", [3.0, -1e-300])
+    def test_a_constant_has_no_root(self, c):
+        assert count_real_roots_in(Polynomial((c,)), -math.inf, math.inf) == 0
+
     def test_known_cubic(self):
         # (x + 2)(x - 1)(x - 3) = -6 + 7x^2 ... expand: x^3 - 2x^2 - 5x + 6
         p = Polynomial((6.0, -5.0, -2.0, 1.0))

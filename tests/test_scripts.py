@@ -72,6 +72,12 @@ def test_range_map_slice(tmp_path, monkeypatch):
         assert_exit_contract(row)
     assert {row["exit"] for row in rows} == {0, 1, 2}
     assert list(tmp_path.iterdir()) == []
+    # each row is the committed map's run of the same command and model, so
+    # a change that moves a row fails here until the map is rerun
+    committed = json.loads((ROOT / "RANGE_map.json").read_text())["runs"]
+    for row in rows:
+        assert [r for r in committed if (r["command"], r["model"]) == (
+            row["command"], row["model"])] == [row]
     # no timing and no measured value: a rerun gives the same bytes
     assert range_map.render(range_map.range_map(models)) == range_map.render(rows)
 
